@@ -24,14 +24,12 @@ from .pipeline import (ProcessOptions, ProcessResult, chord_ground_truth,
                        process_records)
 from .spatial import (DistanceAxis, SpatialSeries, build_distance_axis,
                       resample_to_space)
-from .speed import (DelayEstimate, SpeedProfile, align_to_reference,
-                    estimate_delay, estimate_speed)
+from .speed import DelayEstimate, SpeedProfile, estimate_delay, estimate_speed
 from .synthesizer import (SENSOR_SPECS, ImpulseEvent, SensorSpec, SimConfig,
                           SimResult, TrackProfile, add_impulses,
                           add_sensor_noise, profile_spatial_series,
                           simulate_run, synth_profile)
-from .timeseries import (SpectralSeries, TimeSeries, decimate,
-                         double_integrate, highpass, merge_records, spectrum)
+from .timeseries import TimeSeries, decimate, double_integrate, merge_records
 
 __version__ = "0.1.0"
 
@@ -42,16 +40,16 @@ __all__ = [
     "MissingChannelError", "NoOverlapError", "NoValidSpeedError",
     "PlanTooShortError", "ProcessOptions", "ProcessResult", "SENSOR_SPECS",
     "SensorSpec", "SimConfig", "SimResult", "SpatialPSD", "SpatialSeries",
-    "SpectralSeries", "SpeedProfile", "TimeSeries", "TooShortError",
+    "SpeedProfile", "TimeSeries", "TooShortError",
     "TrackProfile", "TrackVibError", "TrcData", "UndefinedCorrelationError",
-    "WindowedStats", "add_impulses", "add_sensor_noise", "align_to_reference",
+    "WindowedStats", "add_impulses", "add_sensor_noise",
     "build_distance_axis", "chord_alignment", "chord_ground_truth",
     "column_name", "compare_trc", "coregister", "correlate", "decimate",
     "double_integrate", "estimate_delay", "estimate_speed", "export_geojson",
-    "highpass", "load_config", "merge_records", "parse_channel_id",
+    "load_config", "merge_records", "parse_channel_id",
     "process_records", "profile_spatial_series", "psd_spatial", "read_record",
     "read_trc", "read_windows", "resample_to_space", "select_cutoff",
-    "simulate_run", "spectrum", "synth_profile", "transfer_function",
+    "simulate_run", "synth_profile", "transfer_function",
     "windowed_max", "write_geojson", "write_record", "write_report_csv",
     "write_report_json", "write_trc", "write_windows",
 ]

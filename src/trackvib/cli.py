@@ -115,20 +115,33 @@ def cmd_simulate(args) -> int:
 
 
 def _read_speed_file(path, n: int, rate_hz: float, wheelbase: float) -> SpeedProfile:
-    rows = []
+    """Speed from the first two fields, time_s and speed_mps, of each row.
+
+    Further fields are ignored, so the speed.csv that process writes is a
+    valid input. Times must strictly increase.
+    """
+    times, speeds = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("time"):
                 continue
-            t, _, v = line.partition(",")
-            rows.append((float(t), float(v)))
-    if len(rows) < 2:
+            fields = line.split(",")
+            try:
+                t, v = float(fields[0]), float(fields[1])
+            except (IndexError, ValueError) as exc:
+                raise fileio.FormatError(f"{path}:{lineno}: expected "
+                                         f"time_s,speed_mps, got {line!r}") from exc
+            if times and not t > times[-1]:
+                raise fileio.FormatError(f"{path}:{lineno}: time {t!r} s does "
+                                         f"not follow {times[-1]!r} s")
+            times.append(t)
+            speeds.append(v)
+    if len(times) < 2:
         raise fileio.FormatError(f"{path}: need at least two time,speed rows")
-    data = np.asarray(rows)
-    times = np.arange(n) / rate_hz
-    speeds = np.interp(times, data[:, 0], data[:, 1])
-    return SpeedProfile(speeds, rate_hz, wheelbase, np.ones(n, dtype=bool))
+    grid = np.arange(n) / rate_hz
+    return SpeedProfile(np.interp(grid, times, speeds), rate_hz, wheelbase,
+                        np.ones(n, dtype=bool))
 
 
 def cmd_process(args) -> int:
@@ -157,11 +170,12 @@ def cmd_process(args) -> int:
     if args.speed_file:
         n0 = min(sum(len(b) for b in blocks) for blocks in channels.values())
         factor = int(round(next(iter(channels.values()))[0].sample_rate_hz
-                           / opts.working_rate_hz))
+                           / pipeline.WORKING_RATE_HZ))
         # gap bridging can stretch a merged channel past the block sum,
         # so overshoot; process_records trims the excess
         speed_override = _read_speed_file(args.speed_file, n0 // factor + 256,
-                                          opts.working_rate_hz, args.wheelbase)
+                                          pipeline.WORKING_RATE_HZ,
+                                          args.wheelbase)
 
     result = pipeline.process_records(channels, opts, speed_override)
 
@@ -169,8 +183,7 @@ def cmd_process(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     fileio.write_trc(out / "estimated.trc", result.to_trc())
     fileio.write_windows(out / "windows.csv", result.maxima,
-                         params={k: v for k, v in result.params.items()
-                                 if not k.startswith("_")})
+                         params=result.params)
     with open(out / "speed.csv", "w", encoding="utf-8") as fh:
         fh.write(f"# params: {json.dumps(result.params['speed_source'])}\n")
         fh.write("time_s,speed_mps,valid\n")
@@ -258,10 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vref", type=float, default=3.0,
                    help="reference low speed in m/s for the cutoff rule")
     p.add_argument("--wheelbase", type=float, default=2.5)
-    p.add_argument("--seed", type=int, default=None, help="unused, accepted "
-                   "for symmetry with simulate")
     p.add_argument("--speed-file", default=None,
-                   help="CSV time_s,speed_mps bypassing the speed estimator")
+                   help="CSV time_s,speed_mps[,...] bypassing the speed "
+                   "estimator, e.g. the speed.csv of an earlier process run")
     p.set_defaults(func=cmd_process)
 
     p = sub.add_parser("compare", help="compare two geometry tables")

@@ -14,7 +14,6 @@ chord length matching that pattern round-trips.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass, field
 
@@ -364,11 +363,3 @@ def write_geojson(path, collection: dict) -> None:
         json.dump(collection, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
-
-def haversine_m(lat1, lon1, lat2, lon2) -> float:
-    """Great-circle distance in meters (used by tests and demos)."""
-    p1, p2 = math.radians(lat1), math.radians(lat2)
-    dl = math.radians(lon2 - lon1)
-    a = (math.sin((p2 - p1) / 2) ** 2
-         + math.cos(p1) * math.cos(p2) * math.sin(dl / 2) ** 2)
-    return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(a))

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import signal as sps
 
 from .errors import TooShortError
-from .spatial import SpatialSeries
+from .spatial import SpatialSeries, _bool_runs
 
 MODE_MAX_ABS = "max_abs"
 MODE_MAX = "max"
@@ -216,21 +216,12 @@ def psd_spatial(series, segment_samples: int = DEFAULT_PSD_SEGMENT) -> SpatialPS
     values = getattr(series, "values_mm", None)
     if values is None:
         values = series.values
-    valid = series.valid & np.isfinite(values)
-    # longest contiguous valid run
-    best_len, best_lo, run_lo = 0, 0, None
-    for i, flag in enumerate(valid):
-        if flag and run_lo is None:
-            run_lo = i
-        if (not flag or i == valid.size - 1) and run_lo is not None:
-            hi = i + 1 if flag else i
-            if hi - run_lo > best_len:
-                best_len, best_lo = hi - run_lo, run_lo
-            run_lo = None
-    if best_len < segment_samples:
-        raise TooShortError(f"longest valid run of {best_len} samples shorter "
+    runs = _bool_runs(series.valid & np.isfinite(values))
+    lo, hi = max(runs, key=lambda r: r[1] - r[0], default=(0, 0))
+    if hi - lo < segment_samples:
+        raise TooShortError(f"longest valid run of {hi - lo} samples shorter "
                             f"than one PSD segment ({segment_samples})")
-    x = values[best_lo:best_lo + best_len]
+    x = values[lo:hi]
     nu, density = sps.welch(x, fs=1.0 / series.spacing_m, window="hann",
                             nperseg=segment_samples,
                             noverlap=segment_samples // 2,

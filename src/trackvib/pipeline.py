@@ -14,12 +14,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import MissingChannelError
-from .fileio import TRC_SPACING_M, TrcData
+from .fileio import _GEOM_COLUMN, TRC_SPACING_M, TrcData
 from .geometry import (AlignmentSeries, ChordSpec, chord_alignment,
                        select_cutoff, windowed_max)
 from .spatial import DistanceAxis, build_distance_axis, resample_to_space
-from .speed import (DEFAULT_DELAY_BOUNDS_S, DEFAULT_WINDOW_SAMPLES,
-                    SpeedProfile, estimate_delay, estimate_speed)
+from .speed import SpeedProfile, estimate_delay, estimate_speed
 from .timeseries import TimeSeries, decimate, double_integrate, merge_records
 
 WORKING_RATE_HZ = 256.0
@@ -31,18 +30,16 @@ SETTLE_PERIODS = 1.5
 
 @dataclass(frozen=True)
 class ProcessOptions:
+    """What a caller chooses. The working rate, grid spacing, grid origin,
+    delay search and maxima mode are fixed: WORKING_RATE_HZ, TRC_SPACING_M
+    and the defaults of the stage functions."""
+
     chords_m: tuple = (10.0, 35.0)
     lateral_chords_m: tuple = (10.0,)
     cutoff_hz: float | None = None        # override select_cutoff
     v_ref_mps: float = 3.0
     window_m: float = 100.0
     wheelbase_m: float = 2.5
-    grid_spacing_m: float = TRC_SPACING_M
-    working_rate_hz: float = WORKING_RATE_HZ
-    delay_window_samples: int = DEFAULT_WINDOW_SAMPLES
-    delay_bounds_s: tuple = DEFAULT_DELAY_BOUNDS_S
-    x0_m: float = 0.0
-    max_abs_mode: str = "max_abs"
 
 
 @dataclass
@@ -58,12 +55,12 @@ class ProcessResult:
         if not self.alignments:
             raise MissingChannelError("nothing was processed")
         first = next(iter(self.alignments.values()))
-        n = len(first)
-        grid = first.start_m + first.spacing_m * np.arange(n)
-        columns = {"speed_mps": self.params["_speed_on_grid"]}
+        grid = first.start_m + first.spacing_m * np.arange(len(first))
+        columns = {"speed_mps": np.interp(grid, self.axis.positions_m,
+                                          self.speed.speeds_mps)}
         for name, series in self.alignments.items():
             columns[name] = series.values_mm
-        meta = {k: v for k, v in self.params.items() if not k.startswith("_")}
+        meta = dict(self.params)
         if metadata:
             meta.update(metadata)
         return TrcData(grid, columns, meta)
@@ -85,16 +82,16 @@ def column_name(chord_d_m: float, side: str, axis: str) -> str:
     return f"{prefix}{chord_d_m:g}_{side}_mm"
 
 
-def _prepare(channels: dict, opts: ProcessOptions) -> dict:
+def _prepare(channels: dict) -> dict:
     """Merge blocks and decimate every channel to the working rate."""
     merged = {}
     for cid, blocks in channels.items():
         ts = merge_records(list(blocks)) if isinstance(blocks, (list, tuple)) \
             else blocks
-        factor = ts.sample_rate_hz / opts.working_rate_hz
+        factor = ts.sample_rate_hz / WORKING_RATE_HZ
         if abs(factor - round(factor)) > 1e-9:
             raise ValueError(f"rate {ts.sample_rate_hz} Hz of {cid!r} is no "
-                             f"integer multiple of {opts.working_rate_hz} Hz")
+                             f"integer multiple of {WORKING_RATE_HZ} Hz")
         factor = int(round(factor))
         merged[cid] = decimate(ts, factor) if factor > 1 else ts
     return merged
@@ -117,18 +114,21 @@ def _mask_settle(series, axis: DistanceAxis, rate_hz: float, cutoff_hz: float):
     return replace(series, valid=series.valid & (pos >= lo) & (pos <= hi))
 
 
-def _estimate_speed_from(pairs: dict, opts: ProcessOptions) -> SpeedProfile:
-    """Cross-correlation speed from the first side with front+back vertical."""
+def _estimate_speed_from(records: dict, displacement,
+                         opts: ProcessOptions) -> SpeedProfile:
+    """Cross-correlation speed from the first side with front+back vertical.
+
+    records: (position, side, axis) -> TimeSeries; displacement(key, cutoff)
+    double-integrates records[key].
+    """
     for side in ("left", "right"):
-        front = pairs.get(("front", side))
-        back = pairs.get(("back", side))
-        if front is not None and back is not None:
+        front = ("front", side, "vertical")
+        back = ("back", side, "vertical")
+        if front in records and back in records:
             cutoff = opts.cutoff_hz or select_cutoff(opts.chords_m[0],
                                                      opts.v_ref_mps)
-            zf = double_integrate(front, cutoff)
-            zb = double_integrate(back, cutoff)
-            delays = estimate_delay(zf, zb, opts.delay_window_samples,
-                                    opts.delay_bounds_s)
+            delays = estimate_delay(displacement(front, cutoff),
+                                    displacement(back, cutoff))
             return estimate_speed(delays, opts.wheelbase_m)
     raise MissingChannelError("speed estimation needs front and back vertical "
                               "records on at least one side")
@@ -144,21 +144,25 @@ def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
     speed_override must be sampled at the working rate and at least as long
     as the decimated records.
     """
-    prepared = _prepare(channels, opts)
+    prepared = _prepare(channels)
     n = min(len(ts) for ts in prepared.values())
-    vertical = {}
-    lateral = {}
+    records = {}
     for cid, ts in prepared.items():
         if len(ts) > n:
             ts = replace(ts, samples=ts.samples[:n])
         meta = parse_channel_id(cid)
-        key = (meta["position"], meta["side"])
-        if meta["axis"] == "vertical":
-            vertical[key] = ts
-        else:
-            lateral[key] = ts
+        records[(meta["position"], meta["side"], meta["axis"])] = ts
+
+    # the speed estimator and the geometry jobs share each integration
+    integrated: dict = {}
+
+    def displacement(key: tuple, cutoff: float) -> TimeSeries:
+        if (key, cutoff) not in integrated:
+            integrated[(key, cutoff)] = double_integrate(records[key], cutoff)
+        return integrated[(key, cutoff)]
+
     if speed_override is not None:
-        if speed_override.sample_rate_hz != opts.working_rate_hz:
+        if speed_override.sample_rate_hz != WORKING_RATE_HZ:
             raise ValueError("speed_override must be sampled at the working rate")
         if speed_override.speeds_mps.size < n:
             raise ValueError(f"speed_override covers {speed_override.speeds_mps.size} "
@@ -168,9 +172,9 @@ def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
                              speed_override.wheelbase_m,
                              speed_override.valid[:n])
     else:
-        speed = _estimate_speed_from(vertical, opts)
+        speed = _estimate_speed_from(records, displacement, opts)
 
-    axis = build_distance_axis(speed, opts.x0_m)
+    axis = build_distance_axis(speed)
 
     params = {
         "chords_m": list(opts.chords_m),
@@ -179,50 +183,34 @@ def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
         "v_ref_mps": opts.v_ref_mps,
         "window_m": opts.window_m,
         "wheelbase_m": opts.wheelbase_m,
-        "grid_spacing_m": opts.grid_spacing_m,
-        "working_rate_hz": opts.working_rate_hz,
-        "x0_m": opts.x0_m,
+        "grid_spacing_m": TRC_SPACING_M,
+        "working_rate_hz": WORKING_RATE_HZ,
+        "x0_m": axis.origin_m,
         "speed_source": "external" if speed_override is not None else "estimated",
     }
     result = ProcessResult(speed, axis, params=params)
 
-    integrated: dict = {}
-
-    def displacement(source: dict, side: str, cutoff: float) -> TimeSeries:
-        ts = source.get(("front", side))
-        if ts is None:
-            raise MissingChannelError(f"no front {side} record available")
-        key = (id(source), side, cutoff)
-        if key not in integrated:
-            integrated[key] = double_integrate(ts, cutoff)
-        return integrated[key]
-
-    jobs = [(d, "vertical", vertical) for d in opts.chords_m]
-    jobs += [(d, "lateral", lateral) for d in opts.lateral_chords_m]
-    for d, axis_name, source in jobs:
-        chord = ChordSpec.for_grid(d, opts.grid_spacing_m)
+    jobs = [(d, "vertical") for d in opts.chords_m]
+    jobs += [(d, "lateral") for d in opts.lateral_chords_m]
+    for d, axis_name in jobs:
+        chord = ChordSpec.for_grid(d, TRC_SPACING_M)
         cutoff = opts.cutoff_hz or select_cutoff(d, opts.v_ref_mps)
         for side in ("left", "right"):
-            if (("front", side)) not in source:
+            key = ("front", side, axis_name)
+            if key not in records:
                 continue
-            z_time = displacement(source, side, cutoff)
-            z_space = resample_to_space(z_time, axis, opts.grid_spacing_m)
-            z_space = _mask_settle(z_space, axis, opts.working_rate_hz, cutoff)
+            z_time = displacement(key, cutoff)
+            z_space = resample_to_space(z_time, axis, TRC_SPACING_M)
+            z_space = _mask_settle(z_space, axis, WORKING_RATE_HZ, cutoff)
             z_mm = replace(z_space, values=z_space.values * 1e3, units="mm")
             result.displacements[f"{axis_name}_{side}_cutoff{cutoff:g}Hz"] = z_mm
             aligned = chord_alignment(z_mm, chord, axis_name, side)
             column = column_name(d, side, axis_name)
             result.alignments[column] = aligned
-            result.maxima[column] = windowed_max(aligned, opts.window_m,
-                                                 opts.max_abs_mode)
+            result.maxima[column] = windowed_max(aligned, opts.window_m)
 
     if not result.alignments:
         raise MissingChannelError("no front vertical or lateral channel found")
-
-    first = next(iter(result.alignments.values()))
-    grid = first.start_m + first.spacing_m * np.arange(len(first))
-    params["_speed_on_grid"] = np.interp(grid, axis.positions_m,
-                                         speed.speeds_mps)
     return result
 
 
@@ -255,8 +243,7 @@ def chord_ground_truth(profile, sim, chords_m=(10.0, 35.0),
 
 def alignment_from_trc(trc: TrcData, column: str) -> AlignmentSeries:
     """Rehydrate a TRC geometry column into an AlignmentSeries."""
-    import re
-    m = re.match(r"^(VA|HA)(\d+(?:\.\d+)?)_(left|right)_mm$", column)
+    m = _GEOM_COLUMN.match(column)
     if m is None:
         raise ValueError(f"column {column!r} is not a geometry column")
     d = float(m.group(2))

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage, signal
+from scipy import ndimage
 
-from .errors import AlignmentFailedError, NoValidSpeedError
+from .errors import NoValidSpeedError
 from .timeseries import TimeSeries
 
 DEFAULT_WINDOW_SAMPLES = 960          # 3.75 s at 256 Hz
@@ -159,75 +159,3 @@ def estimate_speed(delays: DelayEstimate, wheelbase_m: float,
         speeds = ndimage.median_filter(speeds, size=k | 1, mode="nearest")
     return SpeedProfile(speeds, delays.sample_rate_hz, wheelbase_m, valid)
 
-
-def _speed_on_grid(speeds: np.ndarray, fs: float, spacing: float):
-    """Resample a time-domain speed onto a uniform distance grid (start, values)."""
-    pos = np.cumsum(speeds) / fs
-    start = np.ceil(pos[0] / spacing - 1e-9) * spacing
-    stop = np.floor(pos[-1] / spacing + 1e-9) * spacing
-    count = int(round((stop - start) / spacing)) + 1
-    if count < 2:
-        raise AlignmentFailedError("speed profile covers less than one grid step")
-    grid = start + spacing * np.arange(count)
-    return start, np.interp(grid, pos, speeds)
-
-
-def align_to_reference(estimated: SpeedProfile, reference,
-                       grid_spacing_m: float = 0.25,
-                       quality_threshold: float = 0.5) -> float:
-    """Distance origin x0 that best aligns the estimated speed-vs-distance
-    curve with a reference one.
-
-    ``reference`` is either a SpatialSeries of speed vs distance or another
-    SpeedProfile (integrated to distance first). Returns x0 such that
-    estimated position + x0 matches the reference chainage; raises
-    AlignmentFailedError when no correlation peak reaches the threshold.
-    """
-    est_start, est_v = _speed_on_grid(estimated.speeds_mps,
-                                      estimated.sample_rate_hz, grid_spacing_m)
-    if isinstance(reference, SpeedProfile):
-        ref_start, ref_v = _speed_on_grid(reference.speeds_mps,
-                                          reference.sample_rate_hz, grid_spacing_m)
-        spacing = grid_spacing_m
-    else:  # SpatialSeries-shaped: values on a uniform grid
-        ref_start = reference.start_m
-        ref_v = np.asarray(reference.values, dtype=float)
-        spacing = reference.spacing_m
-        if abs(spacing - grid_spacing_m) > 1e-12:
-            est_start, est_v = _speed_on_grid(estimated.speeds_mps,
-                                              estimated.sample_rate_hz, spacing)
-
-    ev = est_v - est_v.mean()
-    rv = ref_v - ref_v.mean()
-    se, sr = ev.std(), rv.std()
-    if se == 0.0 or sr == 0.0:
-        raise AlignmentFailedError("flat speed profile, alignment undefined")
-    min_pts = max(8, min(ev.size, rv.size) // 4)
-    # full['k'] pairs est[i] with ref[i + k - (Ne-1)]
-    full = signal.correlate(rv, ev, mode="full")
-    counts = np.minimum.reduce([
-        np.arange(1, full.size + 1),
-        np.arange(full.size, 0, -1),
-        np.full(full.size, min(ev.size, rv.size)),
-    ])
-    score = np.where(counts >= min_pts, full / counts, -np.inf)
-    if not np.isfinite(score).any():
-        raise AlignmentFailedError("profiles too short to overlap")
-    best = int(np.argmax(score))
-    k = best - (ev.size - 1)
-
-    # exact Pearson r on the winning overlap for the accept/reject decision
-    i0 = max(0, -k)
-    j0 = max(0, k)
-    m = min(ev.size - i0, rv.size - j0)
-    if m < 2:
-        raise AlignmentFailedError("winning shift leaves no usable overlap")
-    a = est_v[i0:i0 + m]
-    b = ref_v[j0:j0 + m]
-    if a.std() == 0.0 or b.std() == 0.0:
-        raise AlignmentFailedError("flat overlap, alignment undefined")
-    r = float(np.corrcoef(a, b)[0, 1])
-    if not np.isfinite(r) or r < quality_threshold:
-        raise AlignmentFailedError(f"best alignment correlation {r:.3f} below "
-                                   f"threshold {quality_threshold}")
-    return float((ref_start - est_start) + k * spacing)

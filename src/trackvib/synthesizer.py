@@ -136,13 +136,6 @@ class SimResult:
     speeds_mps: np.ndarray
     config: SimConfig
 
-    def true_speed_profile(self):
-        from .speed import SpeedProfile
-        return SpeedProfile(self.speeds_mps.copy(),
-                            self.config.sample_rate_hz,
-                            self.config.wheelbase_m,
-                            np.ones(self.speeds_mps.size, dtype=bool))
-
 
 def _channel_rng(seed: int, channel_id: str) -> np.random.Generator:
     # stable per-channel stream: master seed + crc of the channel name

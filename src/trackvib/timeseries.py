@@ -1,16 +1,17 @@
 """Time-domain containers and the sampled-signal operations of the chain.
 
-All heavy filtering is done by masking the DFT of the record: the record is
-padded, transformed with a real FFT, multiplied by a real zero-phase mask,
-transformed back and trimmed. Transition bands are raised cosines one octave
-wide, geometrically centered on the cutoff, so the passband gain is exactly 1
-and the stopband exactly 0.
+All heavy filtering is done by masking the DFT of the record. Each filter
+pads the record its own way, then hands it to one helper, _apply_mask, which
+transforms it with a real FFT, multiplies it by a real zero-phase mask and
+transforms it back; the filter trims the padding off the result. Transition
+bands are raised cosines one octave wide, geometrically centered on the
+cutoff, so the passband gain is exactly 1 and the stopband exactly 0.
 
-Padding differs by operation. Low-pass (decimation) and plain high-pass masks
-have gain <= 1, so a 2 s even-symmetric reflection is enough. The double
-integration mask amplifies the transition band by up to ~0.15/cutoff_hz^2,
-which turns the slope discontinuity a reflection leaves at the record edge
-into low-frequency wander across the whole record (~60% amplitude error on a
+Padding differs by operation. The decimation low-pass has gain <= 1, so a
+2 s even-symmetric reflection is enough. The double integration mask
+amplifies the transition band by up to ~0.15/cutoff_hz^2, which turns the
+slope discontinuity a reflection leaves at the record edge into
+low-frequency wander across the whole record (~60% amplitude error on a
 plain 5 Hz sine). Integration therefore extends the record by linear
 prediction (Burg) so oscillations continue coherently, fades the extensions
 with a smooth taper, and only then applies the mask.
@@ -27,7 +28,7 @@ from .errors import GapTooLargeError
 KIND_ACCELERATION = "acceleration"
 KIND_DISPLACEMENT = "displacement"
 
-# seconds of even-symmetric reflection prepended/appended before gain<=1 masks
+# seconds of even-symmetric reflection prepended/appended before decimation
 EDGE_PAD_S = 2.0
 
 # predictive-extension parameters for the integration mask
@@ -88,34 +89,6 @@ class TimeSeries:
         return self.start_time_s + np.arange(self.samples.size) / self.sample_rate_hz
 
 
-@dataclass(frozen=True)
-class SpectralSeries:
-    """One-sided DFT of a TimeSeries: complex bins plus their frequency axis."""
-
-    bins: np.ndarray
-    frequency_axis_hz: np.ndarray
-    source_length: int
-    sample_rate_hz: float
-    channel_id: str = ""
-
-    def __post_init__(self):
-        bins = np.asarray(self.bins, dtype=np.complex128)
-        freqs = np.asarray(self.frequency_axis_hz, dtype=np.float64)
-        if bins.shape != freqs.shape:
-            raise ValueError("bins and frequency_axis_hz must have equal length")
-        if freqs.size == 0 or freqs[0] != 0.0:
-            raise ValueError("frequency axis must start at the 0 Hz bin")
-        object.__setattr__(self, "bins", bins)
-        object.__setattr__(self, "frequency_axis_hz", freqs)
-
-
-def spectrum(ts: TimeSeries) -> SpectralSeries:
-    """One-sided DFT of the raw record (no padding, no window)."""
-    bins = np.fft.rfft(ts.samples)
-    freqs = np.fft.rfftfreq(ts.samples.size, 1.0 / ts.sample_rate_hz)
-    return SpectralSeries(bins, freqs, ts.samples.size, ts.sample_rate_hz, ts.channel_id)
-
-
 def _raised_cosine_step(f: np.ndarray, f_lo: float, f_hi: float) -> np.ndarray:
     """Smooth 0 -> 1 step: 0 below f_lo, 1 above f_hi, raised cosine between."""
     out = np.zeros_like(f)
@@ -130,16 +103,14 @@ def _highpass_mask(f: np.ndarray, cutoff_hz: float) -> np.ndarray:
     return _raised_cosine_step(f, cutoff_hz / np.sqrt(2.0), cutoff_hz * np.sqrt(2.0))
 
 
-def _apply_mask(samples: np.ndarray, sample_rate_hz: float, mask_of_f) -> np.ndarray:
-    """Even-reflect pad, rfft, multiply by mask(f), irfft, trim."""
-    n = samples.size
-    pad = min(int(round(EDGE_PAD_S * sample_rate_hz)), n - 1)
-    padded = np.pad(samples, pad, mode="reflect") if pad > 0 else samples
+def _apply_mask(padded: np.ndarray, sample_rate_hz: float, mask_of_f) -> np.ndarray:
+    """rfft, multiply by mask(f), irfft at the padded length.
+
+    The one spectral filter of the module; callers pad before and trim after.
+    """
     bins = np.fft.rfft(padded)
-    f = np.fft.rfftfreq(padded.size, 1.0 / sample_rate_hz)
-    bins *= mask_of_f(f)
-    out = np.fft.irfft(bins, n=padded.size)
-    return out[pad:pad + n] if pad > 0 else out
+    bins *= mask_of_f(np.fft.rfftfreq(padded.size, 1.0 / sample_rate_hz))
+    return np.fft.irfft(bins, n=padded.size)
 
 
 def decimate(ts: TimeSeries, factor: int) -> TimeSeries:
@@ -157,26 +128,15 @@ def decimate(ts: TimeSeries, factor: int) -> TimeSeries:
     count = ts.samples.size // factor
     if count == 0:
         raise ValueError(f"record of {ts.samples.size} samples too short to decimate by {factor}")
+    n = ts.samples.size
     nyq_new = ts.sample_rate_hz / (2.0 * factor)
+    pad = min(int(round(EDGE_PAD_S * ts.sample_rate_hz)), n - 1)
     filtered = _apply_mask(
-        ts.samples, ts.sample_rate_hz,
+        np.pad(ts.samples, pad, mode="reflect"), ts.sample_rate_hz,
         lambda f: 1.0 - _raised_cosine_step(f, 0.8 * nyq_new, nyq_new),
     )
-    kept = filtered[:count * factor:factor]
+    kept = filtered[pad:pad + count * factor:factor]
     return replace(ts, samples=kept, sample_rate_hz=ts.sample_rate_hz / factor)
-
-
-def highpass(ts: TimeSeries, cutoff_hz: float) -> TimeSeries:
-    """Zero-phase high-pass with a one-octave raised-cosine transition.
-
-    Gain is exactly 0 at and below cutoff/sqrt(2) (DC included) and exactly 1
-    at and above cutoff*sqrt(2); components >= 2x cutoff pass untouched.
-    """
-    nyquist = ts.sample_rate_hz / 2.0
-    if not (0.0 < cutoff_hz < nyquist):
-        raise ValueError(f"cutoff {cutoff_hz} Hz outside (0, {nyquist}) Hz")
-    out = _apply_mask(ts.samples, ts.sample_rate_hz, lambda f: _highpass_mask(f, cutoff_hz))
-    return replace(ts, samples=out)
 
 
 def _burg_coefficients(x: np.ndarray, order: int) -> np.ndarray:
@@ -230,8 +190,8 @@ def _smooth_ramp(count: int) -> np.ndarray:
 def double_integrate(ts: TimeSeries, cutoff_hz: float) -> TimeSeries:
     """Acceleration -> displacement via division of the DFT by (j 2 pi f)^2.
 
-    The high-pass mask (same shape as :func:`highpass`) is applied inside the
-    same DFT, and the DC bin is zeroed, so the unbounded 1/f^2 amplification
+    A one-octave raised-cosine high-pass is applied inside the same DFT,
+    and the DC bin is zeroed, so the unbounded 1/f^2 amplification
     never touches the sub-cutoff band. sin(2 pi f0 t) maps to
     -sin(2 pi f0 t)/(2 pi f0)^2 for f0 comfortably above the cutoff.
 
@@ -263,12 +223,13 @@ def double_integrate(ts: TimeSeries, cutoff_hz: float) -> TimeSeries:
     padded[:pad] *= ramp
     padded[-pad:] *= ramp[::-1]
 
-    f = np.fft.rfftfreq(padded.size, 1.0 / fs)
-    m = _highpass_mask(f, cutoff_hz)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # division by (j 2 pi f)^2 = -(2 pi f)^2
-        m = np.where(f > 0.0, -m / (2.0 * np.pi * f) ** 2, 0.0)
-    out = np.fft.irfft(np.fft.rfft(padded) * m, n=padded.size)[pad:pad + n]
+    def mask(f):
+        m = _highpass_mask(f, cutoff_hz)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # division by (j 2 pi f)^2 = -(2 pi f)^2
+            return np.where(f > 0.0, -m / (2.0 * np.pi * f) ** 2, 0.0)
+
+    out = _apply_mask(padded, fs, mask)[pad:pad + n]
     return replace(ts, samples=out, kind=KIND_DISPLACEMENT)
 
 

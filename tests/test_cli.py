@@ -140,6 +140,22 @@ class TestProcess:
         head = (out / "speed.csv").read_text().splitlines()[0]
         assert "external" in head
 
+    def test_own_speed_csv_is_a_speed_file(self, sim_dir, proc_dir, tmp_path):
+        # speed.csv rows carry a third field, valid
+        out = tmp_path / "round-trip"
+        assert main(["process", "--records", str(sim_dir), "--out", str(out),
+                     "--speed-file", str(proc_dir / "speed.csv")]) == 0
+        head = (out / "speed.csv").read_text().splitlines()[0]
+        assert "external" in head
+
+    def test_speed_file_times_must_increase(self, sim_dir, tmp_path, capsys):
+        speed = tmp_path / "speed.csv"
+        speed.write_text("time_s,speed_mps\n0.0,10.0\n60.0,10.0\n30.0,10.0\n")
+        rc = main(["process", "--records", str(sim_dir),
+                   "--out", str(tmp_path / "x"), "--speed-file", str(speed)])
+        assert rc == 1
+        assert f"{speed}:4" in capsys.readouterr().err
+
     def test_empty_records_dir_is_data_error(self, tmp_path):
         rc = main(["process", "--records", str(tmp_path),
                    "--out", str(tmp_path / "x")])

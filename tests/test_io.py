@@ -1,17 +1,30 @@
 """Round-trip and validation tests for every file format."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from trackvib.errors import FormatError
 from trackvib.fileio import (TRC_SPACING_M, TrcData, export_geojson,
-                             haversine_m, load_config, read_record, read_trc,
+                             load_config, read_record, read_trc,
                              read_windows, write_geojson, write_record,
                              write_trc, write_windows)
 from trackvib.geometry import WindowedStats
 from trackvib.timeseries import TimeSeries
+
+EARTH_RADIUS_M = 6371000.0
+
+
+def haversine_m(lat1, lon1, lat2, lon2) -> float:
+    """Great-circle distance in meters, scalar math: an independent
+    reference for the package's vectorized polyline arc lengths."""
+    p1, p2 = math.radians(lat1), math.radians(lat2)
+    dl = math.radians(lon2 - lon1)
+    a = (math.sin((p2 - p1) / 2) ** 2
+         + math.cos(p1) * math.cos(p2) * math.sin(dl / 2) ** 2)
+    return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(a))
 
 
 class TestRecordFormat:

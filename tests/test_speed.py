@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from trackvib.errors import AlignmentFailedError, NoValidSpeedError
-from trackvib.spatial import SpatialSeries
-from trackvib.speed import (DelayEstimate, SpeedProfile, align_to_reference,
-                            estimate_delay, estimate_speed)
+from trackvib.errors import NoValidSpeedError
+from trackvib.speed import DelayEstimate, estimate_delay, estimate_speed
 
 FS = 256.0
 
@@ -136,37 +134,6 @@ class TestEstimateSpeed:
     def test_bad_wheelbase(self):
         with pytest.raises(ValueError):
             estimate_speed(self.constant_delay(0.25), 0.0)
-
-
-class TestAlignToReference:
-    def varying_profile(self, n=25600, seed=5):
-        rng = np.random.default_rng(seed)
-        knots = rng.uniform(6.0, 14.0, 20)
-        v = np.interp(np.arange(n), np.linspace(0, n - 1, knots.size), knots)
-        return SpeedProfile(v, FS, 2.5, np.ones(n, dtype=bool))
-
-    def test_identity_alignment(self):
-        prof = self.varying_profile()
-        x0 = align_to_reference(prof, prof)
-        assert abs(x0) <= 0.25
-
-    def test_known_offset_recovered(self):
-        prof = self.varying_profile()
-        pos = np.cumsum(prof.speeds_mps) / FS
-        spacing = 0.25
-        start = np.ceil((pos[0] + 50.0) / spacing) * spacing
-        stop = np.floor((pos[-1] + 50.0) / spacing) * spacing
-        grid = np.arange(start, stop + spacing / 2, spacing)
-        ref = SpatialSeries(np.interp(grid - 50.0, pos, prof.speeds_mps),
-                            spacing, float(start), units="m/s")
-        x0 = align_to_reference(prof, ref)
-        assert x0 == pytest.approx(50.0, abs=spacing)
-
-    def test_flat_profile_fails(self):
-        n = 25600
-        prof = SpeedProfile(np.full(n, 10.0), FS, 2.5, np.ones(n, dtype=bool))
-        with pytest.raises(AlignmentFailedError):
-            align_to_reference(prof, prof)
 
 
 class TestEndToEndSpeed:

@@ -146,13 +146,6 @@ class TestSimulateRun:
         vert_n = noisy.channels["bogie-front-left-vertical"].samples
         assert np.array_equal(vert_q, vert_n)
 
-    def test_true_speed_profile_roundtrip(self):
-        p = synth_profile(100.0, SINE_SPEC)
-        sim = simulate_run(p, constant_run())
-        prof = sim.true_speed_profile()
-        assert np.allclose(prof.speeds_mps, 10.0)
-        assert prof.wheelbase_m == 2.5
-
 
 class TestAddImpulses:
     def doublet_setup(self, amp_g=150.0, dur_ms=5.0, fs=2560.0, v=10.0):

@@ -10,7 +10,7 @@ import pytest
 from trackvib.errors import GapTooLargeError
 from trackvib.timeseries import (KIND_ACCELERATION, KIND_DISPLACEMENT,
                                  TimeSeries, decimate, double_integrate,
-                                 highpass, merge_records, spectrum)
+                                 merge_records)
 
 FS = 2560.0
 
@@ -50,15 +50,6 @@ class TestTimeSeries:
         assert ts.samples.dtype == np.float64
 
 
-class TestSpectrum:
-    def test_axis_and_peak(self):
-        ts = sine(5.0, 10.0)
-        spec = spectrum(ts)
-        assert spec.frequency_axis_hz[0] == 0.0
-        peak = spec.frequency_axis_hz[np.argmax(np.abs(spec.bins))]
-        assert peak == pytest.approx(5.0, abs=0.1)
-
-
 class TestDecimate:
     def test_sine_survives(self):
         # 5 Hz is far below the 128 Hz decimated Nyquist
@@ -94,6 +85,12 @@ class TestDecimate:
         out = decimate(sine(200.0, 10.0), 10)
         assert np.max(np.abs(mid(out.samples))) < 0.01
 
+    def test_constant_record_kept_to_the_ends(self):
+        # the even reflection gives the filter a flat context at both ends;
+        # zero padding would pull the end samples toward 0 (error ~2.3)
+        out = decimate(TimeSeries(np.full(25600, 5.0), FS), 10)
+        assert np.max(np.abs(out.samples - 5.0)) < 1e-9
+
     def test_bad_factor(self):
         ts = sine(5.0, 1.0)
         with pytest.raises(ValueError):
@@ -104,38 +101,6 @@ class TestDecimate:
     def test_too_short(self):
         with pytest.raises(ValueError):
             decimate(TimeSeries(np.zeros(5), FS), 10)
-
-
-class TestHighpass:
-    def test_dc_removed(self):
-        ts = TimeSeries(np.full(25600, 5.0) + sine(5.0, 10.0).samples, FS)
-        out = highpass(ts, 1.0)
-        rms_in = np.sqrt(np.mean(ts.samples ** 2))
-        assert abs(np.mean(out.samples)) < 1e-6 * rms_in
-
-    def test_passband_untouched(self):
-        ts = sine(10.0, 10.0)
-        out = highpass(ts, 1.0)
-        assert np.max(np.abs(mid(out.samples) - mid(ts.samples))) < 0.01
-
-    def test_stopband_killed(self):
-        out = highpass(sine(0.1, 40.0), 1.0)
-        assert np.max(np.abs(mid(out.samples))) <= 0.01
-
-    def test_idempotent(self):
-        ts = sine(10.0, 10.0)
-        once = highpass(ts, 1.0)
-        twice = highpass(once, 1.0)
-        rms = np.sqrt(np.mean(mid(once.samples) ** 2))
-        diff = np.sqrt(np.mean((mid(twice.samples) - mid(once.samples)) ** 2))
-        assert diff < 1e-3 * rms
-
-    def test_cutoff_bounds(self):
-        ts = sine(5.0, 1.0)
-        with pytest.raises(ValueError):
-            highpass(ts, 0.0)
-        with pytest.raises(ValueError):
-            highpass(ts, FS)
 
 
 class TestDoubleIntegrate:
