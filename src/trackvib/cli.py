@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +28,10 @@ from . import fileio, pipeline
 from .errors import TrackVibError
 from .speed import SpeedProfile
 from .pipeline import chord_ground_truth
-from .synthesizer import (SENSOR_SPECS, ImpulseEvent, SensorSpec, SimConfig,
-                          add_impulses, add_sensor_noise, simulate_run,
-                          synth_profile)
+from .synthesizer import (DEFAULT_LR_CORRELATION, DEFAULT_SAMPLE_RATE_HZ,
+                          DEFAULT_WHEELBASE_M, SENSOR_SPECS, ImpulseEvent,
+                          SensorSpec, SimConfig, add_impulses,
+                          add_sensor_noise, simulate_run, synth_profile)
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -57,7 +59,7 @@ def cmd_simulate(args) -> int:
     profile = synth_profile(
         cfg["length_m"], cfg["profile"], seed=seed,
         lateral_spec=cfg.get("lateral_profile"),
-        lr_correlation=float(cfg.get("lr_correlation", 0.7)),
+        lr_correlation=float(cfg.get("lr_correlation", DEFAULT_LR_CORRELATION)),
         geo_polyline=cfg.get("geo_polyline"),
     )
     sensor = _sensor_from_config(cfg)
@@ -66,8 +68,8 @@ def cmd_simulate(args) -> int:
                    for e in cfg.get("impulses", []))
     sim_config = SimConfig(
         speed_plan=tuple((k[0], k[1]) for k in cfg["speed_plan"]),
-        sample_rate_hz=float(cfg.get("sample_rate_hz", 2560.0)),
-        wheelbase_m=float(cfg.get("wheelbase_m", 2.5)),
+        sample_rate_hz=float(cfg.get("sample_rate_hz", DEFAULT_SAMPLE_RATE_HZ)),
+        wheelbase_m=float(cfg.get("wheelbase_m", DEFAULT_WHEELBASE_M)),
         impulse_events=events,
         lateral_disturbance=cfg.get("lateral_disturbance"),
         seed=seed,
@@ -85,7 +87,6 @@ def cmd_simulate(args) -> int:
                    if sensor else None)
     add_noise = bool(cfg.get("add_noise", sensor is not None)) and sensor
 
-    from dataclasses import replace
     for cid, ts in sorted(sim.channels.items()):
         if "vertical" in cid and events:
             ts = add_impulses(ts, events, sim.wheel_positions[cid])
@@ -115,30 +116,8 @@ def cmd_simulate(args) -> int:
 
 
 def _read_speed_file(path, n: int, rate_hz: float, wheelbase: float) -> SpeedProfile:
-    """Speed from the first two fields, time_s and speed_mps, of each row.
-
-    Further fields are ignored, so the speed.csv that process writes is a
-    valid input. Times must strictly increase.
-    """
-    times, speeds = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("time"):
-                continue
-            fields = line.split(",")
-            try:
-                t, v = float(fields[0]), float(fields[1])
-            except (IndexError, ValueError) as exc:
-                raise fileio.FormatError(f"{path}:{lineno}: expected "
-                                         f"time_s,speed_mps, got {line!r}") from exc
-            if times and not t > times[-1]:
-                raise fileio.FormatError(f"{path}:{lineno}: time {t!r} s does "
-                                         f"not follow {times[-1]!r} s")
-            times.append(t)
-            speeds.append(v)
-    if len(times) < 2:
-        raise fileio.FormatError(f"{path}: need at least two time,speed rows")
+    """The speed table at path, interpolated onto n samples at rate_hz."""
+    times, speeds = fileio.read_speed(path)
     grid = np.arange(n) / rate_hz
     return SpeedProfile(np.interp(grid, times, speeds), rate_hz, wheelbase,
                         np.ones(n, dtype=bool))
@@ -156,16 +135,12 @@ def cmd_process(args) -> int:
     for blocks in channels.values():
         blocks.sort(key=lambda b: b.start_time_s)
 
-    if args.chord is not None:
-        chords = (args.chord,)
-        lateral = (args.chord,)
-    else:
-        chords = (10.0, 35.0)
-        lateral = (10.0,)
     opts = pipeline.ProcessOptions(
-        chords_m=chords, lateral_chords_m=lateral, cutoff_hz=args.cutoff,
-        v_ref_mps=args.vref, window_m=args.window, wheelbase_m=args.wheelbase,
-    )
+        cutoff_hz=args.cutoff, v_ref_mps=args.vref, window_m=args.window,
+        wheelbase_m=args.wheelbase)
+    if args.chord is not None:
+        opts = replace(opts, chords_m=(args.chord,),
+                       lateral_chords_m=(args.chord,))
     speed_override = None
     if args.speed_file:
         n0 = min(sum(len(b) for b in blocks) for blocks in channels.values())
@@ -184,18 +159,10 @@ def cmd_process(args) -> int:
     fileio.write_trc(out / "estimated.trc", result.to_trc())
     fileio.write_windows(out / "windows.csv", result.maxima,
                          params=result.params)
-    with open(out / "speed.csv", "w", encoding="utf-8") as fh:
-        fh.write(f"# params: {json.dumps(result.params['speed_source'])}\n")
-        fh.write("time_s,speed_mps,valid\n")
-        sp = result.speed
-        for i, (v, ok) in enumerate(zip(sp.speeds_mps, sp.valid)):
-            fh.write(f"{i / sp.sample_rate_hz!r},{float(v)!r},{int(ok)}\n")
+    fileio.write_speed(out / "speed.csv", result.speed,
+                       result.params["speed_source"])
     for label, series in result.displacements.items():
-        with open(out / f"displacement_{label}.csv", "w", encoding="utf-8") as fh:
-            fh.write(f"# units: {series.units}\n")
-            fh.write("distance_m,value,valid\n")
-            for x, v, ok in zip(series.positions(), series.values, series.valid):
-                fh.write(f"{float(x)!r},{float(v)!r},{int(ok)}\n")
+        fileio.write_displacement(out / f"displacement_{label}.csv", series)
     n_cols = len(result.alignments)
     first = next(iter(result.alignments.values()))
     print(f"processed {len(channels)} channels -> {n_cols} geometry columns "
@@ -259,6 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the config seed")
     p.set_defaults(func=cmd_simulate)
 
+    defaults = pipeline.ProcessOptions()
     p = sub.add_parser("process", help="estimate geometry from record blocks")
     p.add_argument("--records", required=True)
     p.add_argument("--out", required=True)
@@ -266,14 +234,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="chord length in m (default: 10 and 35)")
     p.add_argument("--cutoff", type=float, default=None,
                    help="integration high-pass cutoff in Hz (default: vref/chord)")
-    p.add_argument("--window", type=float, default=100.0,
-                   help="maxima window in m (default 100)")
-    p.add_argument("--vref", type=float, default=3.0,
+    p.add_argument("--window", type=float, default=defaults.window_m,
+                   help="maxima window in m (default %(default)g)")
+    p.add_argument("--vref", type=float, default=defaults.v_ref_mps,
                    help="reference low speed in m/s for the cutoff rule")
-    p.add_argument("--wheelbase", type=float, default=2.5)
+    p.add_argument("--wheelbase", type=float, default=defaults.wheelbase_m)
     p.add_argument("--speed-file", default=None,
-                   help="CSV time_s,speed_mps[,...] bypassing the speed "
-                   "estimator, e.g. the speed.csv of an earlier process run")
+                   help="CSV with header row time_s,speed_mps[,...] bypassing "
+                   "the speed estimator, e.g. the speed.csv of an earlier "
+                   "process run")
     p.set_defaults(func=cmd_process)
 
     p = sub.add_parser("compare", help="compare two geometry tables")

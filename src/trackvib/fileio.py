@@ -1,14 +1,18 @@
-"""File formats: record blocks, TRC-style geometry CSV, reports, GeoJSON.
+"""File formats: record blocks, CSV tables, GeoJSON.
 
 Record block: one UTF-8 JSON header line (sorted keys, ends with newline)
 followed by the raw little-endian float64 payload. Byte-identical for
 identical inputs.
 
-TRC-style CSV: '# key: json' comment lines carrying metadata and the full
-parameter set, a header row, then one row per 0.25 m grid point. Floats are
-written with repr so a read/write cycle is bit-exact; invalid samples are
-'nan'. Geometry columns are named like VA10_left_mm / HA10_right_mm; any
-chord length matching that pattern round-trips.
+Table: every CSV the package writes or reads (.trc geometry, windows.csv,
+speed.csv, displacement_*.csv, compare_*.csv) has one layout, written by
+write_table and read by read_table. First come '# key: <json>' comment
+lines in a given order, then one header row of column names, then one row
+per sample. Floats are written with repr, so a write/read cycle is
+bit-exact and invalid samples read 'nan'; flags are written as 0/1. In a
+.trc table the first column is distance_m on the 0.25 m grid, and the
+geometry columns are named like VA10_left_mm / HA10_right_mm; any chord
+length matching that pattern round-trips.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError
+from .spatial import TRC_SPACING_M
 from .timeseries import KIND_ACCELERATION, KIND_DISPLACEMENT, TimeSeries
 
-TRC_SPACING_M = 0.25
 _UNITS = {KIND_ACCELERATION: "m/s^2", KIND_DISPLACEMENT: "m"}
 _GEOM_COLUMN = re.compile(r"^(VA|HA)(\d+(?:\.\d+)?)_(left|right)_mm$")
 EARTH_RADIUS_M = 6371000.0
@@ -76,7 +80,73 @@ def read_record(path) -> tuple[TimeSeries, dict]:
     return ts, header
 
 
-# ---------------------------------------------------------------- trc csv
+# ---------------------------------------------------------------- tables
+
+def _cells(values) -> list[str]:
+    a = np.asarray(values)
+    if a.dtype == bool:
+        return np.where(a, "1", "0").tolist()
+    if a.dtype.kind == "U":     # text labels
+        return a.tolist()
+    return list(map(repr, a.astype(float).tolist()))
+
+
+def write_table(path, columns: dict, comments: dict | None = None) -> None:
+    """Write a table: comments (key -> JSON value, in the given order),
+    then the header row, then the rows of columns (name -> 1-D values of
+    equal length; bool columns become 0/1, text columns stay as they are,
+    all others are written as float repr)."""
+    cells = [_cells(values) for values in columns.values()]
+    with open(path, "w", encoding="utf-8") as fh:
+        for key, value in (comments or {}).items():
+            fh.write(f"# {key}: {json.dumps(value, sort_keys=True)}\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
+
+
+def read_table(path, leading: tuple, dtype=float) -> tuple[dict, dict, int]:
+    """Comments, columns (name -> 1-D array of dtype) and the file line of
+    the first data row of a table whose header row starts with ``leading``.
+
+    Comment values that are not JSON are kept as text.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().rstrip().splitlines()
+    comments: dict = {}
+    for i, line in enumerate(lines):
+        if line.startswith("#"):
+            key, sep, value = line[1:].partition(":")
+            if sep:
+                try:
+                    comments[key.strip()] = json.loads(value)
+                except json.JSONDecodeError:
+                    comments[key.strip()] = value.strip()
+        elif line.strip():
+            break
+    else:
+        raise FormatError(f"{path}: no header row")
+    names = [n.strip() for n in lines[i].split(",")]
+    if names[:len(leading)] != list(leading):
+        raise FormatError(f"{path}:{i + 1}: header must start with "
+                          f"{','.join(leading)}, got {lines[i]!r}")
+    body = lines[i + 1:]
+    if not body:
+        raise FormatError(f"{path}: no data rows")
+    if "" in body:
+        raise FormatError(f"{path}:{i + 2 + body.index('')}: blank line "
+                          f"between data rows")
+    try:
+        rows = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None,
+                          ndmin=2)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    if rows.shape[1] != len(names):
+        raise FormatError(f"{path}: header names {len(names)} columns, rows "
+                          f"hold {rows.shape[1]}")
+    return comments, dict(zip(names, rows.T)), i + 2
+
+
+# ---------------------------------------------------------------- trc
 
 @dataclass
 class TrcData:
@@ -109,55 +179,13 @@ def _check_trc(trc: TrcData, origin: str) -> None:
 
 def write_trc(path, trc: TrcData) -> None:
     _check_trc(trc, str(path))
-    names = ["distance_m"] + list(trc.columns)
-    cols = [np.asarray(trc.distance_m, dtype=float)]
-    cols += [np.asarray(trc.columns[n], dtype=float) for n in trc.columns]
-    with open(path, "w", encoding="utf-8") as fh:
-        for key in sorted(trc.metadata):
-            fh.write(f"# {key}: {json.dumps(trc.metadata[key], sort_keys=True)}\n")
-        fh.write(",".join(names) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_table(path, {"distance_m": trc.distance_m, **trc.columns},
+                {key: trc.metadata[key] for key in sorted(trc.metadata)})
 
 
 def read_trc(path) -> TrcData:
-    metadata: dict = {}
-    names: list[str] | None = None
-    rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                key, sep, value = body.partition(":")
-                if sep:
-                    try:
-                        metadata[key.strip()] = json.loads(value.strip())
-                    except json.JSONDecodeError:
-                        metadata[key.strip()] = value.strip()
-                continue
-            parts = line.split(",")
-            if names is None:
-                names = [p.strip() for p in parts]
-                if names[0] != "distance_m":
-                    raise FormatError(f"{path}:{lineno}: first column must be "
-                                      f"distance_m, got {names[0]!r}")
-                continue
-            if len(parts) != len(names):
-                raise FormatError(f"{path}:{lineno}: expected {len(names)} "
-                                  f"fields, got {len(parts)}")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
-    if names is None or not rows:
-        raise FormatError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
-    trc = TrcData(data[:, 0],
-                  {n: data[:, i] for i, n in enumerate(names) if i > 0},
-                  metadata)
+    comments, columns, _ = read_table(path, ("distance_m",))
+    trc = TrcData(columns.pop("distance_m"), columns, comments)
     _check_trc(trc, str(path))
     return trc
 
@@ -173,69 +201,83 @@ def write_report_json(path, reports: dict) -> None:
 
 
 def write_report_csv(path, report) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# pearson_r: {report.pearson_r!r}\n")
-        fh.write(f"# slope: {report.slope!r}\n")
-        fh.write(f"# intercept: {report.intercept!r}\n")
-        fh.write(f"# n_windows: {report.n_windows}\n")
-        for key in sorted(report.metadata):
-            fh.write(f"# {key}: {json.dumps(report.metadata[key], sort_keys=True)}\n")
-        fh.write("window_start_m,estimated,reference,residual\n")
-        for s, e, r, d in zip(report.window_starts_m, report.estimated,
-                              report.reference, report.residuals):
-            fh.write(f"{float(s)!r},{float(e)!r},{float(r)!r},{float(d)!r}\n")
+    comments = {"pearson_r": report.pearson_r, "slope": report.slope,
+                "intercept": report.intercept, "n_windows": report.n_windows}
+    comments.update(sorted(report.metadata.items()))
+    write_table(path, {"window_start_m": report.window_starts_m,
+                       "estimated": report.estimated,
+                       "reference": report.reference,
+                       "residual": report.residuals}, comments)
 
 
 # ---------------------------------------------------------------- windows
 
+_WINDOWS_HEADER = ("column", "window_start_m", "window_end_m", "value_mm",
+                   "valid_fraction")
+
+
 def write_windows(path, stats_by_column: dict, params: dict | None = None) -> None:
-    """Long-format CSV of windowed maxima, one row per (column, window)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if params:
-            fh.write(f"# params: {json.dumps(params, sort_keys=True)}\n")
-        fh.write("column,window_start_m,window_end_m,value_mm,valid_fraction\n")
-        for column, stats in stats_by_column.items():
-            for s, e, v, f in zip(stats.starts_m, stats.ends_m, stats.values,
-                                  stats.valid_fraction):
-                fh.write(f"{column},{float(s)!r},{float(e)!r},"
-                         f"{float(v)!r},{float(f)!r}\n")
+    """Long-format table of windowed maxima, one row per (column, window)."""
+    stats = stats_by_column.values()
+
+    def joined(attr: str) -> np.ndarray:
+        return np.concatenate([np.empty(0)] + [getattr(s, attr) for s in stats])
+
+    labels = [c for c, s in stats_by_column.items() for _ in range(len(s))]
+    values = [joined(a) for a in ("starts_m", "ends_m", "values", "valid_fraction")]
+    write_table(path, dict(zip(_WINDOWS_HEADER, [labels] + values)),
+                {"params": params} if params else None)
 
 
 def read_windows(path, column: str):
-    """Rebuild the WindowedStats of one column from a windows CSV."""
+    """Rebuild the WindowedStats of one column from a windows table."""
     from .geometry import WindowedStats
 
-    starts, ends, values, fractions = [], [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header_seen = False
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                header_seen = True
-                if line.split(",")[0] != "column":
-                    raise FormatError(f"{path}:{lineno}: not a windows CSV")
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise FormatError(f"{path}:{lineno}: expected 5 fields")
-            if parts[0] != column:
-                continue
-            try:
-                starts.append(float(parts[1]))
-                ends.append(float(parts[2]))
-                values.append(float(parts[3]))
-                fractions.append(float(parts[4]))
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
-    if not starts:
+    _, columns, _ = read_table(path, _WINDOWS_HEADER, dtype=str)
+    mine = columns["column"] == column
+    if not mine.any():
         raise FormatError(f"{path}: no rows for column {column!r}")
-    widths = np.asarray(ends) - np.asarray(starts)
+    try:
+        starts, ends, values, fractions = (columns[name][mine].astype(float)
+                                           for name in _WINDOWS_HEADER[1:])
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    widths = ends - starts
     if np.any(np.abs(widths - widths[0]) > 1e-9):
         raise FormatError(f"{path}: window lengths differ for {column!r}")
-    return WindowedStats(float(widths[0]), np.asarray(starts),
-                         np.asarray(values), np.asarray(fractions))
+    return WindowedStats(float(widths[0]), starts, values, fractions)
+
+
+# ---------------------------------------------------------------- speed, displacement
+
+def write_speed(path, speed, source: str) -> None:
+    """speed.csv: time_s, speed_mps and valid of a SpeedProfile."""
+    times = np.arange(speed.speeds_mps.size) / speed.sample_rate_hz
+    write_table(path, {"time_s": times, "speed_mps": speed.speeds_mps,
+                       "valid": np.asarray(speed.valid, dtype=bool)},
+                {"params": source})
+
+
+def read_speed(path) -> tuple[np.ndarray, np.ndarray]:
+    """Times and speeds of a speed table such as speed.csv. Further columns
+    are ignored; the times must strictly increase."""
+    _, columns, first_line = read_table(path, ("time_s", "speed_mps"))
+    times, speeds = columns["time_s"], columns["speed_mps"]
+    if times.size < 2:
+        raise FormatError(f"{path}: need at least two time,speed rows")
+    bad = np.flatnonzero(~(np.diff(times) > 0))
+    if bad.size:
+        k = int(bad[0]) + 1
+        raise FormatError(f"{path}:{first_line + k}: time "
+                          f"{float(times[k])!r} s does not follow "
+                          f"{float(times[k - 1])!r} s")
+    return times, speeds
+
+
+def write_displacement(path, series) -> None:
+    """displacement_*.csv: distance_m, value and valid of a SpatialSeries."""
+    write_table(path, {"distance_m": series.positions(), "value": series.values,
+                       "valid": series.valid}, {"units": series.units})
 
 
 # ---------------------------------------------------------------- config

@@ -20,9 +20,7 @@ from scipy import signal as sps
 from .errors import TooShortError
 from .spatial import SpatialSeries, _bool_runs
 
-MODE_MAX_ABS = "max_abs"
-MODE_MAX = "max"
-MODE_MIN = "min"
+MODE_MAX_ABS = "max_abs"      # the one summary: compare metadata names it
 VALID_FRACTION_THRESHOLD = 0.5
 DEFAULT_PSD_SEGMENT = 512          # 128 m of 0.25 m samples
 REFERENCE_LOW_SPEED_MPS = 3.0
@@ -95,7 +93,6 @@ class WindowedStats:
     starts_m: np.ndarray
     values: np.ndarray
     valid_fraction: np.ndarray
-    mode: str = MODE_MAX_ABS
 
     def __len__(self) -> int:
         return self.values.size
@@ -160,49 +157,38 @@ def select_cutoff(chord_d_m: float, v_ref_mps: float = REFERENCE_LOW_SPEED_MPS) 
     return v_ref_mps / chord_d_m
 
 
-def windowed_max(series: AlignmentSeries, window_m: float,
-                 mode: str = MODE_MAX_ABS) -> WindowedStats:
-    """Summary value per tumbling window of ``window_m``, aligned to start_m.
+def windowed_max(series: AlignmentSeries, window_m: float) -> WindowedStats:
+    """Largest |value| per tumbling window of ``window_m``, aligned to start_m.
 
-    mode is one of max_abs (default), max, min. Each window's value is taken
-    over its valid samples only; windows with less than half their nominal
-    samples valid (including windows truncated by the end of the series) are
-    reported but fall below the usable threshold.
+    Each window's value is taken over its valid samples only; windows with
+    less than half their nominal samples valid (including windows truncated
+    by the end of the series) are reported but fall below the usable
+    threshold.
     """
     if window_m < series.spacing_m:
         raise ValueError(f"window of {window_m} m smaller than grid spacing "
                          f"{series.spacing_m} m")
-    if mode not in (MODE_MAX_ABS, MODE_MAX, MODE_MIN):
-        raise ValueError(f"unknown mode {mode!r}")
     dx = series.spacing_m
     n = len(series)
     rel = dx * np.arange(n)   # position relative to start_m, exact for k*dx
     idx = np.floor(rel / window_m + 1e-9).astype(int)
     n_windows = idx[-1] + 1
-    starts = series.start_m + window_m * np.arange(n_windows)
-    values = np.full(n_windows, np.nan)
-    fractions = np.zeros(n_windows)
-    v = series.values_mm
+    k = np.arange(n_windows + 1)
+    starts = series.start_m + window_m * k[:-1]
+    # idx is sorted: window k holds grid points [bounds[k], bounds[k + 1])
+    bounds = np.searchsorted(idx, k)
     ok = series.valid
-    for k in range(n_windows):
-        sel = idx == k
-        # nominal count: grid points the window would hold if the series
-        # continued; truncated trailing windows are penalized by this
-        lo = np.ceil(k * window_m / dx - 1e-9)
-        hi = np.ceil((k + 1) * window_m / dx - 1e-9) - 1
-        nominal = int(hi - lo) + 1
-        good = sel & ok
-        n_good = int(np.count_nonzero(good))
-        fractions[k] = n_good / nominal if nominal > 0 else 0.0
-        if n_good:
-            w = v[good]
-            if mode == MODE_MAX_ABS:
-                values[k] = np.max(np.abs(w))
-            elif mode == MODE_MAX:
-                values[k] = np.max(w)
-            else:
-                values[k] = np.min(w)
-    return WindowedStats(float(window_m), starts, values, fractions, mode)
+    n_good = np.diff(np.concatenate(([0], np.cumsum(ok)))[bounds])
+    peak = np.maximum.reduceat(np.where(ok, np.abs(series.values_mm), -np.inf),
+                               bounds[:-1])
+    values = np.where(n_good > 0, peak, np.nan)
+    # nominal count: grid points the window would hold if the series
+    # continued; truncated trailing windows are penalized by this
+    edges = np.ceil(k * window_m / dx - 1e-9)
+    nominal = np.diff(edges)
+    fractions = np.divide(n_good, nominal, out=np.zeros(n_windows),
+                          where=nominal > 0)
+    return WindowedStats(float(window_m), starts, values, fractions)
 
 
 def psd_spatial(series, segment_samples: int = DEFAULT_PSD_SEGMENT) -> SpatialPSD:

@@ -14,10 +14,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import MissingChannelError
-from .fileio import _GEOM_COLUMN, TRC_SPACING_M, TrcData
-from .geometry import (AlignmentSeries, ChordSpec, chord_alignment,
-                       select_cutoff, windowed_max)
-from .spatial import DistanceAxis, build_distance_axis, resample_to_space
+from .fileio import _GEOM_COLUMN, TrcData
+from .geometry import (MODE_MAX_ABS, AlignmentSeries, ChordSpec,
+                       chord_alignment, select_cutoff, windowed_max)
+from .spatial import (TRC_SPACING_M, DistanceAxis, build_distance_axis,
+                      resample_to_space)
 from .speed import SpeedProfile, estimate_delay, estimate_speed
 from .timeseries import TimeSeries, decimate, double_integrate, merge_records
 
@@ -30,9 +31,9 @@ SETTLE_PERIODS = 1.5
 
 @dataclass(frozen=True)
 class ProcessOptions:
-    """What a caller chooses. The working rate, grid spacing, grid origin,
-    delay search and maxima mode are fixed: WORKING_RATE_HZ, TRC_SPACING_M
-    and the defaults of the stage functions."""
+    """What a caller chooses. The working rate, grid spacing, grid origin
+    and delay search are fixed: WORKING_RATE_HZ, TRC_SPACING_M and the
+    defaults of the stage functions."""
 
     chords_m: tuple = (10.0, 35.0)
     lateral_chords_m: tuple = (10.0,)
@@ -215,8 +216,7 @@ def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
 
 
 def chord_ground_truth(profile, sim, chords_m=(10.0, 35.0),
-                       lateral_chords_m=(10.0,),
-                       spacing_m: float = TRC_SPACING_M) -> TrcData:
+                       lateral_chords_m=(10.0,)) -> TrcData:
     """Reference geometry table straight from a synthetic profile.
 
     Applies the same chord arithmetic to the known rail shapes, so the
@@ -228,9 +228,9 @@ def chord_ground_truth(profile, sim, chords_m=(10.0, 35.0),
     grid = None
     for chords, axis in ((chords_m, "vertical"), (lateral_chords_m, "lateral")):
         for d in chords:
-            chord = ChordSpec.for_grid(d, spacing_m)
+            chord = ChordSpec.for_grid(d, TRC_SPACING_M)
             for side in ("left", "right"):
-                series = profile_spatial_series(profile, side, axis, spacing_m)
+                series = profile_spatial_series(profile, side, axis)
                 if grid is None:
                     grid = series.positions()
                 aligned = chord_alignment(series, chord, axis, side)
@@ -256,8 +256,7 @@ def alignment_from_trc(trc: TrcData, column: str) -> AlignmentSeries:
 
 
 def compare_trc(est: TrcData, ref: TrcData, window_m: float = 100.0,
-                max_shift_m: float = 0.0, mode: str = "max_abs",
-                skipped: dict | None = None) -> dict:
+                max_shift_m: float = 0.0, skipped: dict | None = None) -> dict:
     """Windowed comparison per common geometry column.
 
     Both tables are cropped to a shared start so the tumbling windows line
@@ -286,13 +285,13 @@ def compare_trc(est: TrcData, ref: TrcData, window_m: float = 100.0,
             return AlignmentSeries(s.values_mm[skip:], s.spacing_m, start,
                                    s.chord, s.axis, s.rail, s.valid[skip:])
 
-        wa = windowed_max(crop(a), window_m, mode)
-        wb = windowed_max(crop(b), window_m, mode)
+        wa = windowed_max(crop(a), window_m)
+        wb = windowed_max(crop(b), window_m)
         try:
             wa, wb, shift = coregister(wa, wb, max_shift_m)
             report = correlate(wa, wb, metadata={
                 "column": column, "window_m": window_m,
-                "applied_shift_m": shift, "mode": mode,
+                "applied_shift_m": shift, "mode": MODE_MAX_ABS,
             })
         except UndefinedCorrelationError as exc:
             if skipped is not None:

@@ -17,7 +17,8 @@ import numpy as np
 from .errors import TooShortError
 from .timeseries import TimeSeries
 
-DEFAULT_GRID_SPACING_M = 0.25
+# The recording-car grid step: every distance grid and .trc table uses it.
+TRC_SPACING_M = 0.25
 STATIONARY_SPEED_MPS = 0.5
 STATIONARY_MIN_DURATION_S = 1.0
 
@@ -104,7 +105,7 @@ def _stationary_runs(positions: np.ndarray, fs: float) -> list[tuple[int, int]]:
 
 
 def resample_to_space(ts: TimeSeries, axis: DistanceAxis,
-                      spacing_m: float = DEFAULT_GRID_SPACING_M) -> SpatialSeries:
+                      spacing_m: float = TRC_SPACING_M) -> SpatialSeries:
     """Linear interpolation of a time series onto a uniform distance grid.
 
     The grid runs from ceil(min/spacing)*spacing to floor(max/spacing)*spacing,

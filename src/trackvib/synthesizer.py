@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import PlanTooShortError
-from .spatial import SpatialSeries
+from .spatial import TRC_SPACING_M, SpatialSeries
 from .timeseries import KIND_ACCELERATION, TimeSeries
 
 G = 9.81
@@ -252,7 +252,7 @@ def synth_profile(length_m: float, spec: dict, seed: int = 0,
 
 
 def profile_spatial_series(profile: TrackProfile, side: str, axis: str = "vertical",
-                           spacing_m: float = 0.25) -> SpatialSeries:
+                           spacing_m: float = TRC_SPACING_M) -> SpatialSeries:
     """Ground-truth profile as a SpatialSeries in mm on a coarser grid."""
     step = spacing_m / profile.spacing_m
     if abs(step - round(step)) > 1e-9:

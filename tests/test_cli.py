@@ -156,6 +156,14 @@ class TestProcess:
         assert rc == 1
         assert f"{speed}:4" in capsys.readouterr().err
 
+    def test_speed_file_needs_header_row(self, sim_dir, tmp_path, capsys):
+        speed = tmp_path / "speed.csv"
+        speed.write_text("0.0,10.0\n60.0,10.0\n")
+        rc = main(["process", "--records", str(sim_dir),
+                   "--out", str(tmp_path / "x"), "--speed-file", str(speed)])
+        assert rc == 1
+        assert f"{speed}:1" in capsys.readouterr().err
+
     def test_empty_records_dir_is_data_error(self, tmp_path):
         rc = main(["process", "--records", str(tmp_path),
                    "--out", str(tmp_path / "x")])

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from trackvib.errors import TooShortError
-from trackvib.geometry import (MODE_MAX, MODE_MAX_ABS, MODE_MIN,
-                               AlignmentSeries, ChordSpec, chord_alignment,
+from trackvib.geometry import (AlignmentSeries, ChordSpec, chord_alignment,
                                psd_spatial, select_cutoff, transfer_function,
                                windowed_max)
 from trackvib.spatial import SpatialSeries
@@ -159,14 +158,21 @@ class TestWindowedMax:
             sel = (pos >= lo - 1e-9) & (pos < hi - 1e-9)
             assert stats.values[k] == pytest.approx(np.max(np.abs(vals[sel])))
 
-    def test_modes(self):
-        vals = np.zeros(401)
-        vals[100] = -5.0
-        vals[200] = 3.0
-        series = self.alignment(vals)
-        assert windowed_max(series, 100.0, MODE_MAX_ABS).values[0] == 5.0
-        assert windowed_max(series, 100.0, MODE_MAX).values[0] == 3.0
-        assert windowed_max(series, 100.0, MODE_MIN).values[0] == -5.0
+    def test_valid_mask_equals_loop(self):
+        # loop reference: |max| over each window's valid samples, and the
+        # valid count over the 400 grid points of a full window
+        rng = np.random.default_rng(9)
+        vals = rng.normal(size=1923)
+        valid = rng.random(vals.size) > 0.3
+        valid[400:800] = False   # window 1 has no valid sample
+        stats = windowed_max(self.alignment(vals, valid=valid), 100.0)
+        pos = DX * np.arange(vals.size)
+        assert len(stats) == 5
+        for k in range(len(stats)):
+            good = valid & (pos >= 100.0 * k) & (pos < 100.0 * (k + 1))
+            expected = np.max(np.abs(vals[good])) if good.any() else np.nan
+            assert np.array_equal(stats.values[k], expected, equal_nan=True)
+            assert stats.valid_fraction[k] == np.count_nonzero(good) / 400
 
     def test_low_valid_fraction_not_usable(self):
         valid = np.ones(801, dtype=bool)
@@ -188,10 +194,6 @@ class TestWindowedMax:
     def test_window_smaller_than_spacing(self):
         with pytest.raises(ValueError):
             windowed_max(self.alignment(np.ones(100)), 0.1)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            windowed_max(self.alignment(np.ones(100)), 100.0, "median")
 
     def test_starts_aligned_to_series_start(self):
         series = self.alignment(np.ones(801), start=250.0)

@@ -6,12 +6,17 @@ import math
 import numpy as np
 import pytest
 
+from trackvib.comparison import ComparisonReport
 from trackvib.errors import FormatError
 from trackvib.fileio import (TRC_SPACING_M, TrcData, export_geojson,
-                             load_config, read_record, read_trc,
-                             read_windows, write_geojson, write_record,
-                             write_trc, write_windows)
+                             load_config, read_record, read_speed,
+                             read_table, read_trc, read_windows,
+                             write_displacement, write_geojson, write_record,
+                             write_report_csv, write_speed, write_trc,
+                             write_windows)
 from trackvib.geometry import WindowedStats
+from trackvib.spatial import SpatialSeries
+from trackvib.speed import SpeedProfile
 from trackvib.timeseries import TimeSeries
 
 EARTH_RADIUS_M = 6371000.0
@@ -82,6 +87,96 @@ class TestRecordFormat:
         p.write_bytes(json.dumps(header).encode() + b"\n")
         with pytest.raises(FormatError):
             read_record(p)
+
+
+class TestTableLayout:
+    """Exact text of every table the package writes, for tiny inputs."""
+
+    def test_trc(self, tmp_path):
+        trc = TrcData(np.array([0.0, 0.25, 0.5]), {
+            "speed_mps": np.array([10.0, 10.5, np.nan]),
+            "VA10_left_mm": np.array([0.1, -0.0, 1e-300]),
+        }, {"source": "synthesizer", "config": {"seed": 5, "a": [1, 2]}})
+        p = tmp_path / "run.trc"
+        write_trc(p, trc)
+        assert p.read_text() == (
+            '# config: {"a": [1, 2], "seed": 5}\n'
+            '# source: "synthesizer"\n'
+            "distance_m,speed_mps,VA10_left_mm\n"
+            "0.0,10.0,0.1\n"
+            "0.25,10.5,-0.0\n"
+            "0.5,nan,1e-300\n")
+
+    def test_windows(self, tmp_path):
+        p = tmp_path / "windows.csv"
+        write_windows(p, {
+            "VA10_left_mm": WindowedStats(100.0, np.array([0.0, 100.0]),
+                                          np.array([1.5, np.nan]),
+                                          np.array([1.0, 0.25])),
+            "HA10_right_mm": WindowedStats(100.0, np.array([0.0]),
+                                           np.array([0.125]), np.array([0.5])),
+        }, params={"window_m": 100.0})
+        assert p.read_text() == (
+            '# params: {"window_m": 100.0}\n'
+            "column,window_start_m,window_end_m,value_mm,valid_fraction\n"
+            "VA10_left_mm,0.0,100.0,1.5,1.0\n"
+            "VA10_left_mm,100.0,200.0,nan,0.25\n"
+            "HA10_right_mm,0.0,100.0,0.125,0.5\n")
+
+    def test_speed(self, tmp_path):
+        p = tmp_path / "speed.csv"
+        write_speed(p, SpeedProfile(np.array([10.0, 10.25]), 256.0, 2.5,
+                                    np.array([True, False])), "estimated")
+        assert p.read_text() == ('# params: "estimated"\n'
+                                 "time_s,speed_mps,valid\n"
+                                 "0.0,10.0,1\n"
+                                 "0.00390625,10.25,0\n")
+        times, speeds = read_speed(p)
+        assert times.tolist() == [0.0, 0.00390625]
+        assert speeds.tolist() == [10.0, 10.25]
+
+    def test_displacement(self, tmp_path):
+        p = tmp_path / "displacement_vertical_left_cutoff0.3Hz.csv"
+        write_displacement(p, SpatialSeries(np.array([1.5, np.nan]), 0.25, 2.0,
+                                            units="mm",
+                                            valid=np.array([True, False])))
+        assert p.read_text() == ('# units: "mm"\n'
+                                 "distance_m,value,valid\n"
+                                 "2.0,1.5,1\n"
+                                 "2.25,nan,0\n")
+
+    def test_compare(self, tmp_path):
+        p = tmp_path / "compare_VA10_left_mm.csv"
+        write_report_csv(p, ComparisonReport(
+            0.5, 2.0, -1.0, 2, np.array([0.0, 100.0]), np.array([1.0, 3.0]),
+            np.array([1.0, 2.0]), np.array([0.0, 0.0]),
+            {"window_m": 100.0, "column": "VA10_left_mm",
+             "applied_shift_m": 0.0, "mode": "max_abs"}))
+        assert p.read_text() == ("# pearson_r: 0.5\n"
+                                 "# slope: 2.0\n"
+                                 "# intercept: -1.0\n"
+                                 "# n_windows: 2\n"
+                                 "# applied_shift_m: 0.0\n"
+                                 '# column: "VA10_left_mm"\n'
+                                 '# mode: "max_abs"\n'
+                                 "# window_m: 100.0\n"
+                                 "window_start_m,estimated,reference,residual\n"
+                                 "0.0,1.0,1.0,0.0\n"
+                                 "100.0,3.0,2.0,0.0\n")
+
+    def test_reader_keeps_text_comments(self, tmp_path):
+        p = tmp_path / "old.csv"
+        p.write_text("# units: mm\n# n: 3\ndistance_m,value\n0.0,1.0\n")
+        comments, columns, first_line = read_table(p, ("distance_m",))
+        assert comments == {"units": "mm", "n": 3}
+        assert list(columns) == ["distance_m", "value"]
+        assert first_line == 4
+
+    def test_blank_line_between_rows_rejected(self, tmp_path):
+        p = tmp_path / "gap.csv"
+        p.write_text("time_s,speed_mps\n0.0,10.0\n\n1.0,10.0\n\n")
+        with pytest.raises(FormatError, match="gap.csv:3"):
+            read_speed(p)
 
 
 class TestTrcFormat:
