@@ -28,7 +28,7 @@ print(f"start {axis.positions_m[0]:.2f} m, "
 # a 25 m wavelength in space, expressed through the position of each sample
 signal = TimeSeries(np.sin(2 * np.pi * axis.positions_m / 25.0), FS,
                     kind="displacement")
-grid = resample_to_space(signal, axis, spacing_m=0.25)
+grid = resample_to_space(signal, axis)
 
 print(f"grid: {len(grid)} points from {grid.start_m:.2f} m "
       f"every {grid.spacing_m} m")

@@ -8,14 +8,13 @@ choice, and confirms the factor-4 power ratio at the response peak.
 
 import numpy as np
 
-from trackvib.geometry import ChordSpec, chord_alignment, psd_spatial, \
-    select_cutoff, transfer_function
+from trackvib.geometry import chord_alignment, psd_spatial, select_cutoff, \
+    transfer_function
 from trackvib.spatial import SpatialSeries
 
 DX = 0.25
 
 for d in (10.0, 35.0):
-    chord = ChordSpec.for_grid(d, DX)
     print(f"--- {d:g} m chord ---")
     print(f"integration cutoff at 3 m/s survey speed: "
           f"{select_cutoff(d, 3.0):g} Hz")
@@ -23,14 +22,14 @@ for d in (10.0, 35.0):
     x = DX * np.arange(int(40 * d / DX))
     for label, nu in (("blind", 2.0 / d), ("doubled", 1.0 / d)):
         z = SpatialSeries(np.sin(2 * np.pi * nu * x), DX, 0.0)
-        out = chord_alignment(z, chord)
-        peak = np.nanmax(np.abs(out.values_mm))
-        gain = transfer_function(chord, np.array([nu]))[0]
+        out = chord_alignment(z, d)
+        peak = np.nanmax(np.abs(out.values))
+        gain = transfer_function(d, np.array([nu]))[0]
         print(f"  nu={nu:.4f} c/m ({label}): measured peak {peak:.3f}, "
               f"transfer {gain:.3f}")
 
     z = SpatialSeries(np.sin(2 * np.pi * x / d), DX, 0.0)
-    out = chord_alignment(z, chord)
+    out = chord_alignment(z, d)
     p_in, p_out = psd_spatial(z), psd_spatial(out)
     k = int(np.argmin(np.abs(p_in.nu_axis - 1.0 / d)))
     ratio = p_out.density[k] / p_in.density[k]

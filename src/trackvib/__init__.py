@@ -16,9 +16,9 @@ from .fileio import (TrcData, export_geojson, load_config, read_record,
                      read_trc, read_windows, write_geojson, write_record,
                      write_report_csv, write_report_json, write_trc,
                      write_windows)
-from .geometry import (AlignmentSeries, ChordSpec, SpatialPSD, WindowedStats,
-                       chord_alignment, psd_spatial, select_cutoff,
-                       transfer_function, windowed_max)
+from .geometry import (SpatialPSD, WindowedStats, chord_alignment,
+                       psd_spatial, select_cutoff, transfer_function,
+                       windowed_max)
 from .pipeline import (ProcessOptions, ProcessResult, chord_ground_truth,
                        column_name, compare_trc, parse_channel_id,
                        process_records)
@@ -34,9 +34,9 @@ from .timeseries import TimeSeries, decimate, double_integrate, merge_records
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignmentFailedError", "AlignmentSeries", "ChordSpec",
-    "ComparisonReport", "DelayEstimate", "DistanceAxis", "FormatError",
-    "GapTooLargeError", "ImpulseEvent", "InsufficientDataError",
+    "AlignmentFailedError", "ComparisonReport", "DelayEstimate",
+    "DistanceAxis", "FormatError", "GapTooLargeError", "ImpulseEvent",
+    "InsufficientDataError",
     "MissingChannelError", "NoOverlapError", "NoValidSpeedError",
     "PlanTooShortError", "ProcessOptions", "ProcessResult", "SENSOR_SPECS",
     "SensorSpec", "SimConfig", "SimResult", "SpatialPSD", "SpatialSeries",

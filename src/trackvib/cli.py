@@ -231,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--chord", type=float, default=None,
-                   help="chord length in m (default: 10 and 35)")
+                   help="chord length in m (default: "
+                   + " and ".join(f"{d:g}" for d in defaults.chords_m) + ")")
     p.add_argument("--cutoff", type=float, default=None,
                    help="integration high-pass cutoff in Hz (default: vref/chord)")
     p.add_argument("--window", type=float, default=defaults.window_m,
@@ -249,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimated", required=True)
     p.add_argument("--reference", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=float, default=100.0)
+    p.add_argument("--window", type=float, default=defaults.window_m)
     p.add_argument("--max-shift", type=float, default=0.0,
                    help="co-registration search range in m")
     p.set_defaults(func=cmd_compare)

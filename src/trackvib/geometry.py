@@ -8,11 +8,14 @@ is what recording cars publish for vertical (VA) and horizontal (HA)
 alignment. Its spatial transfer function 1 - cos(pi d nu) has zeros at even
 multiples of 1/d and maxima of 2 at odd multiples, which drives both the
 integration cutoff choice and the spectral sanity checks here.
+
+Profiles and alignments are both spatial.SpatialSeries on the same grid; an
+alignment keeps its profile's units.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import signal as sps
@@ -24,65 +27,6 @@ MODE_MAX_ABS = "max_abs"      # the one summary: compare metadata names it
 VALID_FRACTION_THRESHOLD = 0.5
 DEFAULT_PSD_SEGMENT = 512          # 128 m of 0.25 m samples
 REFERENCE_LOW_SPEED_MPS = 3.0
-
-
-@dataclass(frozen=True)
-class ChordSpec:
-    """Chord length tied to a grid: half_span_samples = d / (2*spacing)."""
-
-    d_m: float
-    half_span_samples: int
-
-    def __post_init__(self):
-        if not self.d_m > 0:
-            raise ValueError(f"chord length must be > 0, got {self.d_m}")
-        if self.half_span_samples < 1:
-            raise ValueError("half_span_samples must be >= 1")
-
-    @classmethod
-    def for_grid(cls, d_m: float, spacing_m: float) -> "ChordSpec":
-        """Build a chord for a grid, rejecting d that is no exact multiple."""
-        half = d_m / (2.0 * spacing_m)
-        if abs(half - round(half)) > 1e-9 * max(1.0, abs(half)):
-            raise ValueError(f"chord {d_m} m is not an even multiple of the "
-                             f"grid spacing {spacing_m} m (d/2 must land on "
-                             f"the grid)")
-        return cls(float(d_m), int(round(half)))
-
-
-@dataclass(frozen=True)
-class AlignmentSeries:
-    """Chord alignment values in mm on the same grid as the source profile.
-
-    The first and last half-chord of samples have no full chord support and
-    are NaN with valid=False.
-    """
-
-    values_mm: np.ndarray
-    spacing_m: float
-    start_m: float
-    chord: ChordSpec
-    axis: str = "vertical"
-    rail: str = ""
-    valid: np.ndarray | None = None
-
-    def __post_init__(self):
-        values = np.asarray(self.values_mm, dtype=np.float64)
-        valid = self.valid
-        if valid is None:
-            valid = np.isfinite(values)
-        else:
-            valid = np.asarray(valid, dtype=bool)
-            if valid.shape != values.shape:
-                raise ValueError("valid mask must match values length")
-        object.__setattr__(self, "values_mm", values)
-        object.__setattr__(self, "valid", valid)
-
-    def __len__(self) -> int:
-        return self.values_mm.size
-
-    def positions(self) -> np.ndarray:
-        return self.start_m + self.spacing_m * np.arange(self.values_mm.size)
 
 
 @dataclass(frozen=True)
@@ -116,13 +60,19 @@ class SpatialPSD:
     segment_samples: int
 
 
-def chord_alignment(z: SpatialSeries, chord: ChordSpec,
-                    axis: str = "vertical", rail: str = "") -> AlignmentSeries:
-    """Mid-chord offset of a spatial profile (values understood in mm)."""
-    h = chord.half_span_samples
-    if abs(2.0 * h * z.spacing_m - chord.d_m) > 1e-9 * max(1.0, chord.d_m):
-        raise ValueError(f"chord of {chord.d_m} m (half span {h}) does not fit "
-                         f"a grid spacing of {z.spacing_m} m")
+def chord_alignment(z: SpatialSeries, chord_m: float) -> SpatialSeries:
+    """Mid-chord offset of a spatial profile over a chord of chord_m metres.
+
+    Raises ValueError unless chord_m is finite, > 0 and puts d/2 on z's
+    grid. The first and last half-chord of samples have no full chord
+    support and are NaN with valid=False.
+    """
+    half = chord_m / (2.0 * z.spacing_m)
+    if not 0 < chord_m < np.inf \
+            or abs(half - round(half)) > 1e-9 * max(1.0, half):
+        raise ValueError(f"chord of {chord_m} m must be > 0 with d/2 on the "
+                         f"{z.spacing_m} m grid")
+    h = int(round(half))
     n = len(z)
     if n < 2 * h + 1:
         raise TooShortError(f"series of {n} samples shorter than one chord "
@@ -133,12 +83,12 @@ def chord_alignment(z: SpatialSeries, chord: ChordSpec,
     valid = np.zeros(n, dtype=bool)
     valid[h:n - h] = z.valid[h:n - h] & z.valid[:n - 2 * h] & z.valid[2 * h:]
     out[~valid] = np.nan
-    return AlignmentSeries(out, z.spacing_m, z.start_m, chord, axis, rail, valid)
+    return replace(z, values=out, valid=valid)
 
 
-def transfer_function(chord: ChordSpec, nu):
+def transfer_function(chord_m: float, nu):
     """Amplitude response H(nu) = 1 - cos(pi d nu) of the mid-chord offset."""
-    return 1.0 - np.cos(np.pi * chord.d_m * np.asarray(nu, dtype=float))
+    return 1.0 - np.cos(np.pi * chord_m * np.asarray(nu, dtype=float))
 
 
 def select_cutoff(chord_d_m: float, v_ref_mps: float = REFERENCE_LOW_SPEED_MPS) -> float:
@@ -157,7 +107,7 @@ def select_cutoff(chord_d_m: float, v_ref_mps: float = REFERENCE_LOW_SPEED_MPS) 
     return v_ref_mps / chord_d_m
 
 
-def windowed_max(series: AlignmentSeries, window_m: float) -> WindowedStats:
+def windowed_max(series: SpatialSeries, window_m: float) -> WindowedStats:
     """Largest |value| per tumbling window of ``window_m``, aligned to start_m.
 
     Each window's value is taken over its valid samples only; windows with
@@ -179,7 +129,7 @@ def windowed_max(series: AlignmentSeries, window_m: float) -> WindowedStats:
     bounds = np.searchsorted(idx, k)
     ok = series.valid
     n_good = np.diff(np.concatenate(([0], np.cumsum(ok)))[bounds])
-    peak = np.maximum.reduceat(np.where(ok, np.abs(series.values_mm), -np.inf),
+    peak = np.maximum.reduceat(np.where(ok, np.abs(series.values), -np.inf),
                                bounds[:-1])
     values = np.where(n_good > 0, peak, np.nan)
     # nominal count: grid points the window would hold if the series
@@ -191,23 +141,21 @@ def windowed_max(series: AlignmentSeries, window_m: float) -> WindowedStats:
     return WindowedStats(float(window_m), starts, values, fractions)
 
 
-def psd_spatial(series, segment_samples: int = DEFAULT_PSD_SEGMENT) -> SpatialPSD:
-    """Averaged-periodogram spatial PSD of an alignment or profile series.
+def psd_spatial(series: SpatialSeries,
+                segment_samples: int = DEFAULT_PSD_SEGMENT) -> SpatialPSD:
+    """Averaged-periodogram spatial PSD of a profile or alignment series.
 
     Hann-tapered segments of ``segment_samples`` (128 m at 0.25 m spacing)
     with 50% overlap, density scaling: the integral of the density over nu
     approximates the series variance. Works on the longest contiguous valid
     run; raises TooShortError when that run is shorter than one segment.
     """
-    values = getattr(series, "values_mm", None)
-    if values is None:
-        values = series.values
-    runs = _bool_runs(series.valid & np.isfinite(values))
+    runs = _bool_runs(series.valid & np.isfinite(series.values))
     lo, hi = max(runs, key=lambda r: r[1] - r[0], default=(0, 0))
     if hi - lo < segment_samples:
         raise TooShortError(f"longest valid run of {hi - lo} samples shorter "
                             f"than one PSD segment ({segment_samples})")
-    x = values[lo:hi]
+    x = series.values[lo:hi]
     nu, density = sps.welch(x, fs=1.0 / series.spacing_m, window="hann",
                             nperseg=segment_samples,
                             noverlap=segment_samples // 2,

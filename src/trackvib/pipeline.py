@@ -14,11 +14,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import MissingChannelError
-from .fileio import _GEOM_COLUMN, TrcData
-from .geometry import (MODE_MAX_ABS, AlignmentSeries, ChordSpec,
-                       chord_alignment, select_cutoff, windowed_max)
-from .spatial import (TRC_SPACING_M, DistanceAxis, build_distance_axis,
-                      resample_to_space)
+from .fileio import TrcData
+from .geometry import (MODE_MAX_ABS, chord_alignment, select_cutoff,
+                       windowed_max)
+from .spatial import (TRC_SPACING_M, DistanceAxis, SpatialSeries,
+                      build_distance_axis, resample_to_space)
 from .speed import SpeedProfile, estimate_delay, estimate_speed
 from .timeseries import TimeSeries, decimate, double_integrate, merge_records
 
@@ -47,7 +47,7 @@ class ProcessOptions:
 class ProcessResult:
     speed: SpeedProfile
     axis: DistanceAxis
-    alignments: dict = field(default_factory=dict)   # column -> AlignmentSeries
+    alignments: dict = field(default_factory=dict)   # column -> SpatialSeries (mm)
     maxima: dict = field(default_factory=dict)       # column -> WindowedStats
     displacements: dict = field(default_factory=dict)  # label -> SpatialSeries (mm)
     params: dict = field(default_factory=dict)
@@ -56,11 +56,11 @@ class ProcessResult:
         if not self.alignments:
             raise MissingChannelError("nothing was processed")
         first = next(iter(self.alignments.values()))
-        grid = first.start_m + first.spacing_m * np.arange(len(first))
+        grid = first.positions()
         columns = {"speed_mps": np.interp(grid, self.axis.positions_m,
                                           self.speed.speeds_mps)}
         for name, series in self.alignments.items():
-            columns[name] = series.values_mm
+            columns[name] = series.values
         meta = dict(self.params)
         if metadata:
             meta.update(metadata)
@@ -194,18 +194,17 @@ def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
     jobs = [(d, "vertical") for d in opts.chords_m]
     jobs += [(d, "lateral") for d in opts.lateral_chords_m]
     for d, axis_name in jobs:
-        chord = ChordSpec.for_grid(d, TRC_SPACING_M)
         cutoff = opts.cutoff_hz or select_cutoff(d, opts.v_ref_mps)
         for side in ("left", "right"):
             key = ("front", side, axis_name)
             if key not in records:
                 continue
             z_time = displacement(key, cutoff)
-            z_space = resample_to_space(z_time, axis, TRC_SPACING_M)
+            z_space = resample_to_space(z_time, axis)
             z_space = _mask_settle(z_space, axis, WORKING_RATE_HZ, cutoff)
             z_mm = replace(z_space, values=z_space.values * 1e3, units="mm")
             result.displacements[f"{axis_name}_{side}_cutoff{cutoff:g}Hz"] = z_mm
-            aligned = chord_alignment(z_mm, chord, axis_name, side)
+            aligned = chord_alignment(z_mm, d)
             column = column_name(d, side, axis_name)
             result.alignments[column] = aligned
             result.maxima[column] = windowed_max(aligned, opts.window_m)
@@ -215,8 +214,8 @@ def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
     return result
 
 
-def chord_ground_truth(profile, sim, chords_m=(10.0, 35.0),
-                       lateral_chords_m=(10.0,)) -> TrcData:
+def chord_ground_truth(profile, sim, chords_m=ProcessOptions.chords_m,
+                       lateral_chords_m=ProcessOptions.lateral_chords_m) -> TrcData:
     """Reference geometry table straight from a synthetic profile.
 
     Applies the same chord arithmetic to the known rail shapes, so the
@@ -228,34 +227,20 @@ def chord_ground_truth(profile, sim, chords_m=(10.0, 35.0),
     grid = None
     for chords, axis in ((chords_m, "vertical"), (lateral_chords_m, "lateral")):
         for d in chords:
-            chord = ChordSpec.for_grid(d, TRC_SPACING_M)
             for side in ("left", "right"):
                 series = profile_spatial_series(profile, side, axis)
                 if grid is None:
                     grid = series.positions()
-                aligned = chord_alignment(series, chord, axis, side)
-                columns[column_name(d, side, axis)] = aligned.values_mm
+                aligned = chord_alignment(series, d)
+                columns[column_name(d, side, axis)] = aligned.values
     x_front = next(pos for cid, pos in sim.wheel_positions.items()
                    if "-front-" in cid)
     columns["speed_mps"] = np.interp(grid, x_front, sim.speeds_mps)
     return TrcData(grid, columns, {"source": "synthesizer"})
 
 
-def alignment_from_trc(trc: TrcData, column: str) -> AlignmentSeries:
-    """Rehydrate a TRC geometry column into an AlignmentSeries."""
-    m = _GEOM_COLUMN.match(column)
-    if m is None:
-        raise ValueError(f"column {column!r} is not a geometry column")
-    d = float(m.group(2))
-    values = np.asarray(trc.columns[column], dtype=float)
-    spacing = TRC_SPACING_M
-    chord = ChordSpec.for_grid(d, spacing)
-    return AlignmentSeries(values, spacing, float(trc.distance_m[0]), chord,
-                           axis="vertical" if m.group(1) == "VA" else "lateral",
-                           rail=m.group(3))
-
-
-def compare_trc(est: TrcData, ref: TrcData, window_m: float = 100.0,
+def compare_trc(est: TrcData, ref: TrcData,
+                window_m: float = ProcessOptions.window_m,
                 max_shift_m: float = 0.0, skipped: dict | None = None) -> dict:
     """Windowed comparison per common geometry column.
 
@@ -275,18 +260,17 @@ def compare_trc(est: TrcData, ref: TrcData, window_m: float = 100.0,
         raise MissingChannelError("tables share no geometry column")
     out = {}
     first_error = None
+    # the .trc reader refuses any step but TRC_SPACING_M
+    start = max(est.distance_m[0], ref.distance_m[0])
+
+    def crop(trc: TrcData, column: str) -> SpatialSeries:
+        skip = int(round((start - trc.distance_m[0]) / TRC_SPACING_M))
+        return SpatialSeries(trc.columns[column][skip:], TRC_SPACING_M,
+                             float(start), units="mm")
+
     for column in common:
-        a = alignment_from_trc(est, column)
-        b = alignment_from_trc(ref, column)
-        start = max(a.start_m, b.start_m)
-
-        def crop(s: AlignmentSeries) -> AlignmentSeries:
-            skip = int(round((start - s.start_m) / s.spacing_m))
-            return AlignmentSeries(s.values_mm[skip:], s.spacing_m, start,
-                                   s.chord, s.axis, s.rail, s.valid[skip:])
-
-        wa = windowed_max(crop(a), window_m)
-        wb = windowed_max(crop(b), window_m)
+        wa = windowed_max(crop(est, column), window_m)
+        wb = windowed_max(crop(ref, column), window_m)
         try:
             wa, wb, shift = coregister(wa, wb, max_shift_m)
             report = correlate(wa, wb, metadata={

@@ -1,8 +1,8 @@
 """From the time domain to the distance domain.
 
 build_distance_axis turns a speed profile into a per-sample position along
-the track; resample_to_space interpolates any synchronous record onto a
-uniform distance grid (0.25 m by default, the usual recording-car step).
+the track; resample_to_space interpolates any synchronous record onto the
+uniform 0.25 m distance grid, the recording-car step.
 Stretches where the vehicle is practically standing still produce no usable
 spatial information and are flagged invalid instead of being interpolated
 away silently.
@@ -44,12 +44,15 @@ class DistanceAxis:
 
 @dataclass(frozen=True)
 class SpatialSeries:
-    """Values on a uniform distance grid: value i sits at start_m + i*spacing."""
+    """Values on a uniform distance grid: value i sits at start_m + i*spacing.
+
+    Displacement, ground-truth profile and chord alignment all use this
+    type. Without a mask, exactly the finite values are valid.
+    """
 
     values: np.ndarray
     spacing_m: float
     start_m: float
-    channel_id: str = ""
     units: str = ""
     valid: np.ndarray | None = None
 
@@ -61,7 +64,7 @@ class SpatialSeries:
             raise ValueError(f"spacing_m must be > 0, got {self.spacing_m}")
         valid = self.valid
         if valid is None:
-            valid = np.ones(values.size, dtype=bool)
+            valid = np.isfinite(values)
         else:
             valid = np.asarray(valid, dtype=bool)
             if valid.shape != values.shape:
@@ -104,34 +107,32 @@ def _stationary_runs(positions: np.ndarray, fs: float) -> list[tuple[int, int]]:
             if (e - s) > STATIONARY_MIN_DURATION_S * fs]
 
 
-def resample_to_space(ts: TimeSeries, axis: DistanceAxis,
-                      spacing_m: float = TRC_SPACING_M) -> SpatialSeries:
-    """Linear interpolation of a time series onto a uniform distance grid.
+def resample_to_space(ts: TimeSeries, axis: DistanceAxis) -> SpatialSeries:
+    """Linear interpolation of a time series onto the TRC_SPACING_M grid.
 
     The grid runs from ceil(min/spacing)*spacing to floor(max/spacing)*spacing,
     so sample count = floor(span/spacing) + 1 up to grid snapping. Grid points
     bracketed by stationary samples are flagged invalid.
     """
-    if not spacing_m > 0:
-        raise ValueError(f"spacing_m must be > 0, got {spacing_m}")
+    dx = TRC_SPACING_M
     if len(ts) != len(axis):
         raise ValueError("time series and distance axis must have equal length")
     pos = axis.positions_m
     span = pos[-1] - pos[0]
-    if span < spacing_m:
+    if span < dx:
         raise TooShortError(f"track span {span:.3f} m shorter than one grid "
-                            f"step of {spacing_m} m")
-    start = np.ceil(pos[0] / spacing_m - 1e-9) * spacing_m
-    stop = np.floor(pos[-1] / spacing_m + 1e-9) * spacing_m
-    count = int(round((stop - start) / spacing_m)) + 1
-    grid = start + spacing_m * np.arange(count)
+                            f"step of {dx} m")
+    start = np.ceil(pos[0] / dx - 1e-9) * dx
+    stop = np.floor(pos[-1] / dx + 1e-9) * dx
+    count = int(round((stop - start) / dx)) + 1
+    grid = start + dx * np.arange(count)
     values = np.interp(grid, pos, ts.samples)
 
     valid = np.ones(count, dtype=bool)
     for s, e in _stationary_runs(pos, ts.sample_rate_hz):
-        lo = int(np.ceil((pos[s] - start) / spacing_m - 1e-9))
-        hi = int(np.floor((pos[e - 1] - start) / spacing_m + 1e-9))
+        lo = int(np.ceil((pos[s] - start) / dx - 1e-9))
+        hi = int(np.floor((pos[e - 1] - start) / dx + 1e-9))
         if hi >= lo:
             valid[max(lo, 0):min(hi, count - 1) + 1] = False
     units = "m" if ts.kind == "displacement" else "m/s^2"
-    return SpatialSeries(values, spacing_m, float(start), ts.channel_id, units, valid)
+    return SpatialSeries(values, dx, float(start), units, valid)

@@ -251,16 +251,15 @@ def synth_profile(length_m: float, spec: dict, seed: int = 0,
                         tuple(map(tuple, geo_polyline)) if geo_polyline else None)
 
 
-def profile_spatial_series(profile: TrackProfile, side: str, axis: str = "vertical",
-                           spacing_m: float = TRC_SPACING_M) -> SpatialSeries:
-    """Ground-truth profile as a SpatialSeries in mm on a coarser grid."""
-    step = spacing_m / profile.spacing_m
+def profile_spatial_series(profile: TrackProfile, side: str,
+                           axis: str = "vertical") -> SpatialSeries:
+    """Ground-truth profile as a SpatialSeries in mm on the TRC_SPACING_M grid."""
+    step = TRC_SPACING_M / profile.spacing_m
     if abs(step - round(step)) > 1e-9:
-        raise ValueError(f"spacing {spacing_m} m is not a multiple of the "
-                         f"profile grid {profile.spacing_m} m")
+        raise ValueError(f"grid step {TRC_SPACING_M} m is not a multiple of "
+                         f"the profile grid {profile.spacing_m} m")
     values = profile.channel(side, axis)[::int(round(step))]
-    return SpatialSeries(values, spacing_m, 0.0,
-                         channel_id=f"truth-{side}-{axis}", units="mm")
+    return SpatialSeries(values, TRC_SPACING_M, 0.0, units="mm")
 
 
 def _plan_arrays(config: SimConfig):

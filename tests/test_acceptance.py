@@ -21,8 +21,8 @@ import pytest
 from trackvib.comparison import correlate
 from trackvib.fileio import TrcData, read_record, read_trc, write_record, \
     write_trc
-from trackvib.geometry import AlignmentSeries, ChordSpec, WindowedStats, \
-    chord_alignment, psd_spatial, select_cutoff, windowed_max
+from trackvib.geometry import WindowedStats, chord_alignment, psd_spatial, \
+    select_cutoff, windowed_max
 from trackvib.pipeline import ProcessOptions, chord_ground_truth, \
     compare_trc, process_records
 from trackvib.spatial import SpatialSeries
@@ -89,9 +89,9 @@ def test_02_speed_invariance_of_geometry(track_2km, criterion):
         assert abs(a.start_m - b.start_m) < 1e-9
         n = min(len(a), len(b))
         ok = a.valid[:n] & b.valid[:n]
-        diff = a.values_mm[:n][ok] - b.values_mm[:n][ok]
+        diff = a.values[:n][ok] - b.values[:n][ok]
         ratio = float(np.sqrt(np.mean(diff ** 2)
-                              / np.mean(a.values_mm[:n][ok] ** 2)))
+                              / np.mean(a.values[:n][ok] ** 2)))
         worst = max(worst, ratio)
     criterion("2 speed invariance", worst <= 0.10,
               f"5 m/s vs 3->20 m/s VA10 RMS disagreement {worst:.1%} <= 10%")
@@ -119,15 +119,14 @@ def test_04_chord_nulls_and_power_ratio(criterion):
     worst_null = 0.0
     worst_db_err = 0.0
     for d in (10.0, 35.0):
-        chord = ChordSpec.for_grid(d, DX)
         x = DX * np.arange(int(40 * d / DX))
         for k in (1, 2, 3):
             z = SpatialSeries(np.sin(2 * np.pi * (2 * k / d) * x), DX, 0.0)
-            out = chord_alignment(z, chord)
-            worst_null = max(worst_null, float(np.nanmax(np.abs(out.values_mm))))
+            out = chord_alignment(z, d)
+            worst_null = max(worst_null, float(np.nanmax(np.abs(out.values))))
         # at the response peak nu = 1/d the amplitude gain is 2, power 4
         z = SpatialSeries(np.sin(2 * np.pi * (1.0 / d) * x), DX, 0.0)
-        out = chord_alignment(z, chord)
+        out = chord_alignment(z, d)
         p_in, p_out = psd_spatial(z), psd_spatial(out)
         ki = int(np.argmin(np.abs(p_in.nu_axis - 1.0 / d)))
         ko = int(np.argmin(np.abs(p_out.nu_axis - 1.0 / d)))
@@ -201,7 +200,7 @@ def test_08_exactness_batch(criterion, tmp_path):
     rng = np.random.default_rng(5)
     vals = rng.normal(size=1601)
     vals[rng.integers(0, vals.size, 40)] = np.nan
-    series = AlignmentSeries(vals, DX, 37.5, ChordSpec.for_grid(10.0, DX))
+    series = SpatialSeries(vals, DX, 37.5)
     stats = windowed_max(series, 100.0)
     pos = series.start_m + DX * np.arange(vals.size)
     brute = []
@@ -215,9 +214,8 @@ def test_08_exactness_batch(criterion, tmp_path):
     quad_ok = True
     for d in (10.0, 35.0):
         x = DX * np.arange(int(20 * d / DX))
-        out = chord_alignment(SpatialSeries(x ** 2, DX, 0.0),
-                              ChordSpec.for_grid(d, DX))
-        good = out.values_mm[out.valid]
+        out = chord_alignment(SpatialSeries(x ** 2, DX, 0.0), d)
+        good = out.values[out.valid]
         quad_ok &= bool(np.max(np.abs(good + d * d / 4.0)) < 1e-9)
     checks["parabola chord == -d^2/4"] = quad_ok
 

@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 from trackvib.errors import TooShortError
-from trackvib.geometry import (AlignmentSeries, ChordSpec, chord_alignment,
-                               psd_spatial, select_cutoff, transfer_function,
-                               windowed_max)
+from trackvib.geometry import (chord_alignment, psd_spatial, select_cutoff,
+                               transfer_function, windowed_max)
 from trackvib.spatial import SpatialSeries
 
 DX = 0.25
@@ -29,19 +28,19 @@ def sine_profile(nu, length_m, amp=1.0):
 
 
 class TestChordSpec:
-    def test_for_grid(self):
-        c = ChordSpec.for_grid(10.0, DX)
-        assert c.half_span_samples == 20
-        assert c.d_m == 10.0
-
     def test_non_multiple_rejected(self):
         with pytest.raises(ValueError):
-            ChordSpec.for_grid(10.1, DX)
+            chord_alignment(profile(np.ones(100)), 10.1)
+
+    def test_non_positive_or_non_finite_rejected(self):
+        for d in (0.0, -10.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                chord_alignment(profile(np.ones(100)), d)
 
     def test_odd_half_grid_ok(self):
         # d/2 = 3.5 m lands on the grid even though d/dx is odd
-        c = ChordSpec.for_grid(7.0, DX)
-        assert c.half_span_samples == 14
+        va = chord_alignment(profile(np.ones(100)), 7.0)
+        assert not va.valid[:14].any() and va.valid[14]
 
 
 class TestChordAlignment:
@@ -49,36 +48,34 @@ class TestChordAlignment:
         x = np.arange(0.0, 200.0 + DX / 2, DX)
         z = profile(x ** 2)
         for d in (10.0, 35.0):
-            chord = ChordSpec.for_grid(d, DX)
-            va = chord_alignment(z, chord)
-            core = va.values_mm[va.valid]
+            va = chord_alignment(z, d)
+            core = va.values[va.valid]
             assert np.allclose(core, -d * d / 4.0, rtol=0, atol=1e-9)
 
     def test_affine_profile_gives_zero(self):
         x = np.arange(0.0, 100.0 + DX / 2, DX)
-        va = chord_alignment(profile(3.0 * x + 7.0), ChordSpec.for_grid(10.0, DX))
-        assert np.allclose(va.values_mm[va.valid], 0.0, atol=1e-9)
+        va = chord_alignment(profile(3.0 * x + 7.0), 10.0)
+        assert np.allclose(va.values[va.valid], 0.0, atol=1e-9)
 
     def test_sine_at_even_multiples_vanishes(self):
         for d in (10.0, 35.0):
-            chord = ChordSpec.for_grid(d, DX)
             for k in (1, 2, 3):
                 nu = 2.0 * k / d
-                va = chord_alignment(sine_profile(nu, 30 * d), chord)
-                assert np.max(np.abs(va.values_mm[va.valid])) < 1e-9
+                va = chord_alignment(sine_profile(nu, 30 * d), d)
+                assert np.max(np.abs(va.values[va.valid])) < 1e-9
 
     def test_sine_at_odd_multiple_doubles(self):
         d = 10.0
         nu = 1.0 / d
-        va = chord_alignment(sine_profile(nu, 400.0), ChordSpec.for_grid(d, DX))
-        assert np.max(np.abs(va.values_mm[va.valid])) == pytest.approx(2.0, rel=1e-3)
+        va = chord_alignment(sine_profile(nu, 400.0), d)
+        assert np.max(np.abs(va.values[va.valid])) == pytest.approx(2.0, rel=1e-3)
 
     def test_edges_are_nan_and_invalid(self):
         z = profile(np.ones(100))
-        va = chord_alignment(z, ChordSpec.for_grid(10.0, DX))
+        va = chord_alignment(z, 10.0)
         h = 20
-        assert np.all(np.isnan(va.values_mm[:h]))
-        assert np.all(np.isnan(va.values_mm[-h:]))
+        assert np.all(np.isnan(va.values[:h]))
+        assert np.all(np.isnan(va.values[-h:]))
         assert not va.valid[:h].any()
         assert not va.valid[-h:].any()
         assert va.valid[h:-h].all()
@@ -87,7 +84,7 @@ class TestChordAlignment:
         ok = np.ones(200, dtype=bool)
         ok[100] = False
         z = profile(np.ones(200), valid=ok)
-        va = chord_alignment(z, ChordSpec.for_grid(10.0, DX))
+        va = chord_alignment(z, 10.0)
         h = 20
         # center, left foot and right foot each touch index 100 once
         for i in (100, 100 - h, 100 + h):
@@ -96,32 +93,29 @@ class TestChordAlignment:
 
     def test_grid_metadata_carried(self):
         z = profile(np.ones(100), start=50.0)
-        va = chord_alignment(z, ChordSpec.for_grid(10.0, DX),
-                             axis="lateral", rail="right")
+        va = chord_alignment(z, 10.0)
         assert va.start_m == 50.0
         assert va.spacing_m == DX
-        assert va.axis == "lateral"
-        assert va.rail == "right"
+        assert va.units == "mm"
 
     def test_too_short(self):
         with pytest.raises(TooShortError):
-            chord_alignment(profile(np.ones(30)), ChordSpec.for_grid(10.0, DX))
+            chord_alignment(profile(np.ones(30)), 10.0)
 
 
 class TestTransferFunction:
     def test_known_points(self):
-        chord = ChordSpec.for_grid(10.0, DX)
-        assert transfer_function(chord, 0.0) == pytest.approx(0.0)
-        assert transfer_function(chord, 1.0 / 10.0) == pytest.approx(2.0)
-        assert transfer_function(chord, 2.0 / 10.0) == pytest.approx(0.0, abs=1e-12)
-        assert transfer_function(chord, 3.0 / 10.0) == pytest.approx(2.0)
+        assert transfer_function(10.0, 0.0) == pytest.approx(0.0)
+        assert transfer_function(10.0, 1.0 / 10.0) == pytest.approx(2.0)
+        assert transfer_function(10.0, 2.0 / 10.0) == pytest.approx(0.0, abs=1e-12)
+        assert transfer_function(10.0, 3.0 / 10.0) == pytest.approx(2.0)
 
     def test_matches_measured_gain(self):
         # empirical amplitude ratio of a long sine equals H(nu)
         d, nu = 10.0, 0.07
-        va = chord_alignment(sine_profile(nu, 600.0), ChordSpec.for_grid(d, DX))
-        gain = np.max(np.abs(va.values_mm[va.valid]))
-        expected = transfer_function(ChordSpec.for_grid(d, DX), nu)
+        va = chord_alignment(sine_profile(nu, 600.0), d)
+        gain = np.max(np.abs(va.values[va.valid]))
+        expected = transfer_function(d, nu)
         assert gain == pytest.approx(expected, rel=1e-3)
 
 
@@ -143,9 +137,8 @@ class TestSelectCutoff:
 
 class TestWindowedMax:
     def alignment(self, values, valid=None, start=0.0):
-        chord = ChordSpec(10.0, 20)
-        return AlignmentSeries(np.asarray(values, dtype=float), DX, start,
-                               chord, valid=valid)
+        return SpatialSeries(np.asarray(values, dtype=float), DX, start,
+                             valid=valid)
 
     def test_equals_brute_force(self):
         rng = np.random.default_rng(8)
@@ -217,7 +210,7 @@ class TestSpatialPSD:
         d = 10.0
         nu0 = 1.0 / d
         z = sine_profile(nu0, 2000.0)
-        va = chord_alignment(z, ChordSpec.for_grid(d, DX))
+        va = chord_alignment(z, d)
         p_in = psd_spatial(z)
         p_out = psd_spatial(va)
         ki = np.argmin(np.abs(p_in.nu_axis - nu0))

@@ -88,8 +88,8 @@ class TestProcessRecords:
                                 speed_override=true_speed_at_256(sim))
         split = process_records(blocks,
                                 speed_override=true_speed_at_256(sim))
-        a = whole.alignments["VA10_left_mm"].values_mm
-        b = split.alignments["VA10_left_mm"].values_mm
+        a = whole.alignments["VA10_left_mm"].values
+        b = split.alignments["VA10_left_mm"].values
         assert np.allclose(a, b, equal_nan=True)
 
     def test_missing_back_channel_needs_override(self):

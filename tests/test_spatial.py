@@ -56,7 +56,7 @@ class TestResampleToSpace:
         prof = constant_speed(10.0, n)
         axis = build_distance_axis(prof)
         ts = TimeSeries(axis.positions_m.copy(), FS, kind="displacement")
-        out = resample_to_space(ts, axis, 0.25)
+        out = resample_to_space(ts, axis)
         dist = axis.positions_m
         expected_first = np.ceil(dist[0] / 0.25) * 0.25
         expected_last = np.floor(dist[-1] / 0.25) * 0.25
@@ -109,19 +109,13 @@ class TestResampleToSpace:
         axis = build_distance_axis(prof)
         ts = TimeSeries(np.zeros(256), FS, kind="displacement")
         with pytest.raises(TooShortError):
-            resample_to_space(ts, axis, 0.25)
+            resample_to_space(ts, axis)
 
     def test_length_mismatch(self):
         axis = build_distance_axis(constant_speed(10.0, 256))
         ts = TimeSeries(np.zeros(100), FS, kind="displacement")
         with pytest.raises(ValueError):
             resample_to_space(ts, axis)
-
-    def test_bad_spacing(self):
-        axis = build_distance_axis(constant_speed(10.0, 256))
-        ts = TimeSeries(np.zeros(256), FS, kind="displacement")
-        with pytest.raises(ValueError):
-            resample_to_space(ts, axis, 0.0)
 
 
 class TestSpatialSeries:
@@ -132,6 +126,10 @@ class TestSpatialSeries:
     def test_default_valid_mask(self):
         s = SpatialSeries(np.zeros(5), 0.25, 0.0)
         assert s.valid.all() and s.valid.size == 5
+
+    def test_nan_invalid_by_default(self):
+        s = SpatialSeries(np.array([1.0, np.nan]), 0.25, 0.0)
+        assert s.valid.tolist() == [True, False]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -66,7 +66,7 @@ class TestSynthProfile:
 
     def test_spatial_series_export(self):
         p = synth_profile(100.0, SINE_SPEC)
-        s = profile_spatial_series(p, "left", "vertical", 0.25)
+        s = profile_spatial_series(p, "left", "vertical")
         assert s.spacing_m == 0.25
         assert s.start_m == 0.0
         oracle = 5.0 * np.sin(2 * np.pi * 0.05 * s.positions() + 0.3)
