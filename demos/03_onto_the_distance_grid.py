@@ -18,7 +18,7 @@ FS = 256.0
 # 60 s drive dropping to a 6 s crawl at 0.3 m/s in the middle
 t = np.arange(int(60 * FS)) / FS
 v = np.where((t > 25.0) & (t < 31.0), 0.3, 8.0)
-speed = SpeedProfile(v, FS, wheelbase_m=2.5, valid=np.ones(t.size, bool))
+speed = SpeedProfile(v, FS, valid=np.ones(t.size, bool))
 
 axis = build_distance_axis(speed, x0_m=500.0)
 print(f"start {axis.positions_m[0]:.2f} m, "

@@ -9,11 +9,8 @@ import json
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from trackvib.fileio import export_geojson, write_geojson
 from trackvib.pipeline import process_records
-from trackvib.speed import SpeedProfile
 from trackvib.synthesizer import SimConfig, simulate_run, synth_profile
 
 profile = synth_profile(
@@ -21,8 +18,8 @@ profile = synth_profile(
     seed=2)
 sim = simulate_run(profile, SimConfig(speed_plan=((0.0, 10.0), (80.0, 10.0)),
                                       seed=2))
-n = len(sim.channels["bogie-front-left-vertical"]) // 10
-truth = SpeedProfile(np.full(n, 10.0), 256.0, 2.5, np.ones(n, bool))
+# the true speed as a (time_s, speed_mps) table: the plan's own knots
+truth = tuple(zip(*sim.config.speed_plan))
 stats = process_records(sim.channels,
                         speed_override=truth).maxima["VA10_left_mm"]
 

@@ -8,10 +8,10 @@ A synthesizer produces matching test runs with known ground truth.
 """
 
 from .comparison import ComparisonReport, coregister, correlate
-from .errors import (AlignmentFailedError, FormatError, GapTooLargeError,
-                     InsufficientDataError, MissingChannelError,
-                     NoOverlapError, NoValidSpeedError, PlanTooShortError,
-                     TooShortError, TrackVibError, UndefinedCorrelationError)
+from .errors import (FormatError, GapTooLargeError, InsufficientDataError,
+                     MissingChannelError, NoOverlapError, NoValidSpeedError,
+                     PlanTooShortError, TooShortError, TrackVibError,
+                     UndefinedCorrelationError)
 from .fileio import (TrcData, export_geojson, load_config, read_record,
                      read_trc, read_windows, write_geojson, write_record,
                      write_report_csv, write_report_json, write_trc,
@@ -34,7 +34,7 @@ from .timeseries import TimeSeries, decimate, double_integrate, merge_records
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignmentFailedError", "ComparisonReport", "DelayEstimate",
+    "ComparisonReport", "DelayEstimate",
     "DistanceAxis", "FormatError", "GapTooLargeError", "ImpulseEvent",
     "InsufficientDataError",
     "MissingChannelError", "NoOverlapError", "NoValidSpeedError",

@@ -22,11 +22,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import fileio, pipeline
 from .errors import TrackVibError
-from .speed import SpeedProfile
 from .pipeline import chord_ground_truth
 from .synthesizer import (DEFAULT_LR_CORRELATION, DEFAULT_SAMPLE_RATE_HZ,
                           DEFAULT_WHEELBASE_M, SENSOR_SPECS, ImpulseEvent,
@@ -60,7 +57,6 @@ def cmd_simulate(args) -> int:
         cfg["length_m"], cfg["profile"], seed=seed,
         lateral_spec=cfg.get("lateral_profile"),
         lr_correlation=float(cfg.get("lr_correlation", DEFAULT_LR_CORRELATION)),
-        geo_polyline=cfg.get("geo_polyline"),
     )
     sensor = _sensor_from_config(cfg)
     events = tuple(ImpulseEvent(float(e["position_m"]), float(e["amplitude_g"]),
@@ -105,22 +101,14 @@ def cmd_simulate(args) -> int:
     with open(out / "config_used.json", "w", encoding="utf-8") as fh:
         json.dump(cfg_echo, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if profile.geo_polyline:
+    if cfg.get("geo_polyline"):
         with open(out / "polyline.json", "w", encoding="utf-8") as fh:
-            json.dump([list(p) for p in profile.geo_polyline], fh)
+            json.dump([list(p) for p in cfg["geo_polyline"]], fh)
             fh.write("\n")
     n_ch = len(sim.channels)
     print(f"wrote {n_ch} channels x {len(range(0, len(ts), n_block))} blocks "
           f"to {out}")
     return EXIT_OK
-
-
-def _read_speed_file(path, n: int, rate_hz: float, wheelbase: float) -> SpeedProfile:
-    """The speed table at path, interpolated onto n samples at rate_hz."""
-    times, speeds = fileio.read_speed(path)
-    grid = np.arange(n) / rate_hz
-    return SpeedProfile(np.interp(grid, times, speeds), rate_hz, wheelbase,
-                        np.ones(n, dtype=bool))
 
 
 def cmd_process(args) -> int:
@@ -141,17 +129,8 @@ def cmd_process(args) -> int:
     if args.chord is not None:
         opts = replace(opts, chords_m=(args.chord,),
                        lateral_chords_m=(args.chord,))
-    speed_override = None
-    if args.speed_file:
-        n0 = min(sum(len(b) for b in blocks) for blocks in channels.values())
-        factor = int(round(next(iter(channels.values()))[0].sample_rate_hz
-                           / pipeline.WORKING_RATE_HZ))
-        # gap bridging can stretch a merged channel past the block sum,
-        # so overshoot; process_records trims the excess
-        speed_override = _read_speed_file(args.speed_file, n0 // factor + 256,
-                                          pipeline.WORKING_RATE_HZ,
-                                          args.wheelbase)
-
+    speed_override = (fileio.read_speed(args.speed_file)
+                      if args.speed_file else None)
     result = pipeline.process_records(channels, opts, speed_override)
 
     out = Path(args.out)
@@ -243,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--speed-file", default=None,
                    help="CSV with header row time_s,speed_mps[,...] bypassing "
                    "the speed estimator, e.g. the speed.csv of an earlier "
-                   "process run")
+                   "process run; time_s counts from the first record sample "
+                   "and must span the records")
     p.set_defaults(func=cmd_process)
 
     p = sub.add_parser("compare", help="compare two geometry tables")

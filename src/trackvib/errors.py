@@ -23,10 +23,6 @@ class NoValidSpeedError(TrackVibError):
     """No valid speed sample could be derived from the delay estimates."""
 
 
-class AlignmentFailedError(TrackVibError):
-    """Speed-profile alignment found no acceptable correlation peak."""
-
-
 class InsufficientDataError(TrackVibError):
     """Fewer valid window pairs than required for a comparison."""
 

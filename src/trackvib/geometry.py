@@ -25,7 +25,7 @@ from .spatial import SpatialSeries, _bool_runs
 
 MODE_MAX_ABS = "max_abs"      # the one summary: compare metadata names it
 VALID_FRACTION_THRESHOLD = 0.5
-DEFAULT_PSD_SEGMENT = 512          # 128 m of 0.25 m samples
+PSD_SEGMENT_SAMPLES = 512          # 128 m of 0.25 m samples
 REFERENCE_LOW_SPEED_MPS = 3.0
 
 
@@ -57,7 +57,6 @@ class SpatialPSD:
 
     nu_axis: np.ndarray          # cycles/m
     density: np.ndarray
-    segment_samples: int
 
 
 def chord_alignment(z: SpatialSeries, chord_m: float) -> SpatialSeries:
@@ -141,23 +140,22 @@ def windowed_max(series: SpatialSeries, window_m: float) -> WindowedStats:
     return WindowedStats(float(window_m), starts, values, fractions)
 
 
-def psd_spatial(series: SpatialSeries,
-                segment_samples: int = DEFAULT_PSD_SEGMENT) -> SpatialPSD:
+def psd_spatial(series: SpatialSeries) -> SpatialPSD:
     """Averaged-periodogram spatial PSD of a profile or alignment series.
 
-    Hann-tapered segments of ``segment_samples`` (128 m at 0.25 m spacing)
+    Hann-tapered segments of PSD_SEGMENT_SAMPLES (128 m at 0.25 m spacing)
     with 50% overlap, density scaling: the integral of the density over nu
     approximates the series variance. Works on the longest contiguous valid
     run; raises TooShortError when that run is shorter than one segment.
     """
     runs = _bool_runs(series.valid & np.isfinite(series.values))
     lo, hi = max(runs, key=lambda r: r[1] - r[0], default=(0, 0))
-    if hi - lo < segment_samples:
+    if hi - lo < PSD_SEGMENT_SAMPLES:
         raise TooShortError(f"longest valid run of {hi - lo} samples shorter "
-                            f"than one PSD segment ({segment_samples})")
+                            f"than one PSD segment ({PSD_SEGMENT_SAMPLES})")
     x = series.values[lo:hi]
     nu, density = sps.welch(x, fs=1.0 / series.spacing_m, window="hann",
-                            nperseg=segment_samples,
-                            noverlap=segment_samples // 2,
+                            nperseg=PSD_SEGMENT_SAMPLES,
+                            noverlap=PSD_SEGMENT_SAMPLES // 2,
                             detrend="constant", scaling="density")
-    return SpatialPSD(nu, density, segment_samples)
+    return SpatialPSD(nu, density)

@@ -2,9 +2,10 @@
 
 Stage order: merge -> decimate to the working rate -> double integration
 (cutoff from the chord unless overridden) -> speed from front/back cross
-correlation (or an external speed) -> distance axis -> spatial resampling ->
-chord alignment -> windowed maxima. The front sensor's displacement is the
-geometry estimate; the back one exists for the speed estimator.
+correlation (or interpolated from an external time table) -> distance axis
+-> spatial resampling -> chord alignment -> windowed maxima. The front
+sensor's displacement is the geometry estimate; the back one exists for the
+speed estimator.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import MissingChannelError
+from .errors import MissingChannelError, TooShortError
 from .fileio import TrcData
 from .geometry import (MODE_MAX_ABS, chord_alignment, select_cutoff,
                        windowed_max)
@@ -135,15 +136,30 @@ def _estimate_speed_from(records: dict, displacement,
                               "records on at least one side")
 
 
+def _speed_from_table(times_s, speeds_mps, n: int) -> SpeedProfile:
+    """A (time_s, speed_mps) table, time 0 at the first record sample,
+    interpolated onto the n samples at the working rate. Raises
+    TooShortError unless the table spans all of them."""
+    t = np.arange(n) / WORKING_RATE_HZ
+    if not (times_s[0] <= t[0] and times_s[-1] >= t[-1]):
+        raise TooShortError(f"speed table spans {times_s[0]:g} .. "
+                            f"{times_s[-1]:g} s, the records span "
+                            f"{t[0]:g} .. {t[-1]:g} s")
+    return SpeedProfile(np.interp(t, times_s, speeds_mps), WORKING_RATE_HZ,
+                        np.ones(n, dtype=bool))
+
+
 def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
-                    speed_override: SpeedProfile | None = None) -> ProcessResult:
+                    speed_override: tuple | None = None) -> ProcessResult:
     """Run the full chain on merged or block-listed channel records.
 
     channels: channel_id -> TimeSeries or list of block TimeSeries. Needs the
     front vertical record of every rail to estimate plus, unless
     speed_override is given, a back vertical record on the same side.
-    speed_override must be sampled at the working rate and at least as long
-    as the decimated records.
+    speed_override is a (time_s, speed_mps) pair of arrays, as
+    fileio.read_speed returns it, with time 0 at the first record sample;
+    it replaces the estimated speed, and must span every record sample
+    after decimation, or TooShortError is raised.
     """
     prepared = _prepare(channels)
     n = min(len(ts) for ts in prepared.values())
@@ -163,15 +179,7 @@ def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
         return integrated[(key, cutoff)]
 
     if speed_override is not None:
-        if speed_override.sample_rate_hz != WORKING_RATE_HZ:
-            raise ValueError("speed_override must be sampled at the working rate")
-        if speed_override.speeds_mps.size < n:
-            raise ValueError(f"speed_override covers {speed_override.speeds_mps.size} "
-                             f"samples, records need {n}")
-        speed = SpeedProfile(speed_override.speeds_mps[:n],
-                             speed_override.sample_rate_hz,
-                             speed_override.wheelbase_m,
-                             speed_override.valid[:n])
+        speed = _speed_from_table(*speed_override, n)
     else:
         speed = _estimate_speed_from(records, displacement, opts)
 

@@ -19,8 +19,9 @@ from .timeseries import TimeSeries
 
 DEFAULT_WINDOW_SAMPLES = 960          # 3.75 s at 256 Hz
 DEFAULT_DELAY_BOUNDS_S = (0.0625, 2.5)  # wheelbase 2.5 m at 40 .. 1 m/s
-DEFAULT_QUALITY_THRESHOLD = 0.3
-DEFAULT_SPEED_BOUNDS = (1.0, 40.0)
+QUALITY_THRESHOLD = 0.3               # normalized correlation peak
+SPEED_BOUNDS = (1.0, 40.0)            # m/s kept as valid speed
+MEDIAN_WINDOW_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -35,9 +36,7 @@ class DelayEstimate:
     delays_s: np.ndarray
     peak_quality: np.ndarray
     valid: np.ndarray
-    window_samples: int
     sample_rate_hz: float
-    bounds_s: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -46,23 +45,22 @@ class SpeedProfile:
 
     speeds_mps: np.ndarray
     sample_rate_hz: float
-    wheelbase_m: float
     valid: np.ndarray
 
 
 def estimate_delay(front: TimeSeries, back: TimeSeries,
                    window_samples: int = DEFAULT_WINDOW_SAMPLES,
                    delay_bounds_s: tuple[float, float] = DEFAULT_DELAY_BOUNDS_S,
-                   quality_threshold: float = DEFAULT_QUALITY_THRESHOLD,
                    stride: int | None = None) -> DelayEstimate:
     """Windowed cross-correlation delay of back relative to front.
 
     Windows of ``window_samples`` are evaluated every ``stride`` samples
     (default window/4) and the per-window delays are linearly interpolated to
     every sample. A window is invalid when its normalized correlation peak is
-    below ``quality_threshold`` or sits on the edge of the searched lag range
+    below QUALITY_THRESHOLD or sits on the edge of the searched lag range
     (the true delay then lies outside ``delay_bounds_s``). Negative bounds are
-    allowed; swapping front and back mirrors the searched interval.
+    allowed; swapping front and back mirrors the searched interval. A sample
+    is valid when the window centers on both sides of it are.
     """
     if front.sample_rate_hz != back.sample_rate_hz:
         raise ValueError("front and back must share the sample rate")
@@ -108,7 +106,7 @@ def estimate_delay(front: TimeSeries, back: TimeSeries,
         quality = min(max(quality, 0.0), 1.0)
         c_quality[i] = quality
         on_edge = j == 0 or j == corr.size - 1
-        if on_edge or quality < quality_threshold:
+        if on_edge or quality < QUALITY_THRESHOLD:
             c_delay[i] = lag / fs
             continue
         cm, c0, cp = corr[j - 1], corr[j], corr[j + 1]
@@ -130,22 +128,20 @@ def estimate_delay(front: TimeSeries, back: TimeSeries,
     else:
         delays_s = np.full(n, np.nan)
         valid_s = np.zeros(n, dtype=bool)
-    return DelayEstimate(delays_s, quality_s, valid_s, window_samples, fs,
-                         (t_min, t_max))
+    return DelayEstimate(delays_s, quality_s, valid_s, fs)
 
 
-def estimate_speed(delays: DelayEstimate, wheelbase_m: float,
-                   speed_bounds: tuple[float, float] = DEFAULT_SPEED_BOUNDS,
-                   median_window_s: float = 1.0) -> SpeedProfile:
+def estimate_speed(delays: DelayEstimate, wheelbase_m: float) -> SpeedProfile:
     """Convert delays to speed = wheelbase / delay, fill gaps, median filter.
 
-    Samples with an invalid delay or a speed outside ``speed_bounds`` are
-    filled by linear interpolation from the nearest valid neighbors and left
-    flagged (valid=False). Raises NoValidSpeedError when nothing is valid.
+    Samples with an invalid delay or a speed outside SPEED_BOUNDS are filled
+    by linear interpolation from the nearest valid neighbors and left
+    flagged (valid=False); the filled series then passes a median filter of
+    MEDIAN_WINDOW_S. Raises NoValidSpeedError when nothing is valid.
     """
     if not wheelbase_m > 0:
         raise ValueError(f"wheelbase_m must be > 0, got {wheelbase_m}")
-    s_min, s_max = speed_bounds
+    s_min, s_max = SPEED_BOUNDS
     d = delays.delays_s
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = np.where(d > 0, wheelbase_m / d, np.nan)
@@ -154,8 +150,8 @@ def estimate_speed(delays: DelayEstimate, wheelbase_m: float,
         raise NoValidSpeedError("no delay sample yielded a speed within bounds")
     idx = np.flatnonzero(valid)
     speeds = np.interp(np.arange(d.size), idx, raw[idx])
-    k = int(round(median_window_s * delays.sample_rate_hz))
+    k = int(round(MEDIAN_WINDOW_S * delays.sample_rate_hz))
     if k > 1:
         speeds = ndimage.median_filter(speeds, size=k | 1, mode="nearest")
-    return SpeedProfile(speeds, delays.sample_rate_hz, wheelbase_m, valid)
+    return SpeedProfile(speeds, delays.sample_rate_hz, valid)
 

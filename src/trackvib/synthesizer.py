@@ -34,9 +34,9 @@ from .timeseries import KIND_ACCELERATION, TimeSeries
 G = 9.81
 DEFAULT_SAMPLE_RATE_HZ = 2560.0
 DEFAULT_WHEELBASE_M = 2.5
-DEFAULT_PROFILE_SPACING_M = 0.05
+PROFILE_SPACING_M = 0.05        # half a wavelength at MAX_NU_CYCLES_PER_M
 DEFAULT_LR_CORRELATION = 0.7
-DEFAULT_DEVIATION_BOUND_MM = 50.0
+DEVIATION_BOUND_MM = 50.0       # synth_profile refuses larger deviations
 MAX_NU_CYCLES_PER_M = 10.0
 MAX_NOISE_COMPONENTS = 384
 
@@ -92,7 +92,6 @@ class TrackProfile:
     y_left: np.ndarray
     y_right: np.ndarray
     components: dict
-    geo_polyline: tuple | None = None
 
     def channel(self, side: str, axis: str) -> np.ndarray:
         return getattr(self, ("z_" if axis == "vertical" else "y_") + side)
@@ -177,10 +176,7 @@ def _noise_components(rng: np.random.Generator, band, rms_mm: float,
 
 def synth_profile(length_m: float, spec: dict, seed: int = 0,
                   lateral_spec: dict | None = None,
-                  lr_correlation: float = DEFAULT_LR_CORRELATION,
-                  spacing_m: float = DEFAULT_PROFILE_SPACING_M,
-                  deviation_bound_mm: float = DEFAULT_DEVIATION_BOUND_MM,
-                  geo_polyline=None) -> TrackProfile:
+                  lr_correlation: float = DEFAULT_LR_CORRELATION) -> TrackProfile:
     """Generate a track profile from a spectral description.
 
     spec is either
@@ -189,16 +185,14 @@ def synth_profile(length_m: float, spec: dict, seed: int = 0,
       {"type": "noise", "band_cycles_per_m": (lo, hi), "rms_mm": r}
     for band-limited random roughness with left/right correlation
     ``lr_correlation``. ``lateral_spec`` (same shape) feeds the y channels;
-    without it they are zero. Same seed, same profile; different seed,
-    different roughness.
+    without it they are zero. The rails are sampled every PROFILE_SPACING_M,
+    and a deviation beyond DEVIATION_BOUND_MM raises ValueError. Same seed,
+    same profile; different seed, different roughness.
     """
     if not length_m > 0:
         raise ValueError("length_m must be > 0")
-    if not 0 < spacing_m <= 1.0 / (2.0 * MAX_NU_CYCLES_PER_M):
-        raise ValueError(f"spacing_m must be in (0, "
-                         f"{1.0 / (2.0 * MAX_NU_CYCLES_PER_M)}], got {spacing_m}")
-    n_grid = int(round(length_m / spacing_m)) + 1
-    grid_x = spacing_m * np.arange(n_grid)
+    n_grid = int(round(length_m / PROFILE_SPACING_M)) + 1
+    grid_x = PROFILE_SPACING_M * np.arange(n_grid)
 
     def build(axis_spec: dict | None, axis: str) -> dict:
         zeros = np.zeros((0, 3))
@@ -241,14 +235,13 @@ def synth_profile(length_m: float, spec: dict, seed: int = 0,
             sampled[key] = _sample_components(grid_x, per_side[side])
 
     worst = max(np.max(np.abs(v)) if v.size else 0.0 for v in sampled.values())
-    if worst > deviation_bound_mm:
+    if worst > DEVIATION_BOUND_MM:
         raise ValueError(f"profile deviation {worst:.1f} mm exceeds bound "
-                         f"{deviation_bound_mm} mm")
-    return TrackProfile(float(length_m), float(spacing_m),
+                         f"{DEVIATION_BOUND_MM} mm")
+    return TrackProfile(float(length_m), PROFILE_SPACING_M,
                         sampled["vertical-left"], sampled["vertical-right"],
                         sampled["lateral-left"], sampled["lateral-right"],
-                        components,
-                        tuple(map(tuple, geo_polyline)) if geo_polyline else None)
+                        components)
 
 
 def profile_spatial_series(profile: TrackProfile, side: str,

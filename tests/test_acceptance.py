@@ -26,7 +26,7 @@ from trackvib.geometry import WindowedStats, chord_alignment, psd_spatial, \
 from trackvib.pipeline import ProcessOptions, chord_ground_truth, \
     compare_trc, process_records
 from trackvib.spatial import SpatialSeries
-from trackvib.speed import SpeedProfile, estimate_delay, estimate_speed
+from trackvib.speed import estimate_delay, estimate_speed
 from trackvib.synthesizer import G, SENSOR_SPECS, ImpulseEvent, SimConfig, \
     add_impulses, add_sensor_noise, simulate_run, synth_profile
 from trackvib.timeseries import TimeSeries, decimate, double_integrate
@@ -39,11 +39,12 @@ def rough_spec(rms_mm: float) -> dict:
             "rms_mm": rms_mm}
 
 
-def true_speed(sim) -> SpeedProfile:
-    """Ground-truth speed resampled onto the 256 Hz working rate."""
+def true_speed(sim):
+    """Ground-truth speed at the 256 Hz working rate, as a (time_s,
+    speed_mps) table."""
     n = len(sim.channels["bogie-front-left-vertical"])
     v = sim.speeds_mps[::10][: n // 10]
-    return SpeedProfile(v, 256.0, 2.5, np.ones(v.size, dtype=bool))
+    return np.arange(v.size) / 256.0, v
 
 
 @pytest.fixture(scope="module")

@@ -141,12 +141,37 @@ class TestProcess:
         assert "external" in head
 
     def test_own_speed_csv_is_a_speed_file(self, sim_dir, proc_dir, tmp_path):
-        # speed.csv rows carry a third field, valid
+        # speed.csv rows carry a third field, valid; its times are the
+        # working-rate samples, so the same speed gives the same geometry
+        from trackvib.fileio import read_trc
         out = tmp_path / "round-trip"
         assert main(["process", "--records", str(sim_dir), "--out", str(out),
                      "--speed-file", str(proc_dir / "speed.csv")]) == 0
         head = (out / "speed.csv").read_text().splitlines()[0]
         assert "external" in head
+        again = read_trc(out / "estimated.trc")
+        first = read_trc(proc_dir / "estimated.trc")
+        assert again.distance_m.tobytes() == first.distance_m.tobytes()
+        assert list(again.columns) == list(first.columns)
+        for name, values in first.columns.items():
+            assert again.columns[name].tobytes() == values.tobytes(), name
+        assert first.metadata["speed_source"] == "estimated"
+        assert again.metadata == dict(first.metadata, speed_source="external")
+
+    def test_speed_file_must_cover_records(self, sim_dir, proc_dir, tmp_path,
+                                           capsys):
+        speed = tmp_path / "speed.csv"
+        speed.write_text("time_s,speed_mps\n0,9\n20,9\n")
+        out = tmp_path / "x"
+        rc = main(["process", "--records", str(sim_dir), "--out", str(out),
+                   "--speed-file", str(speed)])
+        assert rc == 1
+        assert not out.exists()
+        t_end = float((proc_dir / "speed.csv").read_text()
+                      .splitlines()[-1].split(",")[0])
+        err = capsys.readouterr().err
+        assert "0 .. 20 s" in err
+        assert f"0 .. {t_end:g} s" in err
 
     def test_speed_file_times_must_increase(self, sim_dir, tmp_path, capsys):
         speed = tmp_path / "speed.csv"

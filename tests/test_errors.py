@@ -9,7 +9,10 @@ from trackvib.errors import TrackVibError
 def test_all_errors_derive_from_base():
     classes = [obj for _, obj in inspect.getmembers(errors_mod, inspect.isclass)
                if issubclass(obj, Exception) and obj is not TrackVibError]
-    assert len(classes) >= 10
+    assert sorted(cls.__name__ for cls in classes) == [
+        "FormatError", "GapTooLargeError", "InsufficientDataError",
+        "MissingChannelError", "NoOverlapError", "NoValidSpeedError",
+        "PlanTooShortError", "TooShortError", "UndefinedCorrelationError"]
     for cls in classes:
         assert issubclass(cls, TrackVibError), cls.__name__
 

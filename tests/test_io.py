@@ -125,7 +125,7 @@ class TestTableLayout:
 
     def test_speed(self, tmp_path):
         p = tmp_path / "speed.csv"
-        write_speed(p, SpeedProfile(np.array([10.0, 10.25]), 256.0, 2.5,
+        write_speed(p, SpeedProfile(np.array([10.0, 10.25]), 256.0,
                                     np.array([True, False])), "estimated")
         assert p.read_text() == ('# params: "estimated"\n'
                                  "time_s,speed_mps,valid\n"

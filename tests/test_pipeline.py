@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from trackvib.errors import MissingChannelError, UndefinedCorrelationError
+from trackvib.errors import (MissingChannelError, TooShortError,
+                             UndefinedCorrelationError)
 from trackvib.fileio import read_trc, write_trc
 from trackvib.pipeline import (ProcessOptions, chord_ground_truth,
                                column_name, compare_trc, parse_channel_id,
                                process_records)
-from trackvib.speed import SpeedProfile
 from trackvib.synthesizer import SimConfig, simulate_run, synth_profile
 
 SINE_SPEC = {"type": "sines",
@@ -25,8 +25,9 @@ def simulate(spec, length_m=400.0, v=10.0, seed=0):
 
 
 def true_speed_at_256(sim, margin=64):
+    """10 m/s as a (time_s, speed_mps) table past the end of the records."""
     n = len(next(iter(sim.channels.values()))) // 10 + margin
-    return SpeedProfile(np.full(n, 10.0), 256.0, 2.5, np.ones(n, dtype=bool))
+    return np.arange(n) / 256.0, np.full(n, 10.0)
 
 
 @pytest.fixture(scope="module")
@@ -118,18 +119,9 @@ class TestProcessRecords:
 
     def test_short_speed_override_rejected(self):
         _, sim = simulate(SINE_SPEC)
-        short = SpeedProfile(np.full(10, 10.0), 256.0, 2.5,
-                             np.ones(10, dtype=bool))
-        with pytest.raises(ValueError):
+        short = (np.arange(10) / 256.0, np.full(10, 10.0))
+        with pytest.raises(TooShortError):
             process_records(sim.channels, speed_override=short)
-
-    def test_wrong_rate_override_rejected(self):
-        _, sim = simulate(SINE_SPEC)
-        n = len(next(iter(sim.channels.values())))
-        prof = SpeedProfile(np.full(n, 10.0), 2560.0, 2.5,
-                            np.ones(n, dtype=bool))
-        with pytest.raises(ValueError):
-            process_records(sim.channels, speed_override=prof)
 
     def test_to_trc_writes_and_reads(self, tmp_path):
         _, sim = simulate(SINE_SPEC)

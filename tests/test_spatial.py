@@ -13,7 +13,7 @@ FS = 256.0
 
 
 def constant_speed(v, n, fs=FS):
-    return SpeedProfile(np.full(n, float(v)), fs, 2.5, np.ones(n, dtype=bool))
+    return SpeedProfile(np.full(n, float(v)), fs, np.ones(n, dtype=bool))
 
 
 class TestBuildDistanceAxis:
@@ -33,12 +33,12 @@ class TestBuildDistanceAxis:
 
     def test_zero_speed_holds_position(self):
         v = np.concatenate([np.full(256, 10.0), np.zeros(256)])
-        prof = SpeedProfile(v, FS, 2.5, np.ones(512, dtype=bool))
+        prof = SpeedProfile(v, FS, np.ones(512, dtype=bool))
         axis = build_distance_axis(prof)
         assert axis.positions_m[-1] == axis.positions_m[256]
 
     def test_negative_speed_rejected(self):
-        prof = SpeedProfile(np.array([10.0, -1.0]), FS, 2.5,
+        prof = SpeedProfile(np.array([10.0, -1.0]), FS,
                             np.ones(2, dtype=bool))
         with pytest.raises(ValueError):
             build_distance_axis(prof)
@@ -79,7 +79,7 @@ class TestResampleToSpace:
         v = np.concatenate([np.full(2560, 10.0),
                             np.zeros(512),      # 2 s standstill
                             np.full(2560, 10.0)])
-        prof = SpeedProfile(v, FS, 2.5, np.ones(v.size, dtype=bool))
+        prof = SpeedProfile(v, FS, np.ones(v.size, dtype=bool))
         axis = build_distance_axis(prof)
         ts = TimeSeries(np.sin(np.arange(v.size) / 40.0), FS,
                         kind="displacement")
@@ -98,7 +98,7 @@ class TestResampleToSpace:
         v = np.concatenate([np.full(2560, 10.0),
                             np.full(128, 0.1),
                             np.full(2560, 10.0)])
-        prof = SpeedProfile(v, FS, 2.5, np.ones(v.size, dtype=bool))
+        prof = SpeedProfile(v, FS, np.ones(v.size, dtype=bool))
         axis = build_distance_axis(prof)
         ts = TimeSeries(np.zeros(v.size), FS, kind="displacement")
         out = resample_to_space(ts, axis)

@@ -89,13 +89,11 @@ class TestEstimateSpeed:
         return DelayEstimate(
             delays_s=np.full(n, delay_s),
             peak_quality=np.full(n, 0.9),
-            valid=np.full(n, valid),
-            window_samples=960, sample_rate_hz=FS, bounds_s=(0.0625, 2.5))
+            valid=np.full(n, valid), sample_rate_hz=FS)
 
     def test_quarter_second_gives_ten_mps(self):
         prof = estimate_speed(self.constant_delay(0.25), 2.5)
         assert np.allclose(prof.speeds_mps, 10.0)
-        assert prof.wheelbase_m == 2.5
 
     def test_unit_ratio(self):
         prof = estimate_speed(self.constant_delay(2.5), 2.5)
@@ -114,8 +112,7 @@ class TestEstimateSpeed:
         n = 2000
         d = np.full(n, 0.25)
         d[1000] = 0.125  # one 20 m/s outlier in a 10 m/s run
-        est = DelayEstimate(d, np.full(n, 0.9), np.ones(n, dtype=bool),
-                            960, FS, (0.0625, 2.5))
+        est = DelayEstimate(d, np.full(n, 0.9), np.ones(n, dtype=bool), FS)
         prof = estimate_speed(est, 2.5)
         assert prof.speeds_mps[1000] == pytest.approx(10.0)
 
@@ -125,7 +122,7 @@ class TestEstimateSpeed:
         valid = np.ones(n, dtype=bool)
         valid[800:1200] = False
         d[800:1200] = np.nan
-        est = DelayEstimate(d, np.full(n, 0.9), valid, 960, FS, (0.0625, 2.5))
+        est = DelayEstimate(d, np.full(n, 0.9), valid, FS)
         prof = estimate_speed(est, 2.5)
         assert np.allclose(prof.speeds_mps, 10.0)
         assert not prof.valid[1000]
