@@ -10,8 +10,9 @@
                      --polyline line.json --out map.geojson
                      [--thresholds A,B,...]
 
-Exit codes: 0 success, 1 data error (unreadable/inconsistent inputs,
-processing failures), 2 usage error (bad flags or arguments).
+Exit codes: 0 success, 1 data error (a TrackVibError, ValueError or OSError:
+unreadable or inconsistent inputs, processing failures), 2 usage error (bad
+flags or arguments). Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -19,81 +20,51 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import fileio, pipeline
 from .errors import TrackVibError
 from .pipeline import chord_ground_truth
-from .synthesizer import (DEFAULT_LR_CORRELATION, DEFAULT_SAMPLE_RATE_HZ,
-                          DEFAULT_WHEELBASE_M, SENSOR_SPECS, ImpulseEvent,
-                          SensorSpec, SimConfig, add_impulses,
+from .synthesizer import (SENSOR_SPECS, ImpulseEvent, SimConfig, add_impulses,
                           add_sensor_noise, simulate_run, synth_profile)
 
 EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_USAGE = 2
 
-
-def _sensor_from_config(cfg: dict) -> SensorSpec | None:
-    sensor = cfg.get("sensor")
-    if sensor is None:
-        return None
-    if isinstance(sensor, str):
-        return SENSOR_SPECS[sensor]
-    return SensorSpec(sensor.get("name", "custom"),
-                      sensor.get("location", "bogie"),
-                      float(sensor["range_g"]),
-                      float(sensor["noise_floor_ug_sqrthz"]))
+BLOCK_S = 10.0      # length of a simulated .rec block
 
 
 def cmd_simulate(args) -> int:
     cfg = fileio.load_config(args.config)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    profile = synth_profile(
-        cfg["length_m"], cfg["profile"], seed=seed,
-        lateral_spec=cfg.get("lateral_profile"),
-        lr_correlation=float(cfg.get("lr_correlation", DEFAULT_LR_CORRELATION)),
-    )
-    sensor = _sensor_from_config(cfg)
-    events = tuple(ImpulseEvent(float(e["position_m"]), float(e["amplitude_g"]),
-                                float(e["duration_ms"]))
-                   for e in cfg.get("impulses", []))
-    sim_config = SimConfig(
-        speed_plan=tuple((k[0], k[1]) for k in cfg["speed_plan"]),
-        sample_rate_hz=float(cfg.get("sample_rate_hz", DEFAULT_SAMPLE_RATE_HZ)),
-        wheelbase_m=float(cfg.get("wheelbase_m", DEFAULT_WHEELBASE_M)),
-        impulse_events=events,
-        lateral_disturbance=cfg.get("lateral_disturbance"),
-        seed=seed,
-        sensor_location=sensor.location if sensor else "bogie",
-    )
+    seed = cfg.get("seed", 0) if args.seed is None else args.seed
+    profile = synth_profile(cfg["length_m"], cfg["profile"], seed=seed,
+                            lateral_spec=cfg.get("lateral_profile"))
+    sensor = SENSOR_SPECS.get(cfg.get("sensor"))
+    events = [ImpulseEvent(**e) for e in cfg.get("impulses", [])]
+    sim_config = SimConfig(cfg["speed_plan"], seed=seed,
+                           lateral_disturbance=cfg.get("lateral_disturbance"),
+                           sensor_location=sensor.location if sensor else "bogie")
     sim = simulate_run(profile, sim_config)
 
-    cfg_echo = dict(cfg)
-    cfg_echo["seed"] = seed
-    block_s = float(cfg.get("block_seconds", 10.0))
-    n_block = int(round(block_s * sim_config.sample_rate_hz))
-    sensor_meta = ({"name": sensor.name, "location": sensor.location,
-                    "range_g": sensor.range_g,
-                    "noise_floor_ug_sqrthz": sensor.noise_floor_ug_sqrthz}
-                   if sensor else None)
-    add_noise = bool(cfg.get("add_noise", sensor is not None)) and sensor
-
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    cfg_echo = dict(cfg, seed=seed)
+    fs = sim_config.sample_rate_hz
+    n_block = int(round(BLOCK_S * fs))
+    starts = range(0, sim.speeds_mps.size, n_block)
+    sensor_meta = asdict(sensor) if sensor else None
     for cid, ts in sorted(sim.channels.items()):
         if "vertical" in cid and events:
             ts = add_impulses(ts, events, sim.wheel_positions[cid])
-        if add_noise:
+        if sensor:
             ts, _ = add_sensor_noise(ts, sensor, seed)
-        for k in range(0, len(ts), n_block):
+        for b, k in enumerate(starts):
             block = replace(ts, samples=ts.samples[k:k + n_block],
-                            start_time_s=k / sim_config.sample_rate_hz)
-            name = f"{cid}_b{k // n_block:04d}.rec"
-            fileio.write_record(out / name, block, sensor=sensor_meta,
-                                params={"config": cfg_echo})
+                            start_time_s=k / fs)
+            fileio.write_record(out / f"{cid}_b{b:04d}.rec", block,
+                                sensor=sensor_meta, params={"config": cfg_echo})
 
     truth = chord_ground_truth(profile, sim)
     truth.metadata["config"] = cfg_echo
@@ -101,13 +72,9 @@ def cmd_simulate(args) -> int:
     with open(out / "config_used.json", "w", encoding="utf-8") as fh:
         json.dump(cfg_echo, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if cfg.get("geo_polyline"):
-        with open(out / "polyline.json", "w", encoding="utf-8") as fh:
-            json.dump([list(p) for p in cfg["geo_polyline"]], fh)
-            fh.write("\n")
-    n_ch = len(sim.channels)
-    print(f"wrote {n_ch} channels x {len(range(0, len(ts), n_block))} blocks "
-          f"to {out}")
+    if "geo_polyline" in cfg:
+        fileio.write_polyline(out / "polyline.json", cfg["geo_polyline"])
+    print(f"wrote {len(sim.channels)} channels x {len(starts)} blocks to {out}")
     return EXIT_OK
 
 
@@ -169,19 +136,9 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _read_polyline(path) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if isinstance(data, dict):   # GeoJSON Feature or geometry, [lon, lat] order
-        geom = data.get("geometry", data)
-        coords = geom.get("coordinates", [])
-        return [(lat, lon) for lon, lat in coords]
-    return [(p[0], p[1]) for p in data]
-
-
 def cmd_export_geojson(args) -> int:
     stats = fileio.read_windows(args.windows, args.column)
-    polyline = _read_polyline(args.polyline)
+    polyline = fileio.read_polyline(args.polyline)
     thresholds = ([float(t) for t in args.thresholds.split(",") if t]
                   if args.thresholds else [])
     collection = fileio.export_geojson(stats, polyline, thresholds,
@@ -252,7 +209,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TrackVibError, ValueError, KeyError, OSError) as exc:
+    except (TrackVibError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -49,24 +49,31 @@ class ComparisonReport:
         }
 
 
-def _matched_pairs(est: WindowedStats, ref: WindowedStats):
-    """Indices of windows with identical start positions, both usable."""
-    tol = 1e-6 * max(1.0, est.window_m)
-    i = j = 0
-    ei, ri = [], []
-    while i < len(est) and j < len(ref):
-        d = est.starts_m[i] - ref.starts_m[j]
-        if abs(d) <= tol:
-            if est.usable[i] and ref.usable[j]:
-                ei.append(i)
-                ri.append(j)
-            i += 1
-            j += 1
-        elif d < 0:
-            i += 1
-        else:
-            j += 1
-    return np.asarray(ei, dtype=int), np.asarray(ri, dtype=int)
+def _common_windows(est: WindowedStats, ref: WindowedStats):
+    """Indices into est and ref of the windows both cover and both can use.
+
+    Both sequences step by window_m, so window i of est is window i + k of
+    ref. Raises ValueError unless window length and grid phase agree, and
+    NoOverlapError, InsufficientDataError or UndefinedCorrelationError for
+    none, too few or constant common windows.
+    """
+    if est.window_m != ref.window_m:
+        raise ValueError(f"window lengths differ: {est.window_m} vs {ref.window_m}")
+    phase = (est.starts_m[0] - ref.starts_m[0]) / est.window_m
+    if abs(phase - round(phase)) > 1e-6:
+        raise ValueError("window sequences are not aligned to the same grid")
+    k = int(round(phase))
+    ei = np.arange(max(0, -k), min(len(est), len(ref) - k))
+    ei = ei[est.usable[ei] & ref.usable[ei + k]]
+    if ei.size == 0:
+        raise NoOverlapError("window sequences do not overlap")
+    if ei.size < MIN_COMMON_WINDOWS:
+        raise InsufficientDataError(f"only {ei.size} common valid windows, "
+                                    f"need {MIN_COMMON_WINDOWS}")
+    if np.std(est.values[ei]) == 0.0 or np.std(ref.values[ei + k]) == 0.0:
+        raise UndefinedCorrelationError("zero variance on one side, "
+                                        "correlation undefined")
+    return ei, ei + k
 
 
 def correlate(est: WindowedStats, ref: WindowedStats,
@@ -78,22 +85,8 @@ def correlate(est: WindowedStats, ref: WindowedStats,
     estimated = slope * reference + intercept; residuals are per-window
     deviations from it.
     """
-    if est.window_m != ref.window_m:
-        raise ValueError(f"window lengths differ: {est.window_m} vs {ref.window_m}")
-    phase = (est.starts_m[0] - ref.starts_m[0]) / est.window_m
-    if abs(phase - round(phase)) > 1e-6:
-        raise ValueError("window sequences are not aligned to the same grid")
-    ei, ri = _matched_pairs(est, ref)
-    if ei.size == 0:
-        raise NoOverlapError("window sequences do not overlap")
-    if ei.size < MIN_COMMON_WINDOWS:
-        raise InsufficientDataError(f"only {ei.size} common valid windows, "
-                                    f"need {MIN_COMMON_WINDOWS}")
-    e = est.values[ei]
-    r = ref.values[ri]
-    if np.std(e) == 0.0 or np.std(r) == 0.0:
-        raise UndefinedCorrelationError("zero variance on one side, "
-                                        "correlation undefined")
+    ei, ri = _common_windows(est, ref)
+    e, r = est.values[ei], ref.values[ri]
     pearson = float(np.corrcoef(e, r)[0, 1])
     slope, intercept = np.polyfit(r, e, 1)
     residuals = e - (slope * r + intercept)
@@ -111,31 +104,26 @@ def coregister(est: WindowedStats, ref: WindowedStats,
     |shift|), and returns (est_shifted, ref, applied_shift_m). k = 0 is always
     a candidate, so co-registration never worsens an already valid alignment.
     """
-    if est.window_m != ref.window_m:
-        raise ValueError(f"window lengths differ: {est.window_m} vs {ref.window_m}")
     if max_shift_m < 0:
         raise ValueError("max_shift_m must be >= 0")
     k_max = int(np.floor(max_shift_m / est.window_m + 1e-9))
-    best = None
-    degenerate = False
+    best = undefined = None
     for k in sorted(range(-k_max, k_max + 1), key=lambda k: (abs(k), k)):
         shifted = replace(est, starts_m=est.starts_m + k * est.window_m)
-        ei, ri = _matched_pairs(shifted, ref)
-        if ei.size < MIN_COMMON_WINDOWS:
+        try:
+            ei, ri = _common_windows(shifted, ref)
+        except UndefinedCorrelationError as exc:
+            undefined = exc
             continue
-        e, r = shifted.values[ei], ref.values[ri]
-        if np.std(e) == 0.0 or np.std(r) == 0.0:
-            degenerate = True
+        except (NoOverlapError, InsufficientDataError):
             continue
-        score = float(np.corrcoef(e, r)[0, 1])
+        score = float(np.corrcoef(shifted.values[ei], ref.values[ri])[0, 1])
         # 1e-9 guard so float jitter cannot beat the smallest-|shift| rule
         if best is None or score > best[0] + 1e-9:
             best = (score, k, shifted)
     if best is None:
-        if degenerate:
-            raise UndefinedCorrelationError(
-                "window values have zero variance, correlation undefined")
-        raise NoOverlapError(f"no shift within +/-{max_shift_m} m leaves "
-                             f"{MIN_COMMON_WINDOWS} comparable windows")
+        raise undefined or NoOverlapError(
+            f"no shift within +/-{max_shift_m} m leaves {MIN_COMMON_WINDOWS} "
+            f"comparable windows")
     _, k, shifted = best
     return shifted, ref, k * est.window_m

@@ -2,8 +2,9 @@
 
 Plain invalid arguments (bad factor, cutoff above Nyquist, mismatched
 rates...) raise the builtin ValueError. The classes below mark data-dependent
-failures a caller may want to catch and handle individually; they all derive
-from TrackVibError so the CLI can map any of them to a data-error exit.
+failures a caller may want to catch and handle individually; all derive from
+TrackVibError. The CLI exits 1 on a TrackVibError, ValueError or OSError;
+any other exception is a bug and propagates.
 """
 
 

@@ -1,4 +1,4 @@
-"""File formats: record blocks, CSV tables, GeoJSON.
+"""File formats: record blocks, CSV tables, JSON configs, GeoJSON.
 
 Record block: one UTF-8 JSON header line (sorted keys, ends with newline)
 followed by the raw little-endian float64 payload. Byte-identical for
@@ -13,18 +13,24 @@ bit-exact and invalid samples read 'nan'; flags are written as 0/1. In a
 .trc table the first column is distance_m on the 0.25 m grid, and the
 geometry columns are named like VA10_left_mm / HA10_right_mm; any chord
 length matching that pattern round-trips.
+
+Simulate config and survey polyline: JSON checked against the shapes below;
+a misfit raises FormatError naming the path, and in a config the field.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FormatError
+from .geometry import WindowedStats
 from .spatial import TRC_SPACING_M
+from .synthesizer import SENSOR_SPECS
 from .timeseries import KIND_ACCELERATION, KIND_DISPLACEMENT, TimeSeries
 
 _UNITS = {KIND_ACCELERATION: "m/s^2", KIND_DISPLACEMENT: "m"}
@@ -231,8 +237,6 @@ def write_windows(path, stats_by_column: dict, params: dict | None = None) -> No
 
 def read_windows(path, column: str):
     """Rebuild the WindowedStats of one column from a windows table."""
-    from .geometry import WindowedStats
-
     _, columns, _ = read_table(path, _WINDOWS_HEADER, dtype=str)
     mine = columns["column"] == column
     if not mine.any():
@@ -280,51 +284,105 @@ def write_displacement(path, series) -> None:
                        "valid": series.valid}, {"units": series.units})
 
 
-# ---------------------------------------------------------------- config
+# ---------------------------------------------------------------- config, polyline
 
-def load_config(path) -> dict:
-    """Parse and structurally validate a simulation config file."""
+# Shape tests of JSON values: each returns whether its value has the shape.
+
+def _number(v) -> bool:
+    return type(v) is int or isinstance(v, float) and math.isfinite(v)
+
+
+def _pair(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(map(_number, v))
+
+
+def _array(fits, least: int = 0):
+    return lambda v: isinstance(v, list) and len(v) >= least and all(map(fits, v))
+
+
+def _object(fields: dict, optional: tuple = ()):
+    """An object with the keys of fields (key -> test), bar optional ones."""
+    return lambda v: (isinstance(v, dict)
+                      and fields.keys() - set(optional) <= v.keys() <= fields.keys()
+                      and all(fields[k](x) for k, x in v.items()))
+
+
+_POLYLINE = _array(_pair, least=2)
+_PROFILES = (
+    _object({"type": lambda t: t == "noise", "band_cycles_per_m": _pair,
+             "rms_mm": _number}),
+    _object({"type": lambda t: t == "sines", "components": _array(_object(
+        {"nu": _number, "amplitude_mm": _number, "phase": _number}, ("phase",)))}),
+)
+_PROFILE_SPEC = (lambda v: any(fits(v) for fits in _PROFILES),
+                 "a noise or a sines profile spec")
+# the simulate config: field -> (shape test, the shape in words)
+_SIMULATE_CONFIG = {
+    "length_m": (lambda v: _number(v) and v > 0, "a number > 0"),
+    "profile": _PROFILE_SPEC,
+    "lateral_profile": _PROFILE_SPEC,
+    "speed_plan": (_array(lambda k: _pair(k) and k[1] >= 0, least=2),
+                   "two or more [time_s, speed_mps >= 0] knots"),
+    "impulses": (_array(_object(dict.fromkeys(
+        ("position_m", "amplitude_g", "duration_ms"), _number))),
+        "a list of {position_m, amplitude_g, duration_ms}"),
+    "sensor": (lambda v: isinstance(v, str) and v in SENSOR_SPECS,
+               f"one of {', '.join(SENSOR_SPECS)}"),
+    "seed": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+    "geo_polyline": (_POLYLINE, "two or more [lat, lon] pairs"),
+    "lateral_disturbance": (_object({"rms_mps2": _number, "band_hz": _pair}),
+                            "{rms_mps2, band_hz: [lo, hi]}"),
+}
+_REQUIRED = ("length_m", "profile", "speed_plan")
+
+
+def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+
+
+def load_config(path) -> dict:
+    """The simulate config in a JSON file, as parsed. A field it does not
+    know, a missing required field or a field of the wrong shape raises
+    FormatError naming the field; value ranges are the synthesizer's."""
+    cfg = _read_json(path)
     if not isinstance(cfg, dict):
         raise FormatError(f"{path}: top level must be an object")
-
-    def need(key, types, check=None, what=""):
+    for key in [*cfg, *_REQUIRED]:
+        if key not in _SIMULATE_CONFIG:
+            raise FormatError(f"{path}: unknown field {key!r} (fields: "
+                              f"{', '.join(_SIMULATE_CONFIG)})")
         if key not in cfg:
             raise FormatError(f"{path}: missing field {key!r}")
-        value = cfg[key]
-        if not isinstance(value, types):
-            raise FormatError(f"{path}: field {key!r} has wrong type")
-        if check is not None and not check(value):
-            raise FormatError(f"{path}: field {key!r}: {what}")
-        return value
-
-    need("length_m", (int, float), lambda v: v > 0, "must be > 0")
-    profile = need("profile", dict)
-    if profile.get("type") not in ("noise", "sines"):
-        raise FormatError(f"{path}: profile.type must be 'noise' or 'sines'")
-    plan = need("speed_plan", list, lambda v: len(v) >= 2,
-                "needs at least two [time_s, speed_mps] knots")
-    for i, knot in enumerate(plan):
-        if (not isinstance(knot, list) or len(knot) != 2
-                or not all(isinstance(x, (int, float)) for x in knot)):
-            raise FormatError(f"{path}: speed_plan[{i}] must be [time_s, speed_mps]")
-        if knot[1] < 0:
-            raise FormatError(f"{path}: speed_plan[{i}]: speed must be >= 0")
-    for i, ev in enumerate(cfg.get("impulses", [])):
-        for key in ("position_m", "amplitude_g", "duration_ms"):
-            if key not in ev:
-                raise FormatError(f"{path}: impulses[{i}] missing {key!r}")
-    sensor = cfg.get("sensor")
-    if isinstance(sensor, str):
-        from .synthesizer import SENSOR_SPECS
-        if sensor not in SENSOR_SPECS:
-            raise FormatError(f"{path}: unknown sensor {sensor!r} (one of "
-                              f"{sorted(SENSOR_SPECS)})")
+        fits, shape = _SIMULATE_CONFIG[key]
+        if not fits(cfg[key]):
+            raise FormatError(f"{path}: field {key!r} must be {shape}")
     return cfg
+
+
+def read_polyline(path) -> list:
+    """(lat, lon) vertices of a survey polyline file: a JSON array of two or
+    more [lat, lon] pairs, as write_polyline writes it, or a GeoJSON
+    LineString geometry or Feature, whose coordinates are [lon, lat]."""
+    data = _read_json(path)
+    lon_lat = isinstance(data, dict)
+    if lon_lat:
+        geometry = data.get("geometry", data)
+        data = geometry.get("coordinates") if isinstance(geometry, dict) else None
+    if not _POLYLINE(data):
+        raise FormatError(f"{path}: need two or more [lat, lon] pairs or a "
+                          f"GeoJSON LineString")
+    return [(b, a) if lon_lat else (a, b) for a, b in data]
+
+
+def write_polyline(path, points) -> None:
+    """(lat, lon) vertices as the JSON array read_polyline reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump([list(p) for p in points], fh)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------- geojson

@@ -14,13 +14,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import MissingChannelError, TooShortError
+from .errors import (InsufficientDataError, MissingChannelError,
+                     NoOverlapError, TooShortError, UndefinedCorrelationError)
 from .fileio import TrcData
 from .geometry import (MODE_MAX_ABS, chord_alignment, select_cutoff,
                        windowed_max)
 from .spatial import (TRC_SPACING_M, DistanceAxis, SpatialSeries,
                       build_distance_axis, resample_to_space)
 from .speed import SpeedProfile, estimate_delay, estimate_speed
+from .synthesizer import profile_spatial_series
 from .timeseries import TimeSeries, decimate, double_integrate, merge_records
 
 WORKING_RATE_HZ = 256.0
@@ -229,8 +231,6 @@ def chord_ground_truth(profile, sim, chords_m=ProcessOptions.chords_m,
     Applies the same chord arithmetic to the known rail shapes, so the
     only differences from a processed run are the estimation steps.
     """
-    from .synthesizer import profile_spatial_series
-
     columns = {}
     grid = None
     for chords, axis in ((chords_m, "vertical"), (lateral_chords_m, "lateral")):
@@ -259,9 +259,8 @@ def compare_trc(est: TrcData, ref: TrcData,
     are skipped rather than failing the run; pass a dict as `skipped` to
     collect column -> reason. Raises only if no column is comparable.
     """
+    # looked up per call: bench/tracing.py patches trackvib.comparison
     from .comparison import coregister, correlate
-    from .errors import (InsufficientDataError, NoOverlapError,
-                         UndefinedCorrelationError)
 
     common = [c for c in est.geometry_columns() if c in ref.columns]
     if not common:

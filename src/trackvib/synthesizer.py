@@ -23,7 +23,7 @@ noise causes.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +35,7 @@ G = 9.81
 DEFAULT_SAMPLE_RATE_HZ = 2560.0
 DEFAULT_WHEELBASE_M = 2.5
 PROFILE_SPACING_M = 0.05        # half a wavelength at MAX_NU_CYCLES_PER_M
-DEFAULT_LR_CORRELATION = 0.7
+LR_CORRELATION = 0.7            # of a noise profile's left and right rails
 DEVIATION_BOUND_MM = 50.0       # synth_profile refuses larger deviations
 MAX_NU_CYCLES_PER_M = 10.0
 MAX_NOISE_COMPONENTS = 384
@@ -104,7 +104,6 @@ class SimConfig:
     speed_plan: tuple            # ((time_s, speed_mps), ...) piecewise linear
     sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ
     wheelbase_m: float = DEFAULT_WHEELBASE_M
-    impulse_events: tuple = ()
     lateral_disturbance: dict | None = None   # {"rms_mps2":…, "band_hz": (lo,hi)}
     seed: int = 0
     sensor_location: str = "bogie"
@@ -123,7 +122,6 @@ class SimConfig:
         if not self.wheelbase_m > 0:
             raise ValueError("wheelbase_m must be > 0")
         object.__setattr__(self, "speed_plan", plan)
-        object.__setattr__(self, "impulse_events", tuple(self.impulse_events))
 
 
 @dataclass(frozen=True)
@@ -175,8 +173,7 @@ def _noise_components(rng: np.random.Generator, band, rms_mm: float,
 
 
 def synth_profile(length_m: float, spec: dict, seed: int = 0,
-                  lateral_spec: dict | None = None,
-                  lr_correlation: float = DEFAULT_LR_CORRELATION) -> TrackProfile:
+                  lateral_spec: dict | None = None) -> TrackProfile:
     """Generate a track profile from a spectral description.
 
     spec is either
@@ -184,7 +181,7 @@ def synth_profile(length_m: float, spec: dict, seed: int = 0,
     for an exact deterministic sum (applied to both rails), or
       {"type": "noise", "band_cycles_per_m": (lo, hi), "rms_mm": r}
     for band-limited random roughness with left/right correlation
-    ``lr_correlation``. ``lateral_spec`` (same shape) feeds the y channels;
+    LR_CORRELATION. ``lateral_spec`` (same shape) feeds the y channels;
     without it they are zero. The rails are sampled every PROFILE_SPACING_M,
     and a deviation beyond DEVIATION_BOUND_MM raises ValueError. Same seed,
     same profile; different seed, different roughness.
@@ -208,8 +205,6 @@ def synth_profile(length_m: float, spec: dict, seed: int = 0,
                                  f"cycles/m")
             return {"left": comps, "right": comps.copy()}
         if kind == "noise":
-            if not -1.0 <= lr_correlation <= 1.0:
-                raise ValueError("lr_correlation must be in [-1, 1]")
             band = tuple(axis_spec["band_cycles_per_m"])
             rms = float(axis_spec["rms_mm"])
             if not rms >= 0:
@@ -217,7 +212,7 @@ def synth_profile(length_m: float, spec: dict, seed: int = 0,
             rng = _channel_rng(seed, f"profile-{axis}")
             left = _noise_components(rng, band, rms, length_m, grid_x)
             indep = _noise_components(rng, band, rms, length_m, grid_x)
-            rho = lr_correlation
+            rho = LR_CORRELATION
             right = np.vstack([
                 left * [1.0, rho, 1.0],
                 indep * [1.0, np.sqrt(1.0 - rho * rho), 1.0],

@@ -1,10 +1,12 @@
-"""The benchmark's tracer still finds and counts every layer it names.
+"""The benchmark's tracer still finds and counts every layer it names,
+and the benchmark's configs are still simulate configs.
 
 bench/tracing.py wraps the package's public functions by name and reads
 some of their parameters. A rename or a removed parameter breaks
 `bench/run.py --trace 1`; this test breaks first. It runs the four
 subcommands once under the tracer and requires a call of every traced
-layer.
+layer. bench/workloads.py writes the config that sets up stop-go-400m; a
+schema change that refuses it fails here before it fails the benchmark.
 """
 
 import json
@@ -15,6 +17,7 @@ import pytest
 
 import trackvib
 import trackvib.cli  # noqa: F401  (the tracer wraps it as trackvib.cli)
+from trackvib.fileio import load_config
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -38,6 +41,22 @@ def tracing(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)   # bench/ stays clean
     import tracing
     return tracing
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)   # bench/ stays clean
+    import workloads
+    return workloads
+
+
+def test_bench_configs_load(workloads, tmp_path):
+    for name, cfg in [("stop-go", workloads.stop_go_config(1)),
+                      ("trace", CONFIG)]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        assert load_config(path) == cfg
 
 
 def test_every_traced_layer_is_called(tracing, tmp_path):

@@ -91,6 +91,51 @@ class TestSimulate:
                    "--out", str(tmp_path / "x")])
         assert rc == 1
 
+    @pytest.mark.parametrize("edit, named", [
+        ({"impulse": [{"position_m": 300.0, "amplitude_g": 5.0,
+                       "duration_ms": 5.0}]}, "'impulse'"),
+        ({"sensor": {"name": "mine", "location": "bogie", "range_g": 16.0,
+                     "noise_floor_ug_sqrthz": 300.0}}, "'sensor'"),
+        ({"profile": {"type": "noise", "band_cycles_per_m": [0.02, 0.5]}},
+         "'profile'"),
+        ({"speed_plan": [[0.0, 10.0], [5.0, 10.0]]}, "speed plan")],
+        ids=["misspelt-field", "inline-sensor", "noise-without-rms_mm",
+             "plan-ends-early"])
+    def test_refused_config_writes_nothing(self, tmp_path, capsys, edit, named):
+        cfg = write_config(tmp_path / "config.json", dict(CONFIG, **edit))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_used_reproduces_the_run(self, tmp_path):
+        # every config field, and a --seed override the echo must carry
+        cfg = write_config(tmp_path / "config.json", {
+            "length_m": 250.0,
+            "profile": {"type": "noise", "band_cycles_per_m": [0.02, 0.5],
+                        "rms_mm": 3.0},
+            "lateral_profile": {"type": "sines", "components": [
+                {"nu": 0.05, "amplitude_mm": 2.0, "phase": 0.3}]},
+            "speed_plan": [[0.0, 6.0], [10.0, 12.0], [40.0, 12.0]],
+            "impulses": [{"position_m": 120.0, "amplitude_g": 5.0,
+                          "duration_ms": 5.0}],
+            "sensor": "bogie_mems",
+            "seed": 7,
+            "geo_polyline": [[47.0, 8.0], [47.005, 8.0]],
+            "lateral_disturbance": {"rms_mps2": 0.05, "band_hz": [1.0, 20.0]},
+        })
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["simulate", "--config", str(cfg), "--out", str(first),
+                     "--seed", "3"]) == 0
+        assert json.loads((first / "config_used.json").read_text())["seed"] == 3
+        assert main(["simulate", "--config", str(first / "config_used.json"),
+                     "--out", str(again)]) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in again.iterdir())
+        assert len([n for n in names if n.endswith(".rec")]) == 8 * 3
+        for name in names:
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
 
 class TestProcess:
     def test_artifacts(self, proc_dir):
@@ -243,6 +288,19 @@ class TestExportGeojson:
         # must carry a real severity
         assert fc["features"][2]["properties"]["severity"] is not None
 
+    @pytest.mark.parametrize("content", ["5", "[[47.0], [47.1]]"])
+    def test_malformed_polyline_is_data_error(self, proc_dir, tmp_path, capsys,
+                                              content):
+        poly = tmp_path / "poly.json"
+        poly.write_text(content)
+        out = tmp_path / "map.geojson"
+        rc = main(["export-geojson", "--windows", str(proc_dir / "windows.csv"),
+                   "--column", "VA10_left_mm", "--polyline", str(poly),
+                   "--out", str(out)])
+        assert rc == 1
+        assert str(poly) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_column_is_data_error(self, proc_dir, tmp_path):
         poly = tmp_path / "poly.json"
         poly.write_text(json.dumps([[47.0, 8.0], [47.01, 8.0]]))
@@ -250,6 +308,23 @@ class TestExportGeojson:
                    "--column", "VA99_left_mm", "--polyline", str(poly),
                    "--out", str(tmp_path / "x.geojson")])
         assert rc == 1
+
+
+class TestProgrammingErrors:
+    def test_key_error_is_not_a_data_error(self, sim_dir, tmp_path,
+                                           monkeypatch):
+        # exit 1 is for TrackVibError, ValueError and OSError; anything
+        # else is a bug and must show as one
+        import trackvib.fileio
+
+        def broken(path):
+            raise KeyError("distance_m")
+
+        monkeypatch.setattr(trackvib.fileio, "read_trc", broken)
+        truth = str(sim_dir / "ground_truth.trc")
+        with pytest.raises(KeyError):
+            main(["compare", "--estimated", truth, "--reference", truth,
+                  "--out", str(tmp_path / "cmp")])
 
 
 class TestUsageErrors:

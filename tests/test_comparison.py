@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from trackvib.comparison import ComparisonReport, coregister, correlate
+from trackvib.comparison import (MIN_COMMON_WINDOWS, _common_windows,
+                                 coregister, correlate)
 from trackvib.errors import (InsufficientDataError, NoOverlapError,
                              UndefinedCorrelationError)
 from trackvib.geometry import WindowedStats
@@ -16,6 +17,57 @@ def stats(values, start=0.0, window=100.0, valid_fraction=None):
         valid_fraction = np.ones(n)
     return WindowedStats(window, start + window * np.arange(n), values,
                          np.asarray(valid_fraction, dtype=float))
+
+
+def matched_pairs_reference(est, ref):
+    """Windows with identical start positions, both usable: a merge over
+    the two start sequences, kept as the reference for the index rule."""
+    tol = 1e-6 * max(1.0, est.window_m)
+    i = j = 0
+    ei, ri = [], []
+    while i < len(est) and j < len(ref):
+        d = est.starts_m[i] - ref.starts_m[j]
+        if abs(d) <= tol:
+            if est.usable[i] and ref.usable[j]:
+                ei.append(i)
+                ri.append(j)
+            i += 1
+            j += 1
+        elif d < 0:
+            i += 1
+        else:
+            j += 1
+    return np.asarray(ei, dtype=int), np.asarray(ri, dtype=int)
+
+
+class TestCommonWindows:
+    def test_matches_reference_merge(self):
+        # shifts, unusable windows, and disjoint, partial and full overlaps
+        rng = np.random.default_rng(11)
+        outcomes = set()
+        for _ in range(400):
+            window = float(rng.choice([20.0, 100.0]))
+            n_est, n_ref = rng.integers(1, 30, size=2)
+            origin = window * rng.integers(-5, 5) + float(rng.choice([0.0, 0.25]))
+            est = stats(rng.uniform(1.0, 5.0, n_est), origin, window,
+                        rng.choice([0.0, 0.4, 1.0], n_est, p=[0.1, 0.1, 0.8]))
+            shift = window * int(rng.integers(-35, 35))
+            ref = stats(rng.uniform(1.0, 5.0, n_ref), origin + shift, window,
+                        rng.choice([0.0, 1.0], n_ref, p=[0.2, 0.8]))
+            ei, ri = matched_pairs_reference(est, ref)
+            if ei.size == 0:
+                expected = NoOverlapError
+            elif ei.size < MIN_COMMON_WINDOWS:
+                expected = InsufficientDataError
+            else:
+                got = _common_windows(est, ref)
+                assert np.array_equal(got[0], ei) and np.array_equal(got[1], ri)
+                outcomes.add("pairs")
+                continue
+            with pytest.raises(expected):
+                _common_windows(est, ref)
+            outcomes.add(expected.__name__)
+        assert outcomes == {"pairs", "NoOverlapError", "InsufficientDataError"}
 
 
 class TestCorrelate:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,11 +10,11 @@ import pytest
 from trackvib.comparison import ComparisonReport
 from trackvib.errors import FormatError
 from trackvib.fileio import (TRC_SPACING_M, TrcData, export_geojson,
-                             load_config, read_record, read_speed,
-                             read_table, read_trc, read_windows,
-                             write_displacement, write_geojson, write_record,
-                             write_report_csv, write_speed, write_trc,
-                             write_windows)
+                             load_config, read_polyline, read_record,
+                             read_speed, read_table, read_trc, read_windows,
+                             write_displacement, write_geojson,
+                             write_polyline, write_record, write_report_csv,
+                             write_speed, write_trc, write_windows)
 from trackvib.geometry import WindowedStats
 from trackvib.spatial import SpatialSeries
 from trackvib.speed import SpeedProfile
@@ -345,6 +346,84 @@ class TestLoadConfig:
         cfg["impulses"] = [{"position_m": 100.0}]
         with pytest.raises(FormatError):
             load_config(self.write(tmp_path, cfg))
+
+    def test_every_field_accepted(self, tmp_path):
+        cfg = dict(self.good(), seed=7, sensor="axlebox_iepe",
+                   lateral_profile={"type": "sines", "components": [
+                       {"nu": 0.05, "amplitude_mm": 2.0},
+                       {"nu": 0.1, "amplitude_mm": 1.0, "phase": 0.3}]},
+                   impulses=[{"position_m": 100, "amplitude_g": 5.0,
+                              "duration_ms": 4.0}],
+                   geo_polyline=[[47.0, 8.0], [47.01, 8.0]],
+                   lateral_disturbance={"rms_mps2": 0.05, "band_hz": [1, 20]})
+        assert load_config(self.write(tmp_path, cfg)) == cfg
+
+    @pytest.mark.parametrize("field, value", [
+        ("sample_rate_hz", 2560.0), ("wheelbase_m", 2.5),
+        ("lr_correlation", 0.7), ("add_noise", False), ("block_seconds", 10.0),
+        ("impulse", [])])
+    def test_unknown_field_named(self, tmp_path, field, value):
+        cfg = dict(self.good(), **{field: value})
+        with pytest.raises(FormatError, match=f"unknown field '{field}'"):
+            load_config(self.write(tmp_path, cfg))
+
+    @pytest.mark.parametrize("field, value", [
+        ("profile", {"type": "noise", "band_cycles_per_m": [0.02, 0.5]}),
+        ("profile", {"type": "noise", "band_cycles_per_m": 0.5, "rms_mm": 3}),
+        ("profile", {"type": "sines", "components": [{"nu": 0.05}]}),
+        ("profile", {"type": "sines", "components": [
+            {"nu": 0.05, "amplitude": 1.0}]}),
+        ("lateral_profile", {"type": "noise", "band": [0.02, 0.5],
+                             "rms_mm": 3.0}),
+        ("speed_plan", [[0.0, 10.0], [60.0, "10"]]),
+        ("impulses", [{"position_m": 100.0, "amplitude_g": "5",
+                       "duration_ms": 4.0}]),
+        ("impulses", {"position_m": 100.0}),
+        ("sensor", {"name": "mine", "range_g": 16.0,
+                    "noise_floor_ug_sqrthz": 300.0}),
+        ("seed", 7.5), ("seed", "7"), ("seed", True), ("length_m", True),
+        ("length_m", float("inf")),
+        ("speed_plan", [[0.0, 10.0], [float("nan"), 10.0]]),
+        ("geo_polyline", [[47.0, 8.0]]),
+        ("geo_polyline", [[47.0], [47.1]]),
+        ("lateral_disturbance", {"rms_mps2": 0.05}),
+        ("lateral_disturbance", {"rms_mps2": 0.05, "band_hz": [1.0]})])
+    def test_malformed_field_named(self, tmp_path, field, value):
+        cfg = dict(self.good(), **{field: value})
+        with pytest.raises(FormatError, match=f"field '{field}'"):
+            load_config(self.write(tmp_path, cfg))
+
+    def test_top_level_must_be_object(self, tmp_path):
+        with pytest.raises(FormatError, match="top level"):
+            load_config(self.write(tmp_path, [self.good()]))
+
+
+class TestPolyline:
+    def test_round_trip(self, tmp_path):
+        p = tmp_path / "polyline.json"
+        points = [(47.0, 8.0), (47.001, 8.002), (47.003, 8.0025)]
+        write_polyline(p, points)
+        assert json.loads(p.read_text()) == [list(q) for q in points]
+        assert read_polyline(p) == points
+
+    @pytest.mark.parametrize("wrap", [lambda g: g, lambda g: {
+        "type": "Feature", "geometry": g, "properties": {}}])
+    def test_geojson_is_lon_lat(self, tmp_path, wrap):
+        p = tmp_path / "line.geojson"
+        geometry = {"type": "LineString",
+                    "coordinates": [[8.0, 47.0], [8.002, 47.001]]}
+        p.write_text(json.dumps(wrap(geometry)))
+        assert read_polyline(p) == [(47.0, 8.0), (47.001, 8.002)]
+
+    @pytest.mark.parametrize("content", [
+        "5", "[[47.0], [47.1]]", "[[47.0, 8.0]]", '[[47.0, "8.0"], [47.1, 8.0]]',
+        '{"type": "Point", "coordinates": [8.0, 47.0]}', '{"geometry": 5}',
+        "[[47.0, 8.0],"])
+    def test_malformed_file_names_path(self, tmp_path, content):
+        p = tmp_path / "line.json"
+        p.write_text(content)
+        with pytest.raises(FormatError, match=re.escape(str(p))):
+            read_polyline(p)
 
 
 class TestGeoJson:

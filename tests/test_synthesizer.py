@@ -36,7 +36,7 @@ class TestSynthProfile:
         assert rms_r == pytest.approx(3.0, rel=0.10)
 
     def test_left_right_correlation(self):
-        p = synth_profile(2000.0, NOISE_SPEC, seed=2, lr_correlation=0.7)
+        p = synth_profile(2000.0, NOISE_SPEC, seed=2)
         r = np.corrcoef(p.z_left, p.z_right)[0, 1]
         assert r == pytest.approx(0.7, abs=0.12)
 
