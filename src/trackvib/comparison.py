@@ -17,6 +17,9 @@ from .errors import (InsufficientDataError, NoOverlapError,
 from .geometry import WindowedStats
 
 MIN_COMMON_WINDOWS = 3
+# window values whose spread is within this fraction of their magnitude are
+# flat: the spread is rounding, and a line fitted to it means nothing
+FLAT_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,7 @@ def _common_windows(est: WindowedStats, ref: WindowedStats):
     Both sequences step by window_m, so window i of est is window i + k of
     ref. Raises ValueError unless window length and grid phase agree, and
     NoOverlapError, InsufficientDataError or UndefinedCorrelationError for
-    none, too few or constant common windows.
+    none, too few or flat (FLAT_REL_TOL) common windows.
     """
     if est.window_m != ref.window_m:
         raise ValueError(f"window lengths differ: {est.window_m} vs {ref.window_m}")
@@ -70,10 +73,14 @@ def _common_windows(est: WindowedStats, ref: WindowedStats):
     if ei.size < MIN_COMMON_WINDOWS:
         raise InsufficientDataError(f"only {ei.size} common valid windows, "
                                     f"need {MIN_COMMON_WINDOWS}")
-    if np.std(est.values[ei]) == 0.0 or np.std(ref.values[ei + k]) == 0.0:
-        raise UndefinedCorrelationError("zero variance on one side, "
-                                        "correlation undefined")
+    if _flat(est.values[ei]) or _flat(ref.values[ei + k]):
+        raise UndefinedCorrelationError("no variance beyond rounding on one "
+                                        "side, correlation undefined")
     return ei, ei + k
+
+
+def _flat(values: np.ndarray) -> bool:
+    return np.ptp(values) <= FLAT_REL_TOL * np.max(np.abs(values))
 
 
 def correlate(est: WindowedStats, ref: WindowedStats,

@@ -2,7 +2,8 @@
 
 Record block: one UTF-8 JSON header line (sorted keys, ends with newline)
 followed by the raw little-endian float64 payload. Byte-identical for
-identical inputs.
+identical inputs. A header field of the wrong shape, or samples that make
+no TimeSeries, raise FormatError naming the path and the field.
 
 Table: every CSV the package writes or reads (.trc geometry, windows.csv,
 speed.csv, displacement_*.csv, compare_*.csv) has one layout, written by
@@ -38,6 +39,29 @@ _GEOM_COLUMN = re.compile(r"^(VA|HA)(\d+(?:\.\d+)?)_(left|right)_mm$")
 EARTH_RADIUS_M = 6371000.0
 
 
+# ---------------------------------------------------------------- JSON shapes
+
+# Shape tests of JSON values: each returns whether its value has the shape.
+
+def _number(v) -> bool:
+    return type(v) is int or isinstance(v, float) and math.isfinite(v)
+
+
+def _pair(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(map(_number, v))
+
+
+def _array(fits, least: int = 0):
+    return lambda v: isinstance(v, list) and len(v) >= least and all(map(fits, v))
+
+
+def _object(fields: dict, optional: tuple = ()):
+    """An object with the keys of fields (key -> test), bar optional ones."""
+    return lambda v: (isinstance(v, dict)
+                      and fields.keys() - set(optional) <= v.keys() <= fields.keys()
+                      and all(fields[k](x) for k, x in v.items()))
+
+
 # ---------------------------------------------------------------- records
 
 def write_record(path, ts: TimeSeries, sensor: dict | None = None,
@@ -59,6 +83,18 @@ def write_record(path, ts: TimeSeries, sensor: dict | None = None,
         fh.write(np.ascontiguousarray(ts.samples, dtype="<f8").tobytes())
 
 
+# the header fields read_record reads: field -> (shape test, the shape in words)
+_RECORD_HEADER = {
+    "channel_id": (lambda v: isinstance(v, str), "a string"),
+    "kind": (lambda v: isinstance(v, str) and v in _UNITS,
+             f"one of {', '.join(_UNITS)}"),
+    "n_samples": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+    "sample_rate_hz": (lambda v: _number(v) and v > 0, "a number > 0"),
+    "start_time_s": (_number, "a finite number"),
+    "units": (lambda v: isinstance(v, str), "a string"),
+}
+
+
 def read_record(path) -> tuple[TimeSeries, dict]:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -69,11 +105,15 @@ def read_record(path) -> tuple[TimeSeries, dict]:
         header = json.loads(raw[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: bad header: {exc}") from exc
-    for key in ("channel_id", "kind", "n_samples", "sample_rate_hz",
-                "start_time_s", "units"):
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header must be a JSON object")
+    for key, (fits, shape) in _RECORD_HEADER.items():
         if key not in header:
             raise FormatError(f"{path}: header missing {key!r}")
-    if header["units"] != _UNITS.get(header["kind"]):
+        if not fits(header[key]):
+            raise FormatError(f"{path}: header {key!r} must be {shape}, "
+                              f"got {header[key]!r}")
+    if header["units"] != _UNITS[header["kind"]]:
         raise FormatError(f"{path}: units {header['units']!r} do not match "
                           f"kind {header['kind']!r}")
     payload = raw[nl + 1:]
@@ -81,8 +121,11 @@ def read_record(path) -> tuple[TimeSeries, dict]:
         raise FormatError(f"{path}: header claims {header['n_samples']} samples "
                           f"but payload holds {len(payload) // 8}")
     samples = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    ts = TimeSeries(samples, header["sample_rate_hz"], header["start_time_s"],
-                    header["channel_id"], header["kind"])
+    try:
+        ts = TimeSeries(samples, header["sample_rate_hz"], header["start_time_s"],
+                        header["channel_id"], header["kind"])
+    except ValueError as exc:     # no samples, or a sample not finite
+        raise FormatError(f"{path}: {exc}") from exc
     return ts, header
 
 
@@ -285,27 +328,6 @@ def write_displacement(path, series) -> None:
 
 
 # ---------------------------------------------------------------- config, polyline
-
-# Shape tests of JSON values: each returns whether its value has the shape.
-
-def _number(v) -> bool:
-    return type(v) is int or isinstance(v, float) and math.isfinite(v)
-
-
-def _pair(v) -> bool:
-    return isinstance(v, list) and len(v) == 2 and all(map(_number, v))
-
-
-def _array(fits, least: int = 0):
-    return lambda v: isinstance(v, list) and len(v) >= least and all(map(fits, v))
-
-
-def _object(fields: dict, optional: tuple = ()):
-    """An object with the keys of fields (key -> test), bar optional ones."""
-    return lambda v: (isinstance(v, dict)
-                      and fields.keys() - set(optional) <= v.keys() <= fields.keys()
-                      and all(fields[k](x) for k, x in v.items()))
-
 
 _POLYLINE = _array(_pair, least=2)
 _PROFILES = (

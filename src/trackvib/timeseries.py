@@ -8,13 +8,19 @@ bands are raised cosines one octave wide, geometrically centered on the
 cutoff, so the passband gain is exactly 1 and the stopband exactly 0.
 
 Padding differs by operation. The decimation low-pass has gain <= 1, so a
-2 s even-symmetric reflection is enough. The double integration mask
-amplifies the transition band by up to ~0.15/cutoff_hz^2, which turns the
-slope discontinuity a reflection leaves at the record edge into
-low-frequency wander across the whole record (~60% amplitude error on a
-plain 5 Hz sine). Integration therefore extends the record by linear
-prediction (Burg) so oscillations continue coherently, fades the extensions
-with a smooth taper, and only then applies the mask.
+2 s even-symmetric reflection is enough. Its FFT runs at the next 5-smooth
+length (scipy.fft.next_fast_len): the reflection on the right goes on until
+the padded record reaches that length, because a record of arbitrary length
+padded by exactly 2 s can have a large prime factor (522 241 = 367 x 1423)
+and an FFT ~15x slower. The padding stays a reflection, not zeros: zeros
+would pull a constant record toward 0 at both ends.
+
+The double integration mask amplifies the transition band by up to
+~0.15/cutoff_hz^2, which turns the slope discontinuity a reflection leaves
+at the record edge into low-frequency wander across the whole record (~60%
+amplitude error on a plain 5 Hz sine). Integration therefore extends the
+record by linear prediction (Burg) so oscillations continue coherently,
+fades the extensions with a smooth taper, and only then applies the mask.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .errors import GapTooLargeError
 
@@ -119,6 +126,14 @@ def decimate(ts: TimeSeries, factor: int) -> TimeSeries:
     A zero-phase low-pass (flat to 0.8x the new Nyquist, raised-cosine roll-off
     reaching 0 at the new Nyquist) is applied before keeping every
     ``factor``-th sample; floor(n/factor) samples survive.
+
+    The record is reflected evenly, 2 s on the left and on the right up to
+    the next 5-smooth FFT length >= n + 4 s, so the FFT never runs at a
+    length with a large prime factor. Reflection, unlike zero padding, keeps
+    the filter's context continuous at the ends: a constant record comes out
+    exact to its first and last sample. What lies beyond the 2 s reaches
+    the kept samples only through the tail of the filter's impulse
+    response, a few 1e-7 of the peak at most.
     """
     if not isinstance(factor, (int, np.integer)) or factor < 1:
         raise ValueError(f"decimation factor must be a positive integer, got {factor!r}")
@@ -131,8 +146,10 @@ def decimate(ts: TimeSeries, factor: int) -> TimeSeries:
     n = ts.samples.size
     nyq_new = ts.sample_rate_hz / (2.0 * factor)
     pad = min(int(round(EDGE_PAD_S * ts.sample_rate_hz)), n - 1)
+    length = next_fast_len(n + 2 * pad, real=True)
     filtered = _apply_mask(
-        np.pad(ts.samples, pad, mode="reflect"), ts.sample_rate_hz,
+        np.pad(ts.samples, (pad, length - n - pad), mode="reflect"),
+        ts.sample_rate_hz,
         lambda f: 1.0 - _raised_cosine_step(f, 0.8 * nyq_new, nyq_new),
     )
     kept = filtered[pad:pad + count * factor:factor]

@@ -234,6 +234,24 @@ class TestProcess:
         assert rc == 1
         assert f"{speed}:1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header", [
+        b"5", pytest.param(b'{"channel_id": "bogie-front-left-vertical", '
+                           b'"kind": "acceleration", "n_samples": 2, '
+                           b'"sample_rate_hz": "fast", "start_time_s": 0.0, '
+                           b'"units": "m/s^2"}', id="sample_rate_hz=fast")])
+    def test_malformed_record_header_is_data_error(self, tmp_path, capsys,
+                                                   header):
+        records = tmp_path / "records"
+        records.mkdir()
+        bad = records / "bad.rec"
+        bad.write_bytes(header + b"\n" + b"\x00" * 16)
+        rc = main(["process", "--records", str(records),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        assert "Traceback" not in err
+
     def test_empty_records_dir_is_data_error(self, tmp_path):
         rc = main(["process", "--records", str(tmp_path),
                    "--out", str(tmp_path / "x")])

@@ -122,6 +122,30 @@ class TestCorrelate:
         with pytest.raises(UndefinedCorrelationError):
             correlate(wavy, flat)
 
+    def test_flat_up_to_rounding_rejected(self):
+        # one ulp apart is no variance: the HA10 windows of a two-sine
+        # lateral profile are equal up to rounding and gave slope 1.8e13
+        ulp = stats(np.where(np.arange(10) % 2, np.nextafter(2.0, 3.0), 2.0))
+        wavy = stats(np.arange(10.0))
+        with pytest.raises(UndefinedCorrelationError):
+            correlate(ulp, wavy)
+        with pytest.raises(UndefinedCorrelationError):
+            correlate(wavy, ulp)
+        with pytest.raises(UndefinedCorrelationError):
+            coregister(wavy, ulp, max_shift_m=300.0)
+
+    def test_flatness_is_relative_to_magnitude(self):
+        # spreads of 1e-12 of the values' magnitude are rounding, spreads of
+        # 1e-6 are real, at any scale
+        rng = np.random.default_rng(8)
+        wavy = rng.uniform(1.0, 5.0, 10)
+        for scale in (1e-3, 1.0, 1e4):
+            with pytest.raises(UndefinedCorrelationError):
+                correlate(stats(scale * (1.0 + 1e-12 * wavy)), stats(wavy))
+            rep = correlate(stats(scale * (1.0 + 1e-6 * wavy)), stats(wavy))
+            assert rep.pearson_r == pytest.approx(1.0, abs=1e-6)
+            assert rep.slope == pytest.approx(1e-6 * scale, rel=1e-4)
+
     def test_mismatched_window_length(self):
         with pytest.raises(ValueError):
             correlate(stats(np.arange(5.0)), stats(np.arange(5.0), window=20.0))

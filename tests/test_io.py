@@ -33,6 +33,12 @@ def haversine_m(lat1, lon1, lat2, lon2) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(a))
 
 
+RECORD_HEADER = {"channel_id": "bogie-front-left-vertical",
+                 "kind": "acceleration", "n_samples": 2,
+                 "sample_rate_hz": 2560.0, "start_time_s": 0.0,
+                 "units": "m/s^2"}
+
+
 class TestRecordFormat:
     def make(self, n=2560, seed=0):
         rng = np.random.default_rng(seed)
@@ -79,6 +85,34 @@ class TestRecordFormat:
         p = tmp_path / "nohdr.rec"
         p.write_bytes(b"\x00" * 64)
         with pytest.raises(FormatError):
+            read_record(p)
+
+    @pytest.mark.parametrize("line", [
+        "5", "[1, 2]", '"header"', "null",
+        *(pytest.param(json.dumps({**RECORD_HEADER, key: value}),
+                       id=f"{key}={value!r}") for key, value in [
+            ("sample_rate_hz", "fast"), ("sample_rate_hz", 0.0),
+            ("sample_rate_hz", -2560.0), ("sample_rate_hz", True),
+            ("sample_rate_hz", float("inf")),
+            ("kind", ["acceleration"]), ("kind", "velocity"),
+            ("n_samples", -2), ("n_samples", 2.0), ("n_samples", "2"),
+            ("start_time_s", float("nan")), ("start_time_s", float("-inf")),
+            ("start_time_s", "0"), ("channel_id", 5), ("units", ["m/s^2"]),
+        ]),
+    ])
+    def test_malformed_header_values_rejected(self, tmp_path, line):
+        p = tmp_path / "bad.rec"
+        p.write_bytes(line.encode() + b"\n" + b"\x00" * 16)
+        with pytest.raises(FormatError, match=re.escape(str(p))):
+            read_record(p)
+
+    @pytest.mark.parametrize("samples", [[], [0.0, float("nan")]])
+    def test_samples_that_make_no_series_rejected(self, tmp_path, samples):
+        p = tmp_path / "bad.rec"
+        header = {**RECORD_HEADER, "n_samples": len(samples)}
+        p.write_bytes(json.dumps(header).encode() + b"\n"
+                      + np.asarray(samples, dtype="<f8").tobytes())
+        with pytest.raises(FormatError, match=re.escape(str(p))):
             read_record(p)
 
     def test_units_kind_mismatch_rejected(self, tmp_path):

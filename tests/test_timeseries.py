@@ -7,10 +7,11 @@ copied from the implementation.
 import numpy as np
 import pytest
 
+from trackvib import timeseries
 from trackvib.errors import GapTooLargeError
-from trackvib.timeseries import (KIND_ACCELERATION, KIND_DISPLACEMENT,
-                                 TimeSeries, decimate, double_integrate,
-                                 merge_records)
+from trackvib.timeseries import (EDGE_PAD_S, KIND_ACCELERATION,
+                                 KIND_DISPLACEMENT, TimeSeries, decimate,
+                                 double_integrate, merge_records)
 
 FS = 2560.0
 
@@ -23,6 +24,35 @@ def sine(f0, duration_s, rate=FS, amp=1.0, phase=0.0):
 def mid(x, frac=3):
     n = len(x)
     return x[n // frac: (frac - 1) * n // frac]
+
+
+def largest_prime_factor(m):
+    p, largest = 2, 1
+    while p * p <= m:
+        while m % p == 0:
+            m, largest = m // p, p
+        p += 1
+    return max(largest, m)
+
+
+def edge_pad(n):
+    return min(int(round(EDGE_PAD_S * FS)), n - 1)
+
+
+def decimate_reference(ts, factor):
+    """The exact-length decimation: a 2 s even reflection on each side and
+    one FFT of length n + 2 pad, whatever its prime factors."""
+    n = ts.samples.size
+    pad = edge_pad(n)
+    padded = np.pad(ts.samples, pad, mode="reflect")
+    f = np.fft.rfftfreq(padded.size, 1.0 / FS)
+    nyq_new = FS / (2.0 * factor)
+    lo = 0.8 * nyq_new
+    gain = np.where(f <= lo, 1.0, 0.0)
+    band = (f > lo) & (f < nyq_new)
+    gain[band] = 0.5 * (1.0 + np.cos(np.pi * (f[band] - lo) / (nyq_new - lo)))
+    filtered = np.fft.irfft(np.fft.rfft(padded) * gain, n=padded.size)
+    return filtered[pad:pad + (n // factor) * factor:factor]
 
 
 class TestTimeSeries:
@@ -89,6 +119,44 @@ class TestDecimate:
         # the even reflection gives the filter a flat context at both ends;
         # zero padding would pull the end samples toward 0 (error ~2.3)
         out = decimate(TimeSeries(np.full(25600, 5.0), FS), 10)
+        assert np.max(np.abs(out.samples - 5.0)) < 1e-9
+
+    def test_matches_exact_length_reference(self):
+        # n + 2 pad = 40241 is prime, so the reference pays its full cost;
+        # only what lies beyond the 2 s reflection differs. Tones over sensor
+        # noise, like a bogie channel; on broadband noise alone the first
+        # samples move by up to ~3e-7 of the peak
+        n = 30001
+        assert largest_prime_factor(n + 2 * edge_pad(n)) > 1000
+        rng = np.random.default_rng(5)
+        t = np.arange(n) / FS
+        x = (np.sin(2 * np.pi * 3.7 * t) + 0.5 * np.sin(2 * np.pi * 41.0 * t + 1.0)
+             + 0.2 * rng.normal(size=n))
+        ref = decimate_reference(TimeSeries(x, FS), 10)
+        out = decimate(TimeSeries(x, FS), 10).samples
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) <= 1e-7 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [11, 15, 19, 2565, 30001, 51203])
+    def test_fft_length_is_5_smooth(self, monkeypatch, n):
+        # 11, 15 and 19 are a little above the factor: the right extension
+        # is longer than the n - 1 samples one reflection gives
+        lengths = []
+        apply_mask = timeseries._apply_mask
+
+        def spy(padded, *args):
+            lengths.append(padded.size)
+            return apply_mask(padded, *args)
+
+        monkeypatch.setattr(timeseries, "_apply_mask", spy)
+        out = decimate(TimeSeries(np.random.default_rng(n).normal(size=n), FS), 10)
+        assert len(out) == n // 10
+        assert lengths and all(m >= n + 2 * edge_pad(n) for m in lengths)
+        assert all(largest_prime_factor(m) <= 5 for m in lengths)
+
+    @pytest.mark.parametrize("n", [11, 15, 19, 30001])
+    def test_constant_record_exact_at_fast_length(self, n):
+        out = decimate(TimeSeries(np.full(n, 5.0), FS), 10)
         assert np.max(np.abs(out.samples - 5.0)) < 1e-9
 
     def test_bad_factor(self):
