@@ -11,6 +11,20 @@ wheel-mounted sensor would see analytically per component,
 so the simulated records contain no interpolation or differentiation error
 and can serve as ground truth for the processing chain.
 
+One sin/cos basis serves every channel. For the distinct angular
+wavenumbers w of all component tables, S = sin(x w) and C = cos(x w) are
+evaluated once per sample of the front wheel's position x, chunk by chunk,
+and any sum of shifted sinusoids is a weighted sum of their columns:
+
+    sin(w x + phi) = S cos(phi) + C sin(phi)
+    cos(w x + phi) = C cos(phi) - S sin(phi)
+
+The back wheel sits at x - wheelbase, which is the front wheel with every
+phase shifted to phi - w wheelbase, and a noise profile's right rail
+reuses every left wavenumber; so one product of [S | C] with a small
+weight matrix gives the v^2 sin and dv/dt cos sums of all eight channels.
+synth_profile samples its rails through the same kernel.
+
 Impulse events model wheel/rail defects: a bipolar raised-cosine doublet in
 acceleration (positive raised-cosine over the first half-duration, negative
 over the second). The doublet has zero net area - a wheel crossing a defect
@@ -39,6 +53,7 @@ LR_CORRELATION = 0.7            # of a noise profile's left and right rails
 DEVIATION_BOUND_MM = 50.0       # synth_profile refuses larger deviations
 MAX_NU_CYCLES_PER_M = 10.0
 MAX_NOISE_COMPONENTS = 384
+CHUNK_FLOATS = 1 << 20          # float64 working set of one basis chunk (8 MB)
 
 SIDES = ("left", "right")
 POSITIONS = ("front", "back")
@@ -101,7 +116,7 @@ class TrackProfile:
 class SimConfig:
     """Kinematic run description: when, how fast, and what goes wrong."""
 
-    speed_plan: tuple            # ((time_s, speed_mps), ...) piecewise linear
+    speed_plan: tuple            # ((time_s, speed_mps), ...) from t = 0, linear
     sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ
     wheelbase_m: float = DEFAULT_WHEELBASE_M
     lateral_disturbance: dict | None = None   # {"rms_mps2":…, "band_hz": (lo,hi)}
@@ -112,6 +127,9 @@ class SimConfig:
         plan = tuple((float(t), float(v)) for t, v in self.speed_plan)
         if len(plan) < 1:
             raise ValueError("speed plan needs at least one knot")
+        if plan[0][0] != 0.0:
+            raise ValueError(f"speed plan must start at t = 0 s; its first "
+                             f"knot is at t = {plan[0][0]} s")
         times = [t for t, _ in plan]
         if any(b < a for a, b in zip(times, times[1:])):
             raise ValueError("speed plan times must be non-decreasing")
@@ -140,22 +158,57 @@ def _channel_rng(seed: int, channel_id: str) -> np.random.Generator:
         np.random.SeedSequence([int(seed), zlib.crc32(channel_id.encode())]))
 
 
-def _sample_components(grid_x: np.ndarray, comps: np.ndarray,
-                       chunk: int = 8192) -> np.ndarray:
-    if comps.size == 0:
-        return np.zeros(grid_x.size)
-    nu, amp, phase = comps[:, 0], comps[:, 1], comps[:, 2]
-    out = np.empty(grid_x.size)
-    for lo in range(0, grid_x.size, chunk):
-        hi = min(lo + chunk, grid_x.size)
-        out[lo:hi] = np.sin(2.0 * np.pi * np.outer(grid_x[lo:hi], nu) + phase) @ amp
+def _basis_sums(x: np.ndarray, w: np.ndarray, weights: np.ndarray):
+    """Yield (lo, hi, [sin(x w) | cos(x w)] @ weights) over chunks of x.
+
+    w holds k distinct angular wavenumbers and weights has 2k rows, the
+    first k for the sin block. sin and cos are evaluated once per sample
+    and wavenumber, whatever the number of weight columns; a chunk's
+    working set stays near CHUNK_FLOATS float64 values.
+    """
+    k = w.size
+    rows = max(1, CHUNK_FLOATS // (3 * k + weights.shape[1]))
+    for lo in range(0, x.size, rows):
+        hi = min(lo + rows, x.size)
+        arg = np.multiply.outer(x[lo:hi], w)
+        basis = np.empty((hi - lo, 2 * k))
+        np.sin(arg, out=basis[:, :k])
+        np.cos(arg, out=basis[:, k:])
+        yield lo, hi, basis @ weights
+
+
+def _sine_weights(w: np.ndarray, wj: np.ndarray, amp: np.ndarray,
+                  phase: np.ndarray) -> np.ndarray:
+    """Weights on [sin(x w) | cos(x w)] whose product is
+    sum_j amp_j sin(wj_j x + phase_j); every wj_j must be in w."""
+    idx = np.searchsorted(w, wj)
+    col = np.zeros(2 * w.size)
+    np.add.at(col, idx, amp * np.cos(phase))
+    np.add.at(col, w.size + idx, amp * np.sin(phase))
+    return col
+
+
+def _angular(tables) -> np.ndarray:
+    """Distinct angular wavenumbers of the component tables, sorted."""
+    return np.unique(np.concatenate([2.0 * np.pi * c[:, 0] for c in tables]))
+
+
+def _sine_sums(x: np.ndarray, tables) -> np.ndarray:
+    """Row i is sum_j A_j sin(2 pi nu_j x + phi_j) over the (nu, A, phi)
+    rows of tables[i]; all tables share one basis."""
+    w = _angular(tables)
+    weights = np.column_stack([
+        _sine_weights(w, 2.0 * np.pi * c[:, 0], c[:, 1], c[:, 2]) for c in tables])
+    out = np.empty((len(tables), x.size))
+    for lo, hi, sums in _basis_sums(x, w, weights):
+        out[:, lo:hi] = sums.T
     return out
 
 
 def _noise_components(rng: np.random.Generator, band, rms_mm: float,
-                      length_m: float, grid_x: np.ndarray) -> np.ndarray:
-    """Random in-band sinusoids with equal amplitudes, scaled so the sampled
-    profile hits the target RMS exactly."""
+                      length_m: float) -> np.ndarray:
+    """Random in-band sinusoids with equal amplitudes rms_mm * sqrt(2 / n);
+    synth_profile scales them so the sampled profile hits rms_mm exactly."""
     lo, hi = band
     if not 0.0 < lo < hi <= MAX_NU_CYCLES_PER_M:
         raise ValueError(f"band must lie within (0, {MAX_NU_CYCLES_PER_M}] "
@@ -165,11 +218,7 @@ def _noise_components(rng: np.random.Generator, band, rms_mm: float,
     nu = np.sort(rng.uniform(lo, hi, n))
     phase = rng.uniform(0.0, 2.0 * np.pi, n)
     amp = np.full(n, rms_mm * np.sqrt(2.0 / n))
-    comps = np.column_stack([nu, amp, phase])
-    realized = np.sqrt(np.mean(_sample_components(grid_x, comps) ** 2))
-    if realized > 0:
-        comps[:, 1] *= rms_mm / realized
-    return comps
+    return np.column_stack([nu, amp, phase])
 
 
 def synth_profile(length_m: float, spec: dict, seed: int = 0,
@@ -191,10 +240,12 @@ def synth_profile(length_m: float, spec: dict, seed: int = 0,
     n_grid = int(round(length_m / PROFILE_SPACING_M)) + 1
     grid_x = PROFILE_SPACING_M * np.arange(n_grid)
 
-    def build(axis_spec: dict | None, axis: str) -> dict:
-        zeros = np.zeros((0, 3))
+    def build(axis_spec: dict | None, axis: str):
+        """Component tables of the left and right rail, and the rails."""
         if axis_spec is None:
-            return {"left": zeros, "right": zeros}
+            zeros = np.zeros((0, 3))
+            return {"left": zeros, "right": zeros}, {
+                "left": np.zeros(n_grid), "right": np.zeros(n_grid)}
         kind = axis_spec.get("type")
         if kind == "sines":
             rows = [(c["nu"], c["amplitude_mm"], c.get("phase", 0.0))
@@ -203,31 +254,38 @@ def synth_profile(length_m: float, spec: dict, seed: int = 0,
             if np.any(comps[:, 0] <= 0) or np.any(comps[:, 0] > MAX_NU_CYCLES_PER_M):
                 raise ValueError(f"sinusoid nu outside (0, {MAX_NU_CYCLES_PER_M}] "
                                  f"cycles/m")
-            return {"left": comps, "right": comps.copy()}
+            (rail,) = _sine_sums(grid_x, [comps])
+            return {"left": comps, "right": comps.copy()}, {
+                "left": rail, "right": rail.copy()}
         if kind == "noise":
             band = tuple(axis_spec["band_cycles_per_m"])
             rms = float(axis_spec["rms_mm"])
             if not rms >= 0:
                 raise ValueError("rms_mm must be >= 0")
             rng = _channel_rng(seed, f"profile-{axis}")
-            left = _noise_components(rng, band, rms, length_m, grid_x)
-            indep = _noise_components(rng, band, rms, length_m, grid_x)
-            rho = LR_CORRELATION
-            right = np.vstack([
-                left * [1.0, rho, 1.0],
-                indep * [1.0, np.sqrt(1.0 - rho * rho), 1.0],
-            ])
-            return {"left": left, "right": right}
+            left = _noise_components(rng, band, rms, length_m)
+            indep = _noise_components(rng, band, rms, length_m)
+            # both draws through one basis, each scaled to hit rms exactly;
+            # the right rail mixes them, so it needs no basis of its own
+            raw = _sine_sums(grid_x, [left, indep])
+            for comps, rail in zip((left, indep), raw):
+                realized = np.sqrt(np.mean(rail ** 2))
+                if realized > 0:
+                    comps[:, 1] *= rms / realized
+                    rail *= rms / realized
+            rho, rho_c = LR_CORRELATION, np.sqrt(1.0 - LR_CORRELATION ** 2)
+            right = np.vstack([left * [1.0, rho, 1.0], indep * [1.0, rho_c, 1.0]])
+            return {"left": left, "right": right}, {
+                "left": raw[0], "right": rho * raw[0] + rho_c * raw[1]}
         raise ValueError(f"unknown profile spec type {kind!r}")
 
     components = {}
     sampled = {}
     for axis, axis_spec in (("vertical", spec), ("lateral", lateral_spec)):
-        per_side = build(axis_spec, axis)
+        tables, rails = build(axis_spec, axis)
         for side in SIDES:
-            key = f"{axis}-{side}"
-            components[key] = per_side[side]
-            sampled[key] = _sample_components(grid_x, per_side[side])
+            components[f"{axis}-{side}"] = tables[side]
+            sampled[f"{axis}-{side}"] = rails[side]
 
     worst = max(np.max(np.abs(v)) if v.size else 0.0 for v in sampled.values())
     if worst > DEVIATION_BOUND_MM:
@@ -298,28 +356,6 @@ def _trajectory(config: SimConfig, length_m: float):
     return t, v, slopes, x
 
 
-def _chain_rule_acceleration(comps: np.ndarray, xw: np.ndarray, v: np.ndarray,
-                             dvdt: np.ndarray, chunk: int = 8192) -> np.ndarray:
-    """Exact second time derivative of sum_j A_j sin(2 pi nu_j x(t) + phi_j)."""
-    out = np.zeros(xw.size)
-    if comps.size == 0:
-        return out
-    nu = comps[:, 0]
-    amp_m = comps[:, 1] * 1e-3          # mm -> m
-    phase = comps[:, 2]
-    w = 2.0 * np.pi * nu
-    sin_w = amp_m * w * w               # weights for the v^2 sin term
-    cos_w = amp_m * w                   # weights for the dv/dt cos term
-    any_accel = bool(np.any(dvdt != 0.0))
-    for lo in range(0, xw.size, chunk):
-        hi = min(lo + chunk, xw.size)
-        args = np.outer(xw[lo:hi], w) + phase
-        out[lo:hi] = -(v[lo:hi] ** 2) * (np.sin(args) @ sin_w)
-        if any_accel:
-            out[lo:hi] += dvdt[lo:hi] * (np.cos(args) @ cos_w)
-    return out
-
-
 def _band_noise(rng: np.random.Generator, n: int, fs: float, rms: float,
                 band_hz) -> np.ndarray:
     """Band-limited Gaussian noise via spectral masking, scaled to rms."""
@@ -342,24 +378,38 @@ def simulate_run(profile: TrackProfile, config: SimConfig) -> SimResult:
     """
     _, v, dvdt, x_front = _trajectory(config, profile.length_m)
     loc = config.sensor_location
+    keys = [(pos, side, axis) for pos in POSITIONS for side in SIDES for axis in AXES]
+    # per channel, weights of its v^2 sin sum and of its dv/dt cos sum (a
+    # sin sum with every phase advanced by pi/2); the back wheel is the
+    # front one with every phase shifted by -w wheelbase
+    w = _angular(profile.components.values())
+    weights = []
+    for pos, side, axis in keys:
+        comps = profile.components[f"{axis}-{side}"]
+        wj = 2.0 * np.pi * comps[:, 0]
+        amp_m = comps[:, 1] * 1e-3          # mm -> m
+        phase = comps[:, 2] - (0.0 if pos == "front" else wj * config.wheelbase_m)
+        weights += [_sine_weights(w, wj, amp_m * wj * wj, phase),
+                    _sine_weights(w, wj, amp_m * wj, phase + 0.5 * np.pi)]
+    accs = np.empty((len(keys), x_front.size))
+    v2 = v * v
+    for lo, hi, sums in _basis_sums(x_front, w, np.column_stack(weights)):
+        accs[:, lo:hi] = (dvdt[lo:hi, None] * sums[:, 1::2]
+                          - v2[lo:hi, None] * sums[:, 0::2]).T
+
     channels: dict[str, TimeSeries] = {}
     wheel_positions: dict[str, np.ndarray] = {}
-    for pos in POSITIONS:
-        xw = x_front if pos == "front" else x_front - config.wheelbase_m
-        for side in SIDES:
-            for axis in AXES:
-                cid = f"{loc}-{pos}-{side}-{axis}"
-                comps = profile.components[f"{axis}-{side}"]
-                acc = _chain_rule_acceleration(comps, xw, v, dvdt)
-                if axis == "lateral" and config.lateral_disturbance:
-                    d = config.lateral_disturbance
-                    rng = _channel_rng(config.seed, f"lateral-disturbance-{cid}")
-                    acc = acc + _band_noise(rng, acc.size, config.sample_rate_hz,
-                                            float(d["rms_mps2"]),
-                                            tuple(d["band_hz"]))
-                channels[cid] = TimeSeries(acc, config.sample_rate_hz, 0.0,
-                                           cid, KIND_ACCELERATION)
-                wheel_positions[cid] = xw
+    x_back = x_front - config.wheelbase_m
+    for (pos, side, axis), acc in zip(keys, accs):
+        cid = f"{loc}-{pos}-{side}-{axis}"
+        if axis == "lateral" and config.lateral_disturbance:
+            d = config.lateral_disturbance
+            rng = _channel_rng(config.seed, f"lateral-disturbance-{cid}")
+            acc = acc + _band_noise(rng, acc.size, config.sample_rate_hz,
+                                    float(d["rms_mps2"]), tuple(d["band_hz"]))
+        channels[cid] = TimeSeries(acc, config.sample_rate_hz, 0.0,
+                                   cid, KIND_ACCELERATION)
+        wheel_positions[cid] = x_front if pos == "front" else x_back
     return SimResult(channels, wheel_positions, v, config)
 
 

@@ -1,5 +1,6 @@
 """The benchmark's tracer still finds and counts every layer it names,
-and the benchmark's configs are still simulate configs.
+the benchmark's configs are still simulate configs, and the benchmark's
+tiled inputs still equal a direct simulation.
 
 bench/tracing.py wraps the package's public functions by name and reads
 some of their parameters. A rename or a removed parameter breaks
@@ -7,6 +8,9 @@ some of their parameters. A rename or a removed parameter breaks
 subcommands once under the tracer and requires a call of every traced
 layer. bench/workloads.py writes the config that sets up stop-go-400m; a
 schema change that refuses it fails here before it fails the benchmark.
+bench/check_inputs.py compares the records tiled from one simulated
+period with a direct simulation of two; a synthesizer change that moves
+either by more than the benchmark's seam tolerance fails here.
 """
 
 import json
@@ -49,6 +53,20 @@ def workloads(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)   # bench/ stays clean
     import workloads
     return workloads
+
+
+@pytest.fixture
+def check_inputs(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))   # undo also drops the paths it adds
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)   # bench/ stays clean
+    import check_inputs
+    return check_inputs
+
+
+@pytest.mark.parametrize("name", ["urban-2km", "mainline-10km"])
+def test_tiled_inputs_match_direct_simulation(check_inputs, name):
+    workload = check_inputs.wl.WORKLOADS[name]
+    assert check_inputs.check(workload, 1) == []
 
 
 def test_bench_configs_load(workloads, tmp_path):

@@ -98,9 +98,11 @@ class TestSimulate:
                      "noise_floor_ug_sqrthz": 300.0}}, "'sensor'"),
         ({"profile": {"type": "noise", "band_cycles_per_m": [0.02, 0.5]}},
          "'profile'"),
-        ({"speed_plan": [[0.0, 10.0], [5.0, 10.0]]}, "speed plan")],
+        ({"speed_plan": [[0.0, 10.0], [5.0, 10.0]]}, "speed plan"),
+        ({"speed_plan": [[5.0, 10.0], [100.0, 12.0]]},
+         "first knot is at t = 5.0 s")],
         ids=["misspelt-field", "inline-sensor", "noise-without-rms_mm",
-             "plan-ends-early"])
+             "plan-ends-early", "plan-starts-late"])
     def test_refused_config_writes_nothing(self, tmp_path, capsys, edit, named):
         cfg = write_config(tmp_path / "config.json", dict(CONFIG, **edit))
         out = tmp_path / "run"

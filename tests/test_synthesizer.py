@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from trackvib import synthesizer
 from trackvib.errors import PlanTooShortError
 from trackvib.synthesizer import (SENSOR_SPECS, G, ImpulseEvent, SensorSpec,
                                   SimConfig, TrackProfile, add_impulses,
@@ -13,6 +14,13 @@ from trackvib.timeseries import TimeSeries
 SINE_SPEC = {"type": "sines",
              "components": [{"nu": 0.05, "amplitude_mm": 5.0, "phase": 0.3}]}
 NOISE_SPEC = {"type": "noise", "band_cycles_per_m": (0.02, 0.5), "rms_mm": 3.0}
+THREE_SINES = {"type": "sines", "components": [
+    {"nu": 0.05, "amplitude_mm": 2.0, "phase": 0.3},
+    {"nu": 0.13, "amplitude_mm": 1.0, "phase": 2.1},
+    {"nu": 0.41, "amplitude_mm": 0.5, "phase": -1.2}]}
+# from rest, ramp, cruise, brake to a 5 s stop, restart
+STOP_START_PLAN = ((0.0, 0.0), (10.0, 12.0), (15.0, 12.0), (20.0, 0.0),
+                   (25.0, 0.0), (30.0, 8.0), (80.0, 8.0))
 
 
 def constant_run(v=10.0, t_end=15.0, **kw):
@@ -115,6 +123,14 @@ class TestSimulateRun:
         scale = np.max(np.abs(front))
         assert np.allclose(back[lag:], front[:-lag], atol=1e-9 * scale)
 
+    def test_plan_must_start_at_zero(self):
+        # np.interp would hold the first speed before the first knot while
+        # dv/dt took the first segment's slope
+        with pytest.raises(ValueError, match="first knot is at t = 5.0 s"):
+            SimConfig(speed_plan=((5.0, 10.0), (50.0, 12.0)))
+        with pytest.raises(ValueError, match="t = -1.0 s"):
+            SimConfig(speed_plan=((-1.0, 10.0), (50.0, 12.0)))
+
     def test_plan_too_short(self):
         p = synth_profile(200.0, SINE_SPEC)
         with pytest.raises(PlanTooShortError):
@@ -145,6 +161,99 @@ class TestSimulateRun:
         vert_q = quiet.channels["bogie-front-left-vertical"].samples
         vert_n = noisy.channels["bogie-front-left-vertical"].samples
         assert np.array_equal(vert_q, vert_n)
+
+
+def reference_acceleration(comps, xw, v, dvdt, chunk=8192):
+    """Chain-rule acceleration of one channel, straight from its component
+    table: sin and cos of 2 pi nu x + phi evaluated per channel."""
+    out = np.zeros(xw.size)
+    if comps.size == 0:
+        return out
+    w = 2.0 * np.pi * comps[:, 0]
+    amp_m = comps[:, 1] * 1e-3
+    for lo in range(0, xw.size, chunk):
+        hi = min(lo + chunk, xw.size)
+        args = np.outer(xw[lo:hi], w) + comps[:, 2]
+        out[lo:hi] = (-(v[lo:hi] ** 2) * (np.sin(args) @ (amp_m * w * w))
+                      + dvdt[lo:hi] * (np.cos(args) @ (amp_m * w)))
+    return out
+
+
+def reference_rail(comps, x):
+    """sum_j A_j sin(2 pi nu_j x + phi_j), one component at a time."""
+    out = np.zeros(x.size)
+    for nu, amp, phase in comps:
+        out += amp * np.sin(2.0 * np.pi * nu * x + phase)
+    return out
+
+
+class _CountingNumpy:
+    """numpy, except that sin and cos count the elements they are given."""
+
+    def __init__(self):
+        self.trig_elements = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sin(self, a, *args, **kwargs):
+        self.trig_elements += np.size(a)
+        return np.sin(a, *args, **kwargs)
+
+    def cos(self, a, *args, **kwargs):
+        self.trig_elements += np.size(a)
+        return np.cos(a, *args, **kwargs)
+
+
+class TestSharedBasis:
+    """The one sin/cos basis against the per-channel, per-component sums."""
+
+    @pytest.fixture(scope="class")
+    def profile(self):
+        return synth_profile(300.0, NOISE_SPEC, seed=8, lateral_spec=THREE_SINES)
+
+    def test_channels_match_per_channel_reference(self, profile):
+        # varying speed, a stop and a restart: the back wheel's phase shift
+        # must hold where the wheels are not a fixed time apart
+        cfg = SimConfig(speed_plan=STOP_START_PLAN, seed=8)
+        sim = simulate_run(profile, cfg)
+        _, v, dvdt, x_front = synthesizer._trajectory(cfg, profile.length_m)
+        assert np.array_equal(sim.speeds_mps, v)
+        assert np.any(v == 0.0) and np.any(dvdt > 0) and np.any(dvdt < 0)
+        for cid, ts in sim.channels.items():
+            _, pos, side, axis = cid.split("-")
+            xw = x_front if pos == "front" else x_front - cfg.wheelbase_m
+            assert np.array_equal(sim.wheel_positions[cid], xw)
+            ref = reference_acceleration(profile.components[f"{axis}-{side}"],
+                                         xw, v, dvdt)
+            peak = np.max(np.abs(ref))
+            assert peak > 0
+            assert np.max(np.abs(ts.samples - ref)) <= 1e-11 * peak, cid
+
+    def test_rails_match_component_sums(self, profile):
+        x = profile.spacing_m * np.arange(len(profile.z_left))
+        for side in ("left", "right"):
+            for axis in ("vertical", "lateral"):
+                ref = reference_rail(profile.components[f"{axis}-{side}"], x)
+                got = profile.channel(side, axis)
+                assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    def test_each_wavenumber_evaluated_once_per_sample(self, monkeypatch):
+        # noise rails: the right rail reuses every left wavenumber, and the
+        # back wheel is the front one shifted by the wheelbase, so a
+        # per-channel kernel evaluates three times the distinct columns here
+        profile = synth_profile(200.0, NOISE_SPEC, seed=9)
+        cfg = SimConfig(speed_plan=((0, 3), (15, 12), (17, 12), (25, 0),
+                                    (35, 0), (43, 12), (200, 12)))
+        counting = _CountingNumpy()
+        monkeypatch.setattr(synthesizer, "np", counting)
+        sim = simulate_run(profile, cfg)
+        n = sim.speeds_mps.size
+        tables = list(profile.components.values())
+        k_unique = np.unique(np.concatenate([c[:, 0] for c in tables])).size
+        k_rows = sum(c.shape[0] for c in tables)
+        assert k_unique == 2 * profile.components["vertical-left"].shape[0]
+        assert counting.trig_elements <= 2 * n * k_unique + 16 * k_rows
 
 
 class TestAddImpulses:
