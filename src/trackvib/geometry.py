@@ -112,11 +112,12 @@ def windowed_max(series: SpatialSeries, window_m: float) -> WindowedStats:
     Each window's value is taken over its valid samples only; windows with
     less than half their nominal samples valid (including windows truncated
     by the end of the series) are reported but fall below the usable
-    threshold.
+    threshold. Raises ValueError unless window_m is finite and at least
+    the grid spacing.
     """
-    if window_m < series.spacing_m:
-        raise ValueError(f"window of {window_m} m smaller than grid spacing "
-                         f"{series.spacing_m} m")
+    if not series.spacing_m <= window_m < np.inf:
+        raise ValueError(f"window of {window_m} m must be finite and at least "
+                         f"the grid spacing {series.spacing_m} m")
     dx = series.spacing_m
     n = len(series)
     rel = dx * np.arange(n)   # position relative to start_m, exact for k*dx

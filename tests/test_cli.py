@@ -254,6 +254,14 @@ class TestProcess:
         assert str(bad) in err
         assert "Traceback" not in err
 
+    def test_infinite_window_is_data_error(self, sim_dir, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = main(["process", "--records", str(sim_dir), "--out", str(out),
+                   "--window", "inf"])
+        assert rc == 1
+        assert "window of inf m" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_records_dir_is_data_error(self, tmp_path):
         rc = main(["process", "--records", str(tmp_path),
                    "--out", str(tmp_path / "x")])
@@ -280,6 +288,15 @@ class TestCompare:
         report = json.loads((out / "compare.json").read_text())
         assert report["VA10_left_mm"]["pearson_r"] > 0.85
         assert (out / "compare_VA10_left_mm.csv").exists()
+
+    def test_nan_window_is_data_error(self, sim_dir, tmp_path, capsys):
+        truth = str(sim_dir / "ground_truth.trc")
+        out = tmp_path / "cmp"
+        rc = main(["compare", "--estimated", truth, "--reference", truth,
+                   "--out", str(out), "--window", "nan"])
+        assert rc == 1
+        assert "window of nan m" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_is_data_error(self, tmp_path):
         rc = main(["compare", "--estimated", str(tmp_path / "a.trc"),

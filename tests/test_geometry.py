@@ -188,6 +188,13 @@ class TestWindowedMax:
         with pytest.raises(ValueError):
             windowed_max(self.alignment(np.ones(100)), 0.1)
 
+    @pytest.mark.parametrize("window", [np.inf, -np.inf, np.nan])
+    def test_non_finite_window_refused(self, window):
+        # an infinite window gave one window starting at nan; a nan window
+        # failed deep in numpy with "negative dimensions are not allowed"
+        with pytest.raises(ValueError, match=f"window of {window} m"):
+            windowed_max(self.alignment(np.ones(100)), window)
+
     def test_starts_aligned_to_series_start(self):
         series = self.alignment(np.ones(801), start=250.0)
         stats = windowed_max(series, 100.0)

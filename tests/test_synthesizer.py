@@ -18,6 +18,10 @@ THREE_SINES = {"type": "sines", "components": [
     {"nu": 0.05, "amplitude_mm": 2.0, "phase": 0.3},
     {"nu": 0.13, "amplitude_mm": 1.0, "phase": 2.1},
     {"nu": 0.41, "amplitude_mm": 0.5, "phase": -1.2}]}
+# 10 cycles/m is MAX_NU_CYCLES_PER_M: a node's Taylor step reaches pi/2 rad
+FINE_SINE = {"type": "sines", "components": [
+    {"nu": 10.0, "amplitude_mm": 0.2, "phase": 0.7},
+    {"nu": 0.05, "amplitude_mm": 2.0, "phase": 0.3}]}
 # from rest, ramp, cruise, brake to a 5 s stop, restart
 STOP_START_PLAN = ((0.0, 0.0), (10.0, 12.0), (15.0, 12.0), (20.0, 0.0),
                    (25.0, 0.0), (30.0, 8.0), (80.0, 8.0))
@@ -110,9 +114,10 @@ class TestSimulateRun:
 
     def test_flat_profile_silent(self):
         p = synth_profile(100.0, {"type": "sines", "components": []})
-        sim = simulate_run(p, constant_run())
-        for ts in sim.channels.values():
-            assert np.all(ts.samples == 0.0)
+        for cfg in (constant_run(), SimConfig(speed_plan=STOP_START_PLAN)):
+            sim = simulate_run(p, cfg)
+            for ts in sim.channels.values():
+                assert np.all(ts.samples == 0.0)
 
     def test_back_wheel_is_delayed_front(self):
         p = synth_profile(200.0, SINE_SPEC)
@@ -179,6 +184,24 @@ def reference_acceleration(comps, xw, v, dvdt, chunk=8192):
     return out
 
 
+def assert_channels_match_reference(profile, cfg):
+    """Every channel within 1e-11 x its peak of reference_acceleration and
+    every wheel position exact; returns the trajectory's v and dv/dt."""
+    sim = simulate_run(profile, cfg)
+    _, v, dvdt, x_front = synthesizer._trajectory(cfg, profile.length_m)
+    assert np.array_equal(sim.speeds_mps, v)
+    for cid, ts in sim.channels.items():
+        _, pos, side, axis = cid.split("-")
+        xw = x_front if pos == "front" else x_front - cfg.wheelbase_m
+        assert np.array_equal(sim.wheel_positions[cid], xw)
+        ref = reference_acceleration(profile.components[f"{axis}-{side}"],
+                                     xw, v, dvdt)
+        peak = np.max(np.abs(ref))
+        assert peak > 0
+        assert np.max(np.abs(ts.samples - ref)) <= 1e-11 * peak, cid
+    return v, dvdt
+
+
 def reference_rail(comps, x):
     """sum_j A_j sin(2 pi nu_j x + phi_j), one component at a time."""
     out = np.zeros(x.size)
@@ -192,16 +215,24 @@ class _CountingNumpy:
 
     def __init__(self):
         self.trig_elements = 0
+        self.basis_elements = 0     # of 2-D arguments: a basis, not phases
+        self.basis_calls = 0        # sin calls on a basis: one per chunk
 
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def sin(self, a, *args, **kwargs):
+    def _count(self, a):
         self.trig_elements += np.size(a)
+        if np.ndim(a) == 2:
+            self.basis_elements += np.size(a)
+
+    def sin(self, a, *args, **kwargs):
+        self._count(a)
+        self.basis_calls += np.ndim(a) == 2
         return np.sin(a, *args, **kwargs)
 
     def cos(self, a, *args, **kwargs):
-        self.trig_elements += np.size(a)
+        self._count(a)
         return np.cos(a, *args, **kwargs)
 
 
@@ -215,28 +246,19 @@ class TestSharedBasis:
     def test_channels_match_per_channel_reference(self, profile):
         # varying speed, a stop and a restart: the back wheel's phase shift
         # must hold where the wheels are not a fixed time apart
-        cfg = SimConfig(speed_plan=STOP_START_PLAN, seed=8)
-        sim = simulate_run(profile, cfg)
-        _, v, dvdt, x_front = synthesizer._trajectory(cfg, profile.length_m)
-        assert np.array_equal(sim.speeds_mps, v)
+        v, dvdt = assert_channels_match_reference(
+            profile, SimConfig(speed_plan=STOP_START_PLAN, seed=8))
         assert np.any(v == 0.0) and np.any(dvdt > 0) and np.any(dvdt < 0)
-        for cid, ts in sim.channels.items():
-            _, pos, side, axis = cid.split("-")
-            xw = x_front if pos == "front" else x_front - cfg.wheelbase_m
-            assert np.array_equal(sim.wheel_positions[cid], xw)
-            ref = reference_acceleration(profile.components[f"{axis}-{side}"],
-                                         xw, v, dvdt)
-            peak = np.max(np.abs(ref))
-            assert peak > 0
-            assert np.max(np.abs(ts.samples - ref)) <= 1e-11 * peak, cid
 
     def test_rails_match_component_sums(self, profile):
-        x = profile.spacing_m * np.arange(len(profile.z_left))
-        for side in ("left", "right"):
-            for axis in ("vertical", "lateral"):
-                ref = reference_rail(profile.components[f"{axis}-{side}"], x)
-                got = profile.channel(side, axis)
-                assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+        fine = synth_profile(120.0, FINE_SINE, seed=12, lateral_spec=NOISE_SPEC)
+        for p in (profile, fine):
+            x = p.spacing_m * np.arange(len(p.z_left))
+            for side in ("left", "right"):
+                for axis in ("vertical", "lateral"):
+                    ref = reference_rail(p.components[f"{axis}-{side}"], x)
+                    got = p.channel(side, axis)
+                    assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
 
     def test_each_wavenumber_evaluated_once_per_sample(self, monkeypatch):
         # noise rails: the right rail reuses every left wavenumber, and the
@@ -254,6 +276,52 @@ class TestSharedBasis:
         k_rows = sum(c.shape[0] for c in tables)
         assert k_unique == 2 * profile.components["vertical-left"].shape[0]
         assert counting.trig_elements <= 2 * n * k_unique + 16 * k_rows
+
+
+class TestKernelEdgeCases:
+    """Channels against the per-component chain-rule formula, where the
+    kernel's node spacing, order or input is at its limits."""
+
+    @pytest.mark.parametrize("spec, lateral, cfg", [
+        (FINE_SINE, THREE_SINES, constant_run(v=10.0, t_end=13.0)),
+        # 0.078 m per sample: most nodes are never visited
+        (NOISE_SPEC, FINE_SINE, SimConfig(speed_plan=((0.0, 40.0), (4.0, 40.0)),
+                                          sample_rate_hz=512.0)),
+        # from rest, a stop and a restart: runs of equal positions
+        (FINE_SINE, NOISE_SPEC, SimConfig(speed_plan=(
+            (0.0, 0.0), (5.0, 8.0), (8.0, 8.0), (12.0, 0.0), (16.0, 0.0),
+            (20.0, 8.0), (40.0, 8.0)))),
+    ], ids=["10-cycles-per-m", "40-mps-sparse-samples", "stop-and-restart"])
+    def test_channels_match_reference(self, spec, lateral, cfg):
+        assert_channels_match_reference(
+            synth_profile(120.0, spec, seed=12, lateral_spec=lateral), cfg)
+
+    def test_decreasing_positions_refused(self):
+        x = np.array([0.0, 0.1, 0.3, 0.2, 0.4])
+        w = np.array([1.0, 2.0])
+        with pytest.raises(ValueError, match="non-decreasing"):
+            list(synthesizer._basis_sums(x, w, np.ones((4, 1))))
+
+    def test_trig_count_independent_of_sample_rate(self, monkeypatch):
+        # sin and cos are evaluated per node, PROFILE_SPACING_M apart, and
+        # a node is counted again at most once per chunk boundary
+        profile = synth_profile(200.0, NOISE_SPEC, seed=9)
+        k = np.unique(np.concatenate(
+            [c[:, 0] for c in profile.components.values()])).size
+        counts = []
+        for fs in (2560.0, 5120.0):
+            counting = _CountingNumpy()
+            monkeypatch.setattr(synthesizer, "np", counting)
+            sim = simulate_run(profile, SimConfig(
+                speed_plan=((0, 3), (15, 12), (17, 12), (25, 0), (35, 0),
+                            (43, 12), (200, 12)), sample_rate_hz=fs))
+            monkeypatch.undo()
+            x = sim.wheel_positions["bogie-front-left-vertical"]
+            nodes = np.unique(np.rint(x / synthesizer.PROFILE_SPACING_M)).size
+            assert counting.basis_calls > 0
+            assert counting.basis_elements <= 2 * k * (nodes + counting.basis_calls)
+            counts.append(counting.basis_elements)
+        assert counts[1] <= 1.05 * counts[0]
 
 
 class TestAddImpulses:
