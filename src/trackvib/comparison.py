@@ -111,8 +111,9 @@ def coregister(est: WindowedStats, ref: WindowedStats,
     |shift|), and returns (est_shifted, ref, applied_shift_m). k = 0 is always
     a candidate, so co-registration never worsens an already valid alignment.
     """
-    if max_shift_m < 0:
-        raise ValueError("max_shift_m must be >= 0")
+    if not 0 <= max_shift_m < np.inf:
+        raise ValueError(f"max_shift_m of {max_shift_m} m must be finite "
+                         f"and >= 0")
     k_max = int(np.floor(max_shift_m / est.window_m + 1e-9))
     best = undefined = None
     for k in sorted(range(-k_max, k_max + 1), key=lambda k: (abs(k), k)):

@@ -150,7 +150,9 @@ def write_table(path, columns: dict, comments: dict | None = None) -> None:
         for key, value in (comments or {}).items():
             fh.write(f"# {key}: {json.dumps(value, sort_keys=True)}\n")
         fh.write(",".join(columns) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
+        rows = list(map(",".join, zip(*cells, strict=True)))
+        if rows:
+            fh.write("\n".join(rows) + "\n")
 
 
 def read_table(path, leading: tuple, dtype=float) -> tuple[dict, dict, int]:

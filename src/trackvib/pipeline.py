@@ -129,8 +129,8 @@ def _estimate_speed_from(records: dict, displacement,
         front = ("front", side, "vertical")
         back = ("back", side, "vertical")
         if front in records and back in records:
-            cutoff = opts.cutoff_hz or select_cutoff(opts.chords_m[0],
-                                                     opts.v_ref_mps)
+            cutoff = (select_cutoff(opts.chords_m[0], opts.v_ref_mps)
+                      if opts.cutoff_hz is None else opts.cutoff_hz)
             delays = estimate_delay(displacement(front, cutoff),
                                     displacement(back, cutoff))
             return estimate_speed(delays, opts.wheelbase_m)
@@ -204,7 +204,8 @@ def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
     jobs = [(d, "vertical") for d in opts.chords_m]
     jobs += [(d, "lateral") for d in opts.lateral_chords_m]
     for d, axis_name in jobs:
-        cutoff = opts.cutoff_hz or select_cutoff(d, opts.v_ref_mps)
+        cutoff = (select_cutoff(d, opts.v_ref_mps) if opts.cutoff_hz is None
+                  else opts.cutoff_hz)
         for side in ("left", "right"):
             key = ("front", side, axis_name)
             if key not in records:

@@ -8,12 +8,23 @@ bands are raised cosines one octave wide, geometrically centered on the
 cutoff, so the passband gain is exactly 1 and the stopband exactly 0.
 
 Padding differs by operation. The decimation low-pass has gain <= 1, so a
-2 s even-symmetric reflection is enough. Its FFT runs at the next 5-smooth
-length (scipy.fft.next_fast_len): the reflection on the right goes on until
-the padded record reaches that length, because a record of arbitrary length
-padded by exactly 2 s can have a large prime factor (522 241 = 367 x 1423)
-and an FFT ~15x slower. The padding stays a reflection, not zeros: zeros
-would pull a constant record toward 0 at both ends.
+2 s even-symmetric reflection is enough. Its padded length L is the factor
+times a 5-smooth length (scipy.fft.next_fast_len of ceil((n + 4 s)/factor)):
+the reflection on the right goes on until the record reaches L, because a
+record of arbitrary length padded by exactly 2 s can have a large prime
+factor (522 241 = 367 x 1423) and an FFT ~15x slower. The padding stays a
+reflection, not zeros: zeros would pull a constant record toward 0 at both
+ends.
+
+Decimation inverts only the band it keeps. Its mask is 0 at and above the
+new Nyquist, so the full-length spectrum is zero outside the first
+L/(2 factor) + 1 bins and their mirror images. Samples 0, factor, 2 factor,
+... of the full-length inverse then equal 1/factor times the inverse, at
+length L/factor, of those first bins alone: keeping every factor-th sample
+folds the spectrum onto L/factor bins, and every bin that would fold onto
+another is zero. The record is rotated so that its first sample sits at
+index 0 of the transform; the filter is circular, so the rotation moves
+nothing but the samples' indices.
 
 The double integration mask amplifies the transition band by up to
 ~0.15/cutoff_hz^2, which turns the slope discontinuity a reflection leaves
@@ -110,14 +121,27 @@ def _highpass_mask(f: np.ndarray, cutoff_hz: float) -> np.ndarray:
     return _raised_cosine_step(f, cutoff_hz / np.sqrt(2.0), cutoff_hz * np.sqrt(2.0))
 
 
-def _apply_mask(padded: np.ndarray, sample_rate_hz: float, mask_of_f) -> np.ndarray:
-    """rfft, multiply by mask(f), irfft at the padded length.
+def _apply_mask(padded: np.ndarray, sample_rate_hz: float, mask_of_f,
+                step: int = 1) -> np.ndarray:
+    """rfft, multiply by mask(f), irfft; every step-th sample of the result.
 
     The one spectral filter of the module; callers pad before and trim after.
+    step must divide the padded length, and mask_of_f must be 0 at and above
+    sample_rate_hz / (2 step): only the bins below that frequency are masked
+    and inverted, at length padded.size // step (see module docstring). With
+    step 1 that is every bin, at the padded length.
     """
-    bins = np.fft.rfft(padded)
-    bins *= mask_of_f(np.fft.rfftfreq(padded.size, 1.0 / sample_rate_hz))
-    return np.fft.irfft(bins, n=padded.size)
+    if step < 1 or padded.size % step:
+        raise ValueError(f"step {step} does not divide the padded length "
+                         f"{padded.size}")
+    size = padded.size // step
+    bins = np.fft.rfft(padded)[:size // 2 + 1]
+    # the first bins.size values of np.fft.rfftfreq(padded.size, 1 / sample_rate_hz)
+    f = np.arange(bins.size) * (1.0 / (padded.size * (1.0 / sample_rate_hz)))
+    bins *= mask_of_f(f)
+    out = np.fft.irfft(bins, n=size)
+    out /= step
+    return out
 
 
 def decimate(ts: TimeSeries, factor: int) -> TimeSeries:
@@ -128,12 +152,18 @@ def decimate(ts: TimeSeries, factor: int) -> TimeSeries:
     ``factor``-th sample; floor(n/factor) samples survive.
 
     The record is reflected evenly, 2 s on the left and on the right up to
-    the next 5-smooth FFT length >= n + 4 s, so the FFT never runs at a
-    length with a large prime factor. Reflection, unlike zero padding, keeps
-    the filter's context continuous at the ends: a constant record comes out
-    exact to its first and last sample. What lies beyond the 2 s reaches
-    the kept samples only through the tail of the filter's impulse
-    response, a few 1e-7 of the peak at most.
+    the padded length L = factor x next_fast_len(ceil((n + 4 s) / factor)),
+    so the FFT never runs at a length with a large prime factor. Reflection,
+    unlike zero padding, keeps the filter's context continuous at the ends:
+    a constant record comes out exact to its first and last sample. What
+    lies beyond the 2 s reaches the kept samples only through the tail of
+    the filter's impulse response, a few 1e-7 of the peak at most.
+
+    Only the kept samples are computed. The padded record is rotated left
+    by the 2 s, so that its first sample is index 0 of the transform, and
+    the first L/(2 factor) + 1 bins are inverted at length L/factor. The
+    mask is 0 from the new Nyquist up, so that short inverse, divided by
+    the factor, is exactly every factor-th sample of the full-length one.
     """
     if not isinstance(factor, (int, np.integer)) or factor < 1:
         raise ValueError(f"decimation factor must be a positive integer, got {factor!r}")
@@ -146,14 +176,12 @@ def decimate(ts: TimeSeries, factor: int) -> TimeSeries:
     n = ts.samples.size
     nyq_new = ts.sample_rate_hz / (2.0 * factor)
     pad = min(int(round(EDGE_PAD_S * ts.sample_rate_hz)), n - 1)
-    length = next_fast_len(n + 2 * pad, real=True)
+    length = factor * next_fast_len(-(-(n + 2 * pad) // factor), real=True)
+    padded = np.roll(np.pad(ts.samples, (pad, length - n - pad), mode="reflect"), -pad)
     filtered = _apply_mask(
-        np.pad(ts.samples, (pad, length - n - pad), mode="reflect"),
-        ts.sample_rate_hz,
-        lambda f: 1.0 - _raised_cosine_step(f, 0.8 * nyq_new, nyq_new),
-    )
-    kept = filtered[pad:pad + count * factor:factor]
-    return replace(ts, samples=kept, sample_rate_hz=ts.sample_rate_hz / factor)
+        padded, ts.sample_rate_hz,
+        lambda f: 1.0 - _raised_cosine_step(f, 0.8 * nyq_new, nyq_new), factor)
+    return replace(ts, samples=filtered[:count], sample_rate_hz=ts.sample_rate_hz / factor)
 
 
 def _burg_coefficients(x: np.ndarray, order: int) -> np.ndarray:

@@ -262,6 +262,16 @@ class TestProcess:
         assert "window of inf m" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_cutoff_is_data_error(self, sim_dir, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = main(["process", "--records", str(sim_dir), "--out", str(out),
+                   "--cutoff", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "cutoff 0.0 Hz" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_empty_records_dir_is_data_error(self, tmp_path):
         rc = main(["process", "--records", str(tmp_path),
                    "--out", str(tmp_path / "x")])
@@ -296,6 +306,19 @@ class TestCompare:
                    "--out", str(out), "--window", "nan"])
         assert rc == 1
         assert "window of nan m" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shift", ["inf", "nan"])
+    def test_non_finite_max_shift_is_data_error(self, sim_dir, tmp_path,
+                                                capsys, shift):
+        truth = str(sim_dir / "ground_truth.trc")
+        out = tmp_path / "cmp"
+        rc = main(["compare", "--estimated", truth, "--reference", truth,
+                   "--out", str(out), "--max-shift", shift])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"max_shift_m of {shift} m" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_missing_file_is_data_error(self, tmp_path):

@@ -208,6 +208,12 @@ class TestCoregister:
         with pytest.raises(ValueError):
             coregister(s, s, max_shift_m=-1.0)
 
+    @pytest.mark.parametrize("max_shift", [np.inf, np.nan])
+    def test_non_finite_max_shift_rejected(self, max_shift):
+        s = stats(np.arange(5.0))
+        with pytest.raises(ValueError, match=f"max_shift_m of {max_shift} m"):
+            coregister(s, s, max_shift_m=max_shift)
+
     def test_ties_prefer_smaller_shift(self):
         # strictly periodic values: every shift scores r = 1, keep k = 0
         v = np.tile([1.0, 2.0, 3.0, 4.0], 6)

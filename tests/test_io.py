@@ -14,7 +14,8 @@ from trackvib.fileio import (TRC_SPACING_M, TrcData, export_geojson,
                              read_speed, read_table, read_trc, read_windows,
                              write_displacement, write_geojson,
                              write_polyline, write_record, write_report_csv,
-                             write_speed, write_trc, write_windows)
+                             write_speed, write_table, write_trc,
+                             write_windows)
 from trackvib.geometry import WindowedStats
 from trackvib.spatial import SpatialSeries
 from trackvib.speed import SpeedProfile
@@ -179,6 +180,13 @@ class TestTableLayout:
                                  "distance_m,value,valid\n"
                                  "2.0,1.5,1\n"
                                  "2.25,nan,0\n")
+
+    def test_no_rows(self, tmp_path):
+        # the header row ends the file: no blank line for an empty body
+        p = tmp_path / "empty.csv"
+        write_table(p, {"a": np.array([]), "ok": np.array([], dtype=bool)},
+                    {"n": 0})
+        assert p.read_text() == "# n: 0\na,ok\n"
 
     def test_compare(self, tmp_path):
         p = tmp_path / "compare_VA10_left_mm.csv"

@@ -117,6 +117,17 @@ class TestProcessRecords:
                               speed_override=true_speed_at_256(sim))
         assert res.params["cutoff_hz"] == 0.1
 
+    def test_zero_cutoff_refused(self):
+        # 0 is a cutoff, not "unset": it reaches double_integrate, which
+        # refuses it, both in the speed estimate and in the geometry jobs
+        _, sim = simulate(SINE_SPEC)
+        opts = ProcessOptions(cutoff_hz=0.0)
+        with pytest.raises(ValueError, match="cutoff 0.0 Hz"):
+            process_records(sim.channels, opts)
+        with pytest.raises(ValueError, match="cutoff 0.0 Hz"):
+            process_records(sim.channels, opts,
+                            speed_override=true_speed_at_256(sim))
+
     def test_short_speed_override_rejected(self):
         _, sim = simulate(SINE_SPEC)
         short = (np.arange(10) / 256.0, np.full(10, 10.0))

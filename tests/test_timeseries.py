@@ -6,6 +6,7 @@ copied from the implementation.
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from trackvib import timeseries
 from trackvib.errors import GapTooLargeError
@@ -52,6 +53,27 @@ def decimate_reference(ts, factor):
     band = (f > lo) & (f < nyq_new)
     gain[band] = 0.5 * (1.0 + np.cos(np.pi * (f[band] - lo) / (nyq_new - lo)))
     filtered = np.fft.irfft(np.fft.rfft(padded) * gain, n=padded.size)
+    return filtered[pad:pad + (n // factor) * factor:factor]
+
+
+def padded_length(n, factor):
+    """The decimation length rule: factor x a 5-smooth length >= (n + 4 s)/factor."""
+    return factor * next_fast_len(-(-(n + 2 * edge_pad(n)) // factor), real=True)
+
+
+def full_length_decimation(ts, factor):
+    """Decimation through the full-length inverse: reflect to the padded
+    length, mask every bin, invert at the padded length and keep every
+    factor-th sample from the first record sample on."""
+    n = ts.samples.size
+    pad = edge_pad(n)
+    length = padded_length(n, factor)
+    padded = np.pad(ts.samples, (pad, length - n - pad), mode="reflect")
+    nyq_new = FS / (2.0 * factor)
+    bins = np.fft.rfft(padded)
+    bins *= 1.0 - timeseries._raised_cosine_step(
+        np.fft.rfftfreq(length, 1.0 / FS), 0.8 * nyq_new, nyq_new)
+    filtered = np.fft.irfft(bins, n=length)
     return filtered[pad:pad + (n // factor) * factor:factor]
 
 
@@ -158,6 +180,57 @@ class TestDecimate:
     def test_constant_record_exact_at_fast_length(self, n):
         out = decimate(TimeSeries(np.full(n, 5.0), FS), 10)
         assert np.max(np.abs(out.samples - 5.0)) < 1e-9
+
+    @pytest.mark.parametrize("n", [11, 19, 2565, 30001])
+    @pytest.mark.parametrize("factor", [2, 3, 7, 10])
+    def test_matches_full_length_inverse(self, factor, n):
+        # the short inverse is exact, not an approximation: same padded
+        # record, same mask, so only rounding separates the two
+        rng = np.random.default_rng(factor * n)
+        t = np.arange(n) / FS
+        x = (np.sin(2 * np.pi * 3.7 * t) + 0.5 * np.sin(2 * np.pi * 41.0 * t + 1.0)
+             + 0.2 * rng.normal(size=n))
+        ts = TimeSeries(x, FS)
+        ref = full_length_decimation(ts, factor)
+        out = decimate(ts, factor).samples
+        assert out.shape == ref.shape == (n // factor,)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("factor", [2, 10])
+    def test_inverse_runs_at_padded_length_over_factor(self, monkeypatch, factor):
+        forward, inverse = [], []
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+
+        def rfft_spy(a, *args, **kwargs):
+            forward.append(np.size(a))
+            return rfft(a, *args, **kwargs)
+
+        def irfft_spy(a, n=None, *args, **kwargs):
+            inverse.append(n)
+            return irfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", rfft_spy)
+        monkeypatch.setattr(np.fft, "irfft", irfft_spy)
+        n = 30001
+        decimate(TimeSeries(np.random.default_rng(1).normal(size=n), FS), factor)
+        assert forward == [padded_length(n, factor)]
+        assert inverse == [padded_length(n, factor) // factor]
+
+    @pytest.mark.parametrize("size", [1000, 1001])
+    def test_apply_mask_step_one_is_full_length_filter(self, size):
+        x = np.random.default_rng(size).normal(size=size)
+
+        def mask(f):
+            return 1.0 / (1.0 + f)
+
+        ref = np.fft.irfft(np.fft.rfft(x) * mask(np.fft.rfftfreq(size, 1.0 / FS)),
+                           n=size)
+        assert np.array_equal(timeseries._apply_mask(x, FS, mask), ref)
+        assert np.array_equal(timeseries._apply_mask(x, FS, mask, 1), ref)
+
+    def test_apply_mask_step_must_divide_length(self):
+        with pytest.raises(ValueError, match="does not divide"):
+            timeseries._apply_mask(np.zeros(1001), FS, np.ones_like, 10)
 
     def test_bad_factor(self):
         ts = sine(5.0, 1.0)
