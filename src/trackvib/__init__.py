@@ -9,9 +9,9 @@ A synthesizer produces matching test runs with known ground truth.
 
 from .comparison import ComparisonReport, coregister, correlate
 from .errors import (FormatError, GapTooLargeError, InsufficientDataError,
-                     MissingChannelError, NoOverlapError, NoValidSpeedError,
-                     PlanTooShortError, TooShortError, TrackVibError,
-                     UndefinedCorrelationError)
+                     MissingChannelError, MixedLocationError, NoOverlapError,
+                     NoValidSpeedError, PlanTooShortError, TooShortError,
+                     TrackVibError, UndefinedCorrelationError)
 from .fileio import (TrcData, export_geojson, load_config, read_record,
                      read_trc, read_windows, write_geojson, write_record,
                      write_report_csv, write_report_json, write_trc,
@@ -36,8 +36,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ComparisonReport", "DelayEstimate",
     "DistanceAxis", "FormatError", "GapTooLargeError", "ImpulseEvent",
-    "InsufficientDataError",
-    "MissingChannelError", "NoOverlapError", "NoValidSpeedError",
+    "InsufficientDataError", "MissingChannelError", "MixedLocationError",
+    "NoOverlapError", "NoValidSpeedError",
     "PlanTooShortError", "ProcessOptions", "ProcessResult", "SENSOR_SPECS",
     "SensorSpec", "SimConfig", "SimResult", "SpatialPSD", "SpatialSeries",
     "SpeedProfile", "TimeSeries", "TooShortError",

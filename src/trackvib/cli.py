@@ -107,12 +107,10 @@ def cmd_process(args) -> int:
                          params=result.params)
     fileio.write_speed(out / "speed.csv", result.speed,
                        result.params["speed_source"])
-    for label, series in result.displacements.items():
-        fileio.write_displacement(out / f"displacement_{label}.csv", series)
-    n_cols = len(result.alignments)
     first = next(iter(result.alignments.values()))
-    print(f"processed {len(channels)} channels -> {n_cols} geometry columns "
-          f"on {len(first)} grid points, output in {out}")
+    print(f"processed {len(result.params['channels'])} of {len(channels)} "
+          f"channels -> {len(result.alignments)} geometry columns on "
+          f"{len(first)} grid points, output in {out}")
     return EXIT_OK
 
 

@@ -44,5 +44,9 @@ class MissingChannelError(TrackVibError):
     """A channel required by the processing stage is absent."""
 
 
+class MixedLocationError(TrackVibError):
+    """One set of records holds more than one sensor location."""
+
+
 class FormatError(TrackVibError):
     """A file does not conform to its declared format."""

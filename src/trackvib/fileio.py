@@ -6,14 +6,14 @@ identical inputs. A header field of the wrong shape, or samples that make
 no TimeSeries, raise FormatError naming the path and the field.
 
 Table: every CSV the package writes or reads (.trc geometry, windows.csv,
-speed.csv, displacement_*.csv, compare_*.csv) has one layout, written by
-write_table and read by read_table. First come '# key: <json>' comment
-lines in a given order, then one header row of column names, then one row
-per sample. Floats are written with repr, so a write/read cycle is
-bit-exact and invalid samples read 'nan'; flags are written as 0/1. In a
-.trc table the first column is distance_m on the 0.25 m grid, and the
-geometry columns are named like VA10_left_mm / HA10_right_mm; any chord
-length matching that pattern round-trips.
+speed.csv, compare_*.csv) has one layout, written by write_table and read
+by read_table. First come '# key: <json>' comment lines in a given order,
+then one header row of column names, then one row per sample. Floats are
+written with repr, so a write/read cycle is bit-exact and invalid samples
+read 'nan'; flags are written as 0/1. In a .trc table the first column is
+distance_m on the 0.25 m grid, and the geometry columns are named like
+VA10_left_mm / HA10_right_mm; any chord length matching that pattern
+round-trips.
 
 Simulate config and survey polyline: JSON checked against the shapes below;
 a misfit raises FormatError naming the path, and in a config the field.
@@ -297,7 +297,7 @@ def read_windows(path, column: str):
     return WindowedStats(float(widths[0]), starts, values, fractions)
 
 
-# ---------------------------------------------------------------- speed, displacement
+# ---------------------------------------------------------------- speed
 
 def write_speed(path, speed, source: str) -> None:
     """speed.csv: time_s, speed_mps and valid of a SpeedProfile."""
@@ -309,24 +309,21 @@ def write_speed(path, speed, source: str) -> None:
 
 def read_speed(path) -> tuple[np.ndarray, np.ndarray]:
     """Times and speeds of a speed table such as speed.csv. Further columns
-    are ignored; the times must strictly increase."""
+    are ignored. Each row needs a finite time, later than the row before,
+    and a finite speed >= 0."""
     _, columns, first_line = read_table(path, ("time_s", "speed_mps"))
     times, speeds = columns["time_s"], columns["speed_mps"]
     if times.size < 2:
         raise FormatError(f"{path}: need at least two time,speed rows")
-    bad = np.flatnonzero(~(np.diff(times) > 0))
+    ok = np.isfinite(times) & np.isfinite(speeds) & (speeds >= 0)
+    ok[1:] &= times[1:] > times[:-1]
+    bad = np.flatnonzero(~ok)
     if bad.size:
-        k = int(bad[0]) + 1
-        raise FormatError(f"{path}:{first_line + k}: time "
-                          f"{float(times[k])!r} s does not follow "
-                          f"{float(times[k - 1])!r} s")
+        k = int(bad[0])
+        raise FormatError(f"{path}:{first_line + k}: need a finite time later "
+                          f"than the row before and a finite speed >= 0, got "
+                          f"{float(times[k])!r} s, {float(speeds[k])!r} m/s")
     return times, speeds
-
-
-def write_displacement(path, series) -> None:
-    """displacement_*.csv: distance_m, value and valid of a SpatialSeries."""
-    write_table(path, {"distance_m": series.positions(), "value": series.values,
-                       "valid": series.valid}, {"units": series.units})
 
 
 # ---------------------------------------------------------------- config, polyline

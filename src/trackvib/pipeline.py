@@ -5,7 +5,8 @@ Stage order: merge -> decimate to the working rate -> double integration
 correlation (or interpolated from an external time table) -> distance axis
 -> spatial resampling -> chord alignment -> windowed maxima. The front
 sensor's displacement is the geometry estimate; the back one exists for the
-speed estimator.
+speed estimator. Only the records a job reads are merged and decimated,
+so a fault in any other record does not touch the run.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (InsufficientDataError, MissingChannelError,
-                     NoOverlapError, TooShortError, UndefinedCorrelationError)
+                     MixedLocationError, NoOverlapError, TooShortError,
+                     UndefinedCorrelationError)
 from .fileio import TrcData
 from .geometry import (MODE_MAX_ABS, chord_alignment, select_cutoff,
                        windowed_max)
@@ -52,7 +54,6 @@ class ProcessResult:
     axis: DistanceAxis
     alignments: dict = field(default_factory=dict)   # column -> SpatialSeries (mm)
     maxima: dict = field(default_factory=dict)       # column -> WindowedStats
-    displacements: dict = field(default_factory=dict)  # label -> SpatialSeries (mm)
     params: dict = field(default_factory=dict)
 
     def to_trc(self, metadata: dict | None = None) -> TrcData:
@@ -86,19 +87,15 @@ def column_name(chord_d_m: float, side: str, axis: str) -> str:
     return f"{prefix}{chord_d_m:g}_{side}_mm"
 
 
-def _prepare(channels: dict) -> dict:
-    """Merge blocks and decimate every channel to the working rate."""
-    merged = {}
-    for cid, blocks in channels.items():
-        ts = merge_records(list(blocks)) if isinstance(blocks, (list, tuple)) \
-            else blocks
-        factor = ts.sample_rate_hz / WORKING_RATE_HZ
-        if abs(factor - round(factor)) > 1e-9:
-            raise ValueError(f"rate {ts.sample_rate_hz} Hz of {cid!r} is no "
-                             f"integer multiple of {WORKING_RATE_HZ} Hz")
-        factor = int(round(factor))
-        merged[cid] = decimate(ts, factor) if factor > 1 else ts
-    return merged
+def _prepare(blocks, cid: str) -> TimeSeries:
+    """Merge a record's blocks and decimate it to the working rate."""
+    ts = merge_records(list(blocks)) if isinstance(blocks, (list, tuple)) \
+        else blocks
+    factor = ts.sample_rate_hz / WORKING_RATE_HZ
+    if abs(factor - round(factor)) > 1e-9:
+        raise ValueError(f"rate {ts.sample_rate_hz} Hz of {cid!r} is no "
+                         f"integer multiple of {WORKING_RATE_HZ} Hz")
+    return decimate(ts, int(round(factor)))
 
 
 def _mask_settle(series, axis: DistanceAxis, rate_hz: float, cutoff_hz: float):
@@ -118,26 +115,6 @@ def _mask_settle(series, axis: DistanceAxis, rate_hz: float, cutoff_hz: float):
     return replace(series, valid=series.valid & (pos >= lo) & (pos <= hi))
 
 
-def _estimate_speed_from(records: dict, displacement,
-                         opts: ProcessOptions) -> SpeedProfile:
-    """Cross-correlation speed from the first side with front+back vertical.
-
-    records: (position, side, axis) -> TimeSeries; displacement(key, cutoff)
-    double-integrates records[key].
-    """
-    for side in ("left", "right"):
-        front = ("front", side, "vertical")
-        back = ("back", side, "vertical")
-        if front in records and back in records:
-            cutoff = (select_cutoff(opts.chords_m[0], opts.v_ref_mps)
-                      if opts.cutoff_hz is None else opts.cutoff_hz)
-            delays = estimate_delay(displacement(front, cutoff),
-                                    displacement(back, cutoff))
-            return estimate_speed(delays, opts.wheelbase_m)
-    raise MissingChannelError("speed estimation needs front and back vertical "
-                              "records on at least one side")
-
-
 def _speed_from_table(times_s, speeds_mps, n: int) -> SpeedProfile:
     """A (time_s, speed_mps) table, time 0 at the first record sample,
     interpolated onto the n samples at the working rate. Raises
@@ -155,39 +132,66 @@ def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
                     speed_override: tuple | None = None) -> ProcessResult:
     """Run the full chain on merged or block-listed channel records.
 
-    channels: channel_id -> TimeSeries or list of block TimeSeries. Needs the
-    front vertical record of every rail to estimate plus, unless
-    speed_override is given, a back vertical record on the same side.
+    channels: channel_id -> TimeSeries or list of block TimeSeries, of one
+    sensor location (else MixedLocationError). The jobs read the front
+    vertical and lateral record of each rail and, unless speed_override is
+    given, the front and back vertical record of the first side with both.
     speed_override is a (time_s, speed_mps) pair of arrays, as
     fileio.read_speed returns it, with time 0 at the first record sample;
     it replaces the estimated speed, and must span every record sample
     after decimation, or TooShortError is raised.
     """
-    prepared = _prepare(channels)
+    locations = sorted({parse_channel_id(cid)["location"] for cid in channels})
+    if len(locations) > 1:
+        raise MixedLocationError(f"records from more than one sensor "
+                                 f"location: {', '.join(locations)}")
+
+    def present(position: str, side: str, axis: str) -> str | None:
+        """The id of that record at the set's location, if handed in."""
+        cid = "-".join(locations + [position, side, axis])
+        return cid if cid in channels else None
+
+    cutoffs = {d: select_cutoff(d, opts.v_ref_mps) if opts.cutoff_hz is None
+               else opts.cutoff_hz for d in (*opts.chords_m, *opts.lateral_chords_m)}
+    chords = [(d, "vertical") for d in opts.chords_m]
+    chords += [(d, "lateral") for d in opts.lateral_chords_m]
+    jobs = [(d, side, axis_name) for d, axis_name in chords
+            for side in ("left", "right") if present("front", side, axis_name)]
+    if not jobs:
+        raise MissingChannelError("no front vertical or lateral channel found")
+    pairs = [(present("front", s, "vertical"), present("back", s, "vertical"))
+             for s in ("left", "right")]
+    pair = () if speed_override is not None else next(filter(all, pairs), None)
+    if pair is None:
+        raise MissingChannelError("speed estimation needs front and back "
+                                  "vertical records on at least one side")
+    read = sorted({present("front", s, a) for _, s, a in jobs} | set(pair))
+
+    prepared = {cid: _prepare(channels[cid], cid) for cid in read}
     n = min(len(ts) for ts in prepared.values())
-    records = {}
-    for cid, ts in prepared.items():
-        if len(ts) > n:
-            ts = replace(ts, samples=ts.samples[:n])
-        meta = parse_channel_id(cid)
-        records[(meta["position"], meta["side"], meta["axis"])] = ts
+    records = {cid: replace(ts, samples=ts.samples[:n]) if len(ts) > n else ts
+               for cid, ts in prepared.items()}
 
     # the speed estimator and the geometry jobs share each integration
     integrated: dict = {}
 
-    def displacement(key: tuple, cutoff: float) -> TimeSeries:
-        if (key, cutoff) not in integrated:
-            integrated[(key, cutoff)] = double_integrate(records[key], cutoff)
-        return integrated[(key, cutoff)]
+    def displacement(cid: str, cutoff: float) -> TimeSeries:
+        if (cid, cutoff) not in integrated:
+            integrated[(cid, cutoff)] = double_integrate(records[cid], cutoff)
+        return integrated[(cid, cutoff)]
 
     if speed_override is not None:
         speed = _speed_from_table(*speed_override, n)
     else:
-        speed = _estimate_speed_from(records, displacement, opts)
+        cutoff = cutoffs[opts.chords_m[0]]
+        speed = estimate_speed(estimate_delay(displacement(pair[0], cutoff),
+                                              displacement(pair[1], cutoff)),
+                               opts.wheelbase_m)
 
     axis = build_distance_axis(speed)
 
     params = {
+        "channels": read,
         "chords_m": list(opts.chords_m),
         "lateral_chords_m": list(opts.lateral_chords_m),
         "cutoff_hz": opts.cutoff_hz,
@@ -201,27 +205,16 @@ def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
     }
     result = ProcessResult(speed, axis, params=params)
 
-    jobs = [(d, "vertical") for d in opts.chords_m]
-    jobs += [(d, "lateral") for d in opts.lateral_chords_m]
-    for d, axis_name in jobs:
-        cutoff = (select_cutoff(d, opts.v_ref_mps) if opts.cutoff_hz is None
-                  else opts.cutoff_hz)
-        for side in ("left", "right"):
-            key = ("front", side, axis_name)
-            if key not in records:
-                continue
-            z_time = displacement(key, cutoff)
-            z_space = resample_to_space(z_time, axis)
-            z_space = _mask_settle(z_space, axis, WORKING_RATE_HZ, cutoff)
-            z_mm = replace(z_space, values=z_space.values * 1e3, units="mm")
-            result.displacements[f"{axis_name}_{side}_cutoff{cutoff:g}Hz"] = z_mm
-            aligned = chord_alignment(z_mm, d)
-            column = column_name(d, side, axis_name)
-            result.alignments[column] = aligned
-            result.maxima[column] = windowed_max(aligned, opts.window_m)
-
-    if not result.alignments:
-        raise MissingChannelError("no front vertical or lateral channel found")
+    for d, side, axis_name in jobs:
+        cutoff = cutoffs[d]
+        z_time = displacement(present("front", side, axis_name), cutoff)
+        z_space = resample_to_space(z_time, axis)
+        z_space = _mask_settle(z_space, axis, WORKING_RATE_HZ, cutoff)
+        z_mm = replace(z_space, values=z_space.values * 1e3, units="mm")
+        aligned = chord_alignment(z_mm, d)
+        column = column_name(d, side, axis_name)
+        result.alignments[column] = aligned
+        result.maxima[column] = windowed_max(aligned, opts.window_m)
     return result
 
 

@@ -159,8 +159,9 @@ def decimate(ts: TimeSeries, factor: int) -> TimeSeries:
     lies beyond the 2 s reaches the kept samples only through the tail of
     the filter's impulse response, a few 1e-7 of the peak at most.
 
-    Only the kept samples are computed. The padded record is rotated left
-    by the 2 s, so that its first sample is index 0 of the transform, and
+    Only the kept samples are computed. The padded record is built rotated
+    left by the 2 s (the record, its right extension, then the reversed
+    left 2 s), so that its first sample is index 0 of the transform, and
     the first L/(2 factor) + 1 bins are inverted at length L/factor. The
     mask is 0 from the new Nyquist up, so that short inverse, divided by
     the factor, is exactly every factor-th sample of the full-length one.
@@ -177,7 +178,10 @@ def decimate(ts: TimeSeries, factor: int) -> TimeSeries:
     nyq_new = ts.sample_rate_hz / (2.0 * factor)
     pad = min(int(round(EDGE_PAD_S * ts.sample_rate_hz)), n - 1)
     length = factor * next_fast_len(-(-(n + 2 * pad) // factor), real=True)
-    padded = np.roll(np.pad(ts.samples, (pad, length - n - pad), mode="reflect"), -pad)
+    # indices n, n + 1, ... into the even reflection, whose period is 2 (n - 1)
+    k = np.arange(n, length - pad) % (2 * n - 2)
+    right = ts.samples[np.minimum(k, 2 * n - 2 - k)]
+    padded = np.concatenate((ts.samples, right, ts.samples[pad:0:-1]))
     filtered = _apply_mask(
         padded, ts.sample_rate_hz,
         lambda f: 1.0 - _raised_cosine_step(f, 0.8 * nyq_new, nyq_new), factor)

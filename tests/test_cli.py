@@ -141,10 +141,18 @@ class TestSimulate:
 
 class TestProcess:
     def test_artifacts(self, proc_dir):
-        assert (proc_dir / "estimated.trc").exists()
-        assert (proc_dir / "windows.csv").exists()
-        assert (proc_dir / "speed.csv").exists()
-        assert list(proc_dir.glob("displacement_*.csv"))
+        assert sorted(p.name for p in proc_dir.iterdir()) == [
+            "estimated.trc", "speed.csv", "windows.csv"]
+
+    def test_records_read_are_named(self, proc_dir):
+        from trackvib.fileio import read_table, read_trc
+        read = ["bogie-back-left-vertical", "bogie-front-left-lateral",
+                "bogie-front-left-vertical", "bogie-front-right-lateral",
+                "bogie-front-right-vertical"]
+        assert read_trc(proc_dir / "estimated.trc").metadata["channels"] == read
+        comments, _, _ = read_table(proc_dir / "windows.csv", ("column",),
+                                    dtype=str)
+        assert comments["params"]["channels"] == read
 
     def test_estimated_trc_loads(self, proc_dir):
         from trackvib.fileio import read_trc
@@ -178,7 +186,7 @@ class TestProcess:
                    "--out", str(tmp_path / "x"), "--chord", "7.1"])
         assert rc == 1
 
-    def test_speed_file_override(self, sim_dir, tmp_path):
+    def test_speed_file_override(self, sim_dir, tmp_path, capsys):
         speed = tmp_path / "speed.csv"
         speed.write_text("time_s,speed_mps\n0.0,10.0\n60.0,10.0\n")
         out = tmp_path / "ext-speed"
@@ -186,6 +194,8 @@ class TestProcess:
                      "--speed-file", str(speed)]) == 0
         head = (out / "speed.csv").read_text().splitlines()[0]
         assert "external" in head
+        # no back record is read without the speed estimator
+        assert "processed 4 of 8 channels" in capsys.readouterr().out
 
     def test_own_speed_csv_is_a_speed_file(self, sim_dir, proc_dir, tmp_path):
         # speed.csv rows carry a third field, valid; its times are the
@@ -203,7 +213,9 @@ class TestProcess:
         for name, values in first.columns.items():
             assert again.columns[name].tobytes() == values.tobytes(), name
         assert first.metadata["speed_source"] == "estimated"
-        assert again.metadata == dict(first.metadata, speed_source="external")
+        fronts = [c for c in first.metadata["channels"] if "-back-" not in c]
+        assert again.metadata == dict(first.metadata, speed_source="external",
+                                      channels=fronts)
 
     def test_speed_file_must_cover_records(self, sim_dir, proc_dir, tmp_path,
                                            capsys):
@@ -227,6 +239,24 @@ class TestProcess:
                    "--out", str(tmp_path / "x"), "--speed-file", str(speed)])
         assert rc == 1
         assert f"{speed}:4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows, line", [
+        ("0.0,10.0\n60.0,inf\n", 3),
+        ("0.0,nan\n60.0,10.0\n", 2),
+        ("0.0,10.0\n60.0,10.0\ninf,10.0\n", 4),
+        ("0.0,10.0\n60.0,-1.0\n", 3)])
+    def test_speed_file_values_must_be_finite(self, sim_dir, tmp_path, capsys,
+                                              rows, line):
+        speed = tmp_path / "speed.csv"
+        speed.write_text("time_s,speed_mps\n" + rows)
+        out = tmp_path / "x"
+        rc = main(["process", "--records", str(sim_dir), "--out", str(out),
+                   "--speed-file", str(speed)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{speed}:{line}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_speed_file_needs_header_row(self, sim_dir, tmp_path, capsys):
         speed = tmp_path / "speed.csv"

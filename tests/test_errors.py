@@ -11,7 +11,8 @@ def test_all_errors_derive_from_base():
                if issubclass(obj, Exception) and obj is not TrackVibError]
     assert sorted(cls.__name__ for cls in classes) == [
         "FormatError", "GapTooLargeError", "InsufficientDataError",
-        "MissingChannelError", "NoOverlapError", "NoValidSpeedError",
+        "MissingChannelError", "MixedLocationError", "NoOverlapError",
+        "NoValidSpeedError",
         "PlanTooShortError", "TooShortError", "UndefinedCorrelationError"]
     for cls in classes:
         assert issubclass(cls, TrackVibError), cls.__name__

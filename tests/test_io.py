@@ -12,12 +12,11 @@ from trackvib.errors import FormatError
 from trackvib.fileio import (TRC_SPACING_M, TrcData, export_geojson,
                              load_config, read_polyline, read_record,
                              read_speed, read_table, read_trc, read_windows,
-                             write_displacement, write_geojson,
+                             write_geojson,
                              write_polyline, write_record, write_report_csv,
                              write_speed, write_table, write_trc,
                              write_windows)
 from trackvib.geometry import WindowedStats
-from trackvib.spatial import SpatialSeries
 from trackvib.speed import SpeedProfile
 from trackvib.timeseries import TimeSeries
 
@@ -171,15 +170,22 @@ class TestTableLayout:
         assert times.tolist() == [0.0, 0.00390625]
         assert speeds.tolist() == [10.0, 10.25]
 
-    def test_displacement(self, tmp_path):
-        p = tmp_path / "displacement_vertical_left_cutoff0.3Hz.csv"
-        write_displacement(p, SpatialSeries(np.array([1.5, np.nan]), 0.25, 2.0,
-                                            units="mm",
-                                            valid=np.array([True, False])))
-        assert p.read_text() == ('# units: "mm"\n'
-                                 "distance_m,value,valid\n"
-                                 "2.0,1.5,1\n"
-                                 "2.25,nan,0\n")
+    @pytest.mark.parametrize("rows, line", [
+        ("0.0,10.0\n1.0,inf\n", 3),
+        ("0.0,nan\n1.0,10.0\n", 2),
+        ("0.0,10.0\n1.0,10.0\ninf,10.0\n", 4),
+        ("nan,10.0\n1.0,10.0\n", 2),
+        ("0.0,10.0\n1.0,-0.5\n", 3)])
+    def test_speed_values_must_be_finite(self, tmp_path, rows, line):
+        p = tmp_path / "speed.csv"
+        p.write_text("time_s,speed_mps\n" + rows)
+        with pytest.raises(FormatError, match=f"speed.csv:{line}: "):
+            read_speed(p)
+
+    def test_standstill_is_a_speed(self, tmp_path):
+        p = tmp_path / "speed.csv"
+        p.write_text("time_s,speed_mps\n0.0,0.0\n1.0,10.0\n")
+        assert read_speed(p)[1].tolist() == [0.0, 10.0]
 
     def test_no_rows(self, tmp_path):
         # the header row ends the file: no blank line for an empty body

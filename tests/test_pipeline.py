@@ -1,9 +1,13 @@
 """End-to-end processing chain on synthetic runs with known geometry."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from trackvib.errors import (MissingChannelError, TooShortError,
+from trackvib import pipeline
+from trackvib.errors import (GapTooLargeError, MissingChannelError,
+                             MixedLocationError, TooShortError,
                              UndefinedCorrelationError)
 from trackvib.fileio import read_trc, write_trc
 from trackvib.pipeline import (ProcessOptions, chord_ground_truth,
@@ -30,9 +34,24 @@ def true_speed_at_256(sim, margin=64):
     return np.arange(n) / 256.0, np.full(n, 10.0)
 
 
+def blocks_of(ts, block_s=10.0):
+    """A record cut into block_s blocks, as simulate writes them."""
+    fs = ts.sample_rate_hz
+    n_block = int(round(block_s * fs))
+    return [replace(ts, samples=ts.samples[k:k + n_block], start_time_s=k / fs)
+            for k in range(0, len(ts), n_block)]
+
+
 @pytest.fixture(scope="module")
 def noise_run():
     return simulate(NOISE_SPEC, length_m=600.0, seed=4)
+
+
+# the records the default jobs read: front vertical and lateral of each
+# rail, and the back vertical of the first side for the speed
+READ = ["bogie-back-left-vertical", "bogie-front-left-lateral",
+        "bogie-front-left-vertical", "bogie-front-right-lateral",
+        "bogie-front-right-vertical"]
 
 
 class TestChannelNaming:
@@ -80,7 +99,6 @@ class TestProcessRecords:
             n = len(ts)
             fs = ts.sample_rate_hz
             cut = n // 2
-            from dataclasses import replace
             blocks[cid] = [
                 replace(ts, samples=ts.samples[:cut]),
                 replace(ts, samples=ts.samples[cut:], start_time_s=cut / fs),
@@ -146,6 +164,72 @@ class TestProcessRecords:
         back = read_trc(p)
         assert np.array_equal(back.distance_m, trc.distance_m)
         assert np.allclose(back.columns["speed_mps"], 10.0, atol=1e-9)
+
+
+class TestRecordsRead:
+    def test_mixed_locations_refused(self, noise_run):
+        # the same run at two locations, the axlebox set scaled by 3: keyed
+        # without its location, that set would silently replace the other
+        _, sim = noise_run
+        channels = dict(sim.channels)
+        for cid, ts in sim.channels.items():
+            axle = cid.replace("bogie", "axlebox")
+            channels[axle] = replace(ts, samples=3.0 * ts.samples,
+                                     channel_id=axle)
+        assert len(channels) == 16
+        with pytest.raises(MixedLocationError, match="axlebox, bogie"):
+            process_records(channels)
+        with pytest.raises(MixedLocationError, match="axlebox, bogie"):
+            process_records(channels, speed_override=true_speed_at_256(sim))
+
+    @pytest.mark.parametrize("fault", ["dropped block", "short channel"])
+    def test_fault_in_an_unread_channel_changes_nothing(self, noise_run,
+                                                        fault):
+        # no job reads a back lateral record
+        _, sim = noise_run
+        channels = {cid: blocks_of(ts) for cid, ts in sim.channels.items()}
+        full = process_records(channels)
+        faulty = dict(channels)
+        cid = "bogie-back-right-lateral"
+        if fault == "dropped block":
+            faulty[cid] = channels[cid][:2] + channels[cid][3:]
+            with pytest.raises(GapTooLargeError, match="t=20.000000 s"):
+                pipeline.merge_records(faulty[cid])
+        else:
+            faulty[cid] = channels[cid][:2]
+        res = process_records(faulty)
+        assert res.params == full.params
+        assert res.speed.speeds_mps.tobytes() == full.speed.speeds_mps.tobytes()
+        assert list(res.alignments) == list(full.alignments)
+        for column, series in full.alignments.items():
+            assert res.alignments[column].values.tobytes() \
+                == series.values.tobytes(), column
+
+    @pytest.mark.parametrize("override", [False, True])
+    def test_only_read_records_are_merged_and_decimated(self, noise_run,
+                                                        monkeypatch, override):
+        _, sim = noise_run
+        merged, decimated = [], []
+        merge, decimate = pipeline.merge_records, pipeline.decimate
+
+        def merge_spy(parts):
+            merged.append(parts[0].channel_id)
+            return merge(parts)
+
+        def decimate_spy(ts, factor):
+            decimated.append(ts.channel_id)
+            return decimate(ts, factor)
+
+        monkeypatch.setattr(pipeline, "merge_records", merge_spy)
+        monkeypatch.setattr(pipeline, "decimate", decimate_spy)
+        channels = {cid: blocks_of(ts) for cid, ts in sim.channels.items()}
+        speed = true_speed_at_256(sim) if override else None
+        res = process_records(channels, speed_override=speed)
+        # an external speed needs no back record
+        expected = [c for c in READ if not (override and "-back-" in c)]
+        assert len(expected) == (4 if override else 5)
+        assert sorted(merged) == sorted(decimated) == expected
+        assert res.params["channels"] == expected
 
 
 class TestChordGroundTruth:

@@ -176,6 +176,28 @@ class TestDecimate:
         assert lengths and all(m >= n + 2 * edge_pad(n) for m in lengths)
         assert all(largest_prime_factor(m) <= 5 for m in lengths)
 
+    @pytest.mark.parametrize("n", [11, 15, 19, 2565, 30001])
+    @pytest.mark.parametrize("factor", [2, 10])
+    def test_padded_record_is_the_rotated_reflection(self, monkeypatch, n,
+                                                     factor):
+        # the record, its right extension and its reversed left 2 s, bit for
+        # bit the rotated np.pad reflection; below n = 2 s + 1 the right
+        # extension is longer than n - 1 and reflects more than once
+        seen = []
+        apply_mask = timeseries._apply_mask
+
+        def spy(padded, *args):
+            seen.append(padded.copy())
+            return apply_mask(padded, *args)
+
+        monkeypatch.setattr(timeseries, "_apply_mask", spy)
+        x = np.random.default_rng(n).normal(size=n)
+        decimate(TimeSeries(x, FS), factor)
+        pad, length = edge_pad(n), padded_length(n, factor)
+        expected = np.roll(np.pad(x, (pad, length - n - pad), mode="reflect"),
+                           -pad)
+        assert [p.tobytes() for p in seen] == [expected.tobytes()]
+
     @pytest.mark.parametrize("n", [11, 15, 19, 30001])
     def test_constant_record_exact_at_fast_length(self, n):
         out = decimate(TimeSeries(np.full(n, 5.0), FS), 10)
