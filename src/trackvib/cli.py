@@ -83,13 +83,6 @@ def cmd_process(args) -> int:
     paths = sorted(records.glob("*.rec"))
     if not paths:
         raise TrackVibError(f"no .rec files in {records}")
-    channels: dict[str, list] = {}
-    for p in paths:
-        ts, _ = fileio.read_record(p)
-        channels.setdefault(ts.channel_id, []).append(ts)
-    for blocks in channels.values():
-        blocks.sort(key=lambda b: b.start_time_s)
-
     opts = pipeline.ProcessOptions(
         cutoff_hz=args.cutoff, v_ref_mps=args.vref, window_m=args.window,
         wheelbase_m=args.wheelbase)
@@ -98,6 +91,18 @@ def cmd_process(args) -> int:
                        lateral_chords_m=(args.chord,))
     speed_override = (fileio.read_speed(args.speed_file)
                       if args.speed_file else None)
+
+    # every block's header is checked; only the records the run reads load
+    # their samples
+    ids = {p: fileio.read_record_header(p)["channel_id"] for p in paths}
+    present = set(ids.values())
+    plan = pipeline.plan_records(present, opts, speed_override is not None)
+    channels: dict[str, list] = {}
+    for p, cid in ids.items():
+        if cid in plan.read:
+            channels.setdefault(cid, []).append(fileio.read_record(p)[0])
+    for blocks in channels.values():
+        blocks.sort(key=lambda b: b.start_time_s)
     result = pipeline.process_records(channels, opts, speed_override)
 
     out = Path(args.out)
@@ -108,7 +113,7 @@ def cmd_process(args) -> int:
     fileio.write_speed(out / "speed.csv", result.speed,
                        result.params["speed_source"])
     first = next(iter(result.alignments.values()))
-    print(f"processed {len(result.params['channels'])} of {len(channels)} "
+    print(f"processed {len(plan.read)} of {len(present)} "
           f"channels -> {len(result.alignments)} geometry columns on "
           f"{len(first)} grid points, output in {out}")
     return EXIT_OK

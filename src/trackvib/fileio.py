@@ -95,14 +95,12 @@ _RECORD_HEADER = {
 }
 
 
-def read_record(path) -> tuple[TimeSeries, dict]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    nl = raw.find(b"\n")
-    if nl < 0:
+def _record_header(line: bytes, path) -> dict:
+    """The header of a record block from its first line, checked."""
+    if not line.endswith(b"\n"):
         raise FormatError(f"{path}: no header line")
     try:
-        header = json.loads(raw[:nl].decode("utf-8"))
+        header = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: bad header: {exc}") from exc
     if not isinstance(header, dict):
@@ -116,7 +114,19 @@ def read_record(path) -> tuple[TimeSeries, dict]:
     if header["units"] != _UNITS[header["kind"]]:
         raise FormatError(f"{path}: units {header['units']!r} do not match "
                           f"kind {header['kind']!r}")
-    payload = raw[nl + 1:]
+    return header
+
+
+def read_record_header(path) -> dict:
+    """The checked header of a record block; its samples stay unread."""
+    with open(path, "rb") as fh:
+        return _record_header(fh.readline(), path)
+
+
+def read_record(path) -> tuple[TimeSeries, dict]:
+    with open(path, "rb") as fh:
+        header = _record_header(fh.readline(), path)
+        payload = fh.read()
     if len(payload) != 8 * header["n_samples"]:
         raise FormatError(f"{path}: header claims {header['n_samples']} samples "
                           f"but payload holds {len(payload) // 8}")

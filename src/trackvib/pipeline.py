@@ -128,20 +128,23 @@ def _speed_from_table(times_s, speeds_mps, n: int) -> SpeedProfile:
                         np.ones(n, dtype=bool))
 
 
-def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
-                    speed_override: tuple | None = None) -> ProcessResult:
-    """Run the full chain on merged or block-listed channel records.
+@dataclass(frozen=True)
+class RecordPlan:
+    """The records a run reads, and what it does with them."""
 
-    channels: channel_id -> TimeSeries or list of block TimeSeries, of one
-    sensor location (else MixedLocationError). The jobs read the front
-    vertical and lateral record of each rail and, unless speed_override is
-    given, the front and back vertical record of the first side with both.
-    speed_override is a (time_s, speed_mps) pair of arrays, as
-    fileio.read_speed returns it, with time 0 at the first record sample;
-    it replaces the estimated speed, and must span every record sample
-    after decimation, or TooShortError is raised.
-    """
-    locations = sorted({parse_channel_id(cid)["location"] for cid in channels})
+    jobs: list       # (chord_m, side, axis, front record id) per geometry column
+    pair: tuple      # (front, back) vertical ids for the speed estimator, or ()
+    read: list       # sorted ids of every record a job or the pair reads
+
+
+def plan_records(channel_ids, opts: ProcessOptions = ProcessOptions(),
+                 speed_given: bool = False) -> RecordPlan:
+    """Which of the channel ids a run reads, of one sensor location (else
+    MixedLocationError). The jobs read the front vertical and lateral record
+    of each rail and, unless speed_given, the front and back vertical
+    record of the first side with both; MissingChannelError if there is no
+    job or no such pair."""
+    locations = sorted({parse_channel_id(cid)["location"] for cid in channel_ids})
     if len(locations) > 1:
         raise MixedLocationError(f"records from more than one sensor "
                                  f"location: {', '.join(locations)}")
@@ -149,25 +152,37 @@ def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
     def present(position: str, side: str, axis: str) -> str | None:
         """The id of that record at the set's location, if handed in."""
         cid = "-".join(locations + [position, side, axis])
-        return cid if cid in channels else None
+        return cid if cid in channel_ids else None
 
-    cutoffs = {d: select_cutoff(d, opts.v_ref_mps) if opts.cutoff_hz is None
-               else opts.cutoff_hz for d in (*opts.chords_m, *opts.lateral_chords_m)}
     chords = [(d, "vertical") for d in opts.chords_m]
     chords += [(d, "lateral") for d in opts.lateral_chords_m]
-    jobs = [(d, side, axis_name) for d, axis_name in chords
-            for side in ("left", "right") if present("front", side, axis_name)]
+    jobs = [(d, side, axis, cid) for d, axis in chords for side in ("left", "right")
+            if (cid := present("front", side, axis))]
     if not jobs:
         raise MissingChannelError("no front vertical or lateral channel found")
     pairs = [(present("front", s, "vertical"), present("back", s, "vertical"))
              for s in ("left", "right")]
-    pair = () if speed_override is not None else next(filter(all, pairs), None)
+    pair = () if speed_given else next(filter(all, pairs), None)
     if pair is None:
         raise MissingChannelError("speed estimation needs front and back "
                                   "vertical records on at least one side")
-    read = sorted({present("front", s, a) for _, s, a in jobs} | set(pair))
+    return RecordPlan(jobs, pair, sorted({cid for *_, cid in jobs} | set(pair)))
 
-    prepared = {cid: _prepare(channels[cid], cid) for cid in read}
+
+def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
+                    speed_override: tuple | None = None) -> ProcessResult:
+    """Run the full chain on merged or block-listed channel records.
+
+    channels: channel_id -> TimeSeries or list of block TimeSeries; the run
+    reads the records plan_records names. speed_override is a (time_s,
+    speed_mps) pair of arrays, as fileio.read_speed returns it, with time 0
+    at the first record sample; it replaces the estimated speed, and must
+    span every record sample after decimation, or TooShortError is raised.
+    """
+    plan = plan_records(channels.keys(), opts, speed_override is not None)
+    cutoffs = {d: select_cutoff(d, opts.v_ref_mps) if opts.cutoff_hz is None
+               else opts.cutoff_hz for d in (*opts.chords_m, *opts.lateral_chords_m)}
+    prepared = {cid: _prepare(channels[cid], cid) for cid in plan.read}
     n = min(len(ts) for ts in prepared.values())
     records = {cid: replace(ts, samples=ts.samples[:n]) if len(ts) > n else ts
                for cid, ts in prepared.items()}
@@ -184,14 +199,15 @@ def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
         speed = _speed_from_table(*speed_override, n)
     else:
         cutoff = cutoffs[opts.chords_m[0]]
-        speed = estimate_speed(estimate_delay(displacement(pair[0], cutoff),
-                                              displacement(pair[1], cutoff)),
+        front, back = plan.pair
+        speed = estimate_speed(estimate_delay(displacement(front, cutoff),
+                                              displacement(back, cutoff)),
                                opts.wheelbase_m)
 
     axis = build_distance_axis(speed)
 
     params = {
-        "channels": read,
+        "channels": plan.read,
         "chords_m": list(opts.chords_m),
         "lateral_chords_m": list(opts.lateral_chords_m),
         "cutoff_hz": opts.cutoff_hz,
@@ -205,9 +221,9 @@ def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
     }
     result = ProcessResult(speed, axis, params=params)
 
-    for d, side, axis_name in jobs:
+    for d, side, axis_name, cid in plan.jobs:
         cutoff = cutoffs[d]
-        z_time = displacement(present("front", side, axis_name), cutoff)
+        z_time = displacement(cid, cutoff)
         z_space = resample_to_space(z_time, axis)
         z_space = _mask_settle(z_space, axis, WORKING_RATE_HZ, cutoff)
         z_mm = replace(z_space, values=z_space.values * 1e3, units="mm")

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -283,6 +284,36 @@ class TestProcess:
         err = capsys.readouterr().err
         assert str(bad) in err
         assert "Traceback" not in err
+
+    def test_unread_payloads_are_not_loaded(self, sim_dir, proc_dir, tmp_path,
+                                            capsys):
+        # no job reads a back lateral record: with every payload of one cut
+        # short, the run is the intact one, byte for byte
+        records = tmp_path / "records"
+        shutil.copytree(sim_dir, records)
+        cut = sorted(records.glob("bogie-back-right-lateral_b*.rec"))
+        assert len(cut) >= 3
+        for p in cut:
+            data = p.read_bytes()
+            p.write_bytes(data[:data.index(b"\n") + 17])
+        out = tmp_path / "out"
+        assert main(["process", "--records", str(records),
+                     "--out", str(out)]) == 0
+        assert "processed 5 of 8 channels" in capsys.readouterr().out
+        names = sorted(p.name for p in proc_dir.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (proc_dir / name).read_bytes(), name
+        # its headers are still checked
+        header, _ = cut[1].read_bytes().split(b"\n", 1)
+        cut[1].write_bytes(header.replace(b'"sample_rate_hz": 2560.0',
+                                          b'"sample_rate_hz": "fast"') + b"\n")
+        rc = main(["process", "--records", str(records),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(cut[1]) in err and "'sample_rate_hz'" in err
+        assert not (tmp_path / "x").exists()
 
     def test_infinite_window_is_data_error(self, sim_dir, tmp_path, capsys):
         out = tmp_path / "x"

@@ -11,6 +11,7 @@ from trackvib.comparison import ComparisonReport
 from trackvib.errors import FormatError
 from trackvib.fileio import (TRC_SPACING_M, TrcData, export_geojson,
                              load_config, read_polyline, read_record,
+                             read_record_header,
                              read_speed, read_table, read_trc, read_windows,
                              write_geojson,
                              write_polyline, write_record, write_report_csv,
@@ -114,6 +115,27 @@ class TestRecordFormat:
                       + np.asarray(samples, dtype="<f8").tobytes())
         with pytest.raises(FormatError, match=re.escape(str(p))):
             read_record(p)
+
+    @pytest.mark.parametrize("line", [
+        "not json", "5", json.dumps({**RECORD_HEADER, "sample_rate_hz": "fast"}),
+        json.dumps({**RECORD_HEADER, "units": "m"})])
+    def test_header_reader_refuses_what_read_record_refuses(self, tmp_path,
+                                                            line):
+        p = tmp_path / "bad.rec"
+        p.write_bytes(line.encode() + b"\n" + b"\x00" * 16)
+        with pytest.raises(FormatError) as whole:
+            read_record(p)
+        with pytest.raises(FormatError) as header_only:
+            read_record_header(p)
+        assert str(header_only.value) == str(whole.value)
+
+    def test_header_reader_skips_the_payload(self, tmp_path):
+        p = tmp_path / "cut.rec"
+        write_record(p, self.make(), params={"seed": 3})
+        p.write_bytes(p.read_bytes()[:-8])
+        header = read_record_header(p)
+        assert header["n_samples"] == 2560
+        assert header["params"] == {"seed": 3}
 
     def test_units_kind_mismatch_rejected(self, tmp_path):
         p = tmp_path / "units.rec"

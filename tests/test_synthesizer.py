@@ -216,7 +216,9 @@ class _CountingNumpy:
     def __init__(self):
         self.trig_elements = 0
         self.basis_elements = 0     # of 2-D arguments: a basis, not phases
-        self.basis_calls = 0        # sin calls on a basis: one per chunk
+        # sin calls on a basis: per _basis_sums call the offset table once,
+        # then the anchors once per chunk
+        self.basis_calls = 0
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -277,6 +279,26 @@ class TestSharedBasis:
         assert k_unique == 2 * profile.components["vertical-left"].shape[0]
         assert counting.trig_elements <= 2 * n * k_unique + 16 * k_rows
 
+    def test_basis_built_from_anchor_and_offset_tables(self, monkeypatch):
+        # sin and cos of each anchor, ANGLE_BLOCK nodes apart, and of the
+        # ANGLE_BLOCK offsets; a chunk boundary may split an anchor's run
+        profile = synth_profile(200.0, NOISE_SPEC, seed=9)
+        cfg = SimConfig(speed_plan=((0, 3), (15, 12), (17, 12), (25, 0),
+                                    (35, 0), (43, 12), (200, 12)))
+        counting = _CountingNumpy()
+        monkeypatch.setattr(synthesizer, "np", counting)
+        sim = simulate_run(profile, cfg)
+        monkeypatch.undo()
+        k = np.unique(np.concatenate(
+            [c[:, 0] for c in profile.components.values()])).size
+        x = sim.wheel_positions["bogie-front-left-vertical"]
+        nodes = np.unique(np.rint(x / synthesizer.PROFILE_SPACING_M)).size
+        block = synthesizer.ANGLE_BLOCK
+        bound = 2 * k * (nodes / block + block + counting.basis_calls)
+        assert counting.basis_calls >= 2
+        assert counting.basis_elements <= bound
+        assert bound <= 2 * k * nodes / 10
+
 
 class TestKernelEdgeCases:
     """Channels against the per-component chain-rule formula, where the
@@ -302,9 +324,36 @@ class TestKernelEdgeCases:
         with pytest.raises(ValueError, match="non-decreasing"):
             list(synthesizer._basis_sums(x, w, np.ones((4, 1))))
 
+    @pytest.mark.parametrize("x", [
+        # 9990-10000 m at 25 m/s and 2560 Hz, with a 0.2 s stop
+        np.sort(np.concatenate([9990.0 + np.arange(1025) * 25.0 / 2560.0,
+                                np.full(512, 9995.0)])),
+        # from below 0, where a node's anchor is floored, to above it
+        -8.0 + np.arange(1229) / 102.4],
+        ids=["near-10-km", "negative-positions"])
+    def test_basis_sums_at_large_and_negative_positions(self, monkeypatch, x):
+        # against sin and cos of every component in long double; the
+        # chunks are made small so that runs cross chunk and anchor bounds
+        rng = np.random.default_rng(3)
+        w = 2.0 * np.pi * np.sort(rng.uniform(0.02, 0.5, 192))
+        weights = rng.normal(size=(2 * w.size, 3))
+        monkeypatch.setattr(synthesizer, "CHUNK_FLOATS", 1 << 16)
+        got = np.empty((x.size, 3))
+        chunks = 0
+        for lo, hi, sums in synthesizer._basis_sums(x, w, weights):
+            got[lo:hi] = sums
+            chunks += 1
+        assert chunks >= 3
+        node = np.rint(x / synthesizer.PROFILE_SPACING_M)
+        assert np.unique(node // synthesizer.ANGLE_BLOCK).size >= 3
+        arg = np.multiply.outer(x.astype(np.longdouble), w.astype(np.longdouble))
+        ref = np.sin(arg) @ weights[:w.size] + np.cos(arg) @ weights[w.size:]
+        err = np.max(np.abs(got - ref), axis=0)
+        assert np.all(err <= 1e-11 * np.max(np.abs(ref), axis=0))
+
     def test_trig_count_independent_of_sample_rate(self, monkeypatch):
-        # sin and cos are evaluated per node, PROFILE_SPACING_M apart, and
-        # a node is counted again at most once per chunk boundary
+        # sin and cos are evaluated per anchor and offset of the node
+        # lattice, and an anchor again at most once per chunk boundary
         profile = synth_profile(200.0, NOISE_SPEC, seed=9)
         k = np.unique(np.concatenate(
             [c[:, 0] for c in profile.components.values()])).size
