@@ -8,12 +8,14 @@ no TimeSeries, raise FormatError naming the path and the field.
 Table: every CSV the package writes or reads (.trc geometry, windows.csv,
 speed.csv, compare_*.csv) has one layout, written by write_table and read
 by read_table. First come '# key: <json>' comment lines in a given order,
-then one header row of column names, then one row per sample. Floats are
-written with repr, so a write/read cycle is bit-exact and invalid samples
-read 'nan'; flags are written as 0/1. In a .trc table the first column is
-distance_m on the 0.25 m grid, and the geometry columns are named like
-VA10_left_mm / HA10_right_mm; any chord length matching that pattern
-round-trips.
+then one header row of column names, then one row per sample. Every float
+cell is byte-identical to repr of its value, so a write/read cycle is
+bit-exact and invalid samples read 'nan'; a column of whole multiples of
+1/256 below 2**24 (the 256 Hz clock, the 0.25 m grid, window bounds) gets
+that text from integers, the rest from repr. Flags are written as 0/1. In
+a .trc table the first column is distance_m on the 0.25 m grid, and the
+geometry columns are named like VA10_left_mm / HA10_right_mm; any chord
+length matching that pattern round-trips.
 
 Simulate config and survey polyline: JSON checked against the shapes below;
 a misfit raises FormatError naming the path, and in a config the field.
@@ -141,20 +143,37 @@ def read_record(path) -> tuple[TimeSeries, dict]:
 
 # ---------------------------------------------------------------- tables
 
+# repr of r / 256 less its leading "0", r < 256: ".0", ".00390625", ...
+_FRACTIONS = [repr(r / 256)[1:] for r in range(256)]
+
+
 def _cells(values) -> list[str]:
     a = np.asarray(values)
     if a.dtype == bool:
         return np.where(a, "1", "0").tolist()
     if a.dtype.kind == "U":     # text labels
         return a.tolist()
-    return list(map(repr, a.astype(float).tolist()))
+    a = a.astype(float)
+    # A column of whole multiples of 1/256 in [0, 2**24), none -0.0, such
+    # as a clock at 256 Hz or the 0.25 m grid, is written from integers.
+    # Each value has an exact decimal of at most 16 significant digits, and
+    # any other decimal that short lies >= 1e-8 away, more than half an ulp
+    # (<= 2**-30): so the exact decimal is repr's shortest round trip.
+    if np.all(~np.signbit(a) & (a < 2.0 ** 24)):
+        scaled = a * 256.0
+        k = scaled.astype(np.int64)
+        if np.array_equal(k, scaled):
+            whole, frac = np.divmod(k, 256)
+            return [f"{w}{_FRACTIONS[r]}"
+                    for w, r in zip(whole.tolist(), frac.tolist())]
+    return list(map(repr, a.tolist()))
 
 
 def write_table(path, columns: dict, comments: dict | None = None) -> None:
     """Write a table: comments (key -> JSON value, in the given order),
     then the header row, then the rows of columns (name -> 1-D values of
     equal length; bool columns become 0/1, text columns stay as they are,
-    all others are written as float repr)."""
+    all others are written as the repr of their floats)."""
     cells = [_cells(values) for values in columns.values()]
     with open(path, "w", encoding="utf-8") as fh:
         for key, value in (comments or {}).items():
@@ -452,10 +471,15 @@ def export_geojson(stats, polyline, thresholds, column: str = "",
     Window [start, end) in track meters is mapped to the same arc-length
     interval along the (lat, lon) polyline. severity counts how many of the
     ascending thresholds the window value reaches; unusable windows carry
-    value null and severity null.
+    value null and severity null. A threshold that is not finite raises
+    ValueError.
     """
     arcs = _polyline_arcs(polyline)
-    thresholds = sorted(float(t) for t in thresholds)
+    thresholds = [float(t) for t in thresholds]
+    for t in thresholds:
+        if not math.isfinite(t):
+            raise ValueError(f"severity threshold {t!r} is not finite")
+    thresholds.sort()
     pts = np.asarray(polyline, dtype=float)
     features = []
     if len(stats) and stats.ends_m[-1] - arcs[-1] > 1e-6:

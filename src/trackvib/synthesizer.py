@@ -31,10 +31,11 @@ g(x) = sum a sin(w x) + b cos(w x) has the derivative weights
 (a, b) -> (-b w, a w), so one product of the node basis with the rotated,
 1/m!-scaled weights gives the Taylor coefficients g^(m)(node) / m!, m < J.
 Each sample x is then a Horner polynomial in its offset d = x - g h from
-the nearest node, |d| <= h / 2. With r = w_max h / 2 <= pi / 2, a
+the nearest node, |d| <= h / 2. With r = w_max max|d| <= pi / 2, a
 component's Taylor remainder is at most r^J / J! of its amplitude, and J is
 the smallest order with r^J / J! <= TAYLOR_REMAINDER (J = 10 at
-0.5 cycles/m, 23 at 10 cycles/m).
+0.5 cycles/m, 23 at 10 cycles/m, when some |d| is h / 2; J = 1 when every
+sample sits on its node, as synth_profile's do).
 
 Nor is sin/cos evaluated at every node. A node g = a B + j, B = ANGLE_BLOCK
 and 0 <= j < B, is its anchor a B plus an offset, and
@@ -185,10 +186,10 @@ def _channel_rng(seed: int, channel_id: str) -> np.random.Generator:
         np.random.SeedSequence([int(seed), zlib.crc32(channel_id.encode())]))
 
 
-def _taylor_order(w_max: float) -> int:
-    """Smallest J with r^J / J! <= TAYLOR_REMAINDER, r = w_max h / 2: the
-    relative remainder of a degree J - 1 Taylor step of at most h / 2."""
-    r = 0.5 * w_max * PROFILE_SPACING_M
+def _taylor_order(w_max: float, reach: float) -> int:
+    """Smallest J with r^J / J! <= TAYLOR_REMAINDER, r = w_max reach: the
+    relative remainder of a degree J - 1 Taylor step of at most reach."""
+    r = w_max * reach
     order, term = 0, 1.0
     while term > TAYLOR_REMAINDER:
         order += 1
@@ -221,9 +222,11 @@ def _basis_sums(x: np.ndarray, w: np.ndarray, weights: np.ndarray):
     if np.any(np.diff(x) < 0):
         raise ValueError("sample positions must be non-decreasing")
     k, ncol = w.size, weights.shape[1]
-    order = _taylor_order(w.max() if k else 0.0)
-    taylor = _taylor_weights(w, weights, order)
     g = np.rint(x / PROFILE_SPACING_M)          # nearest node of each sample
+    # samples on their nodes, as synth_profile's, need no higher term
+    reach = np.max(np.abs(x - g * PROFILE_SPACING_M), initial=0.0)
+    order = _taylor_order(w.max() if k else 0.0, reach)
+    taylor = _taylor_weights(w, weights, order)
     opens = np.diff(g, prepend=g[:1] - 1) != 0  # sample i is the first on its node
     # working set: per node its basis, k floats of headroom and its
     # coefficients; per sample its offset, gathered row and sums

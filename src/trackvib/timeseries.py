@@ -32,6 +32,14 @@ at the record edge into low-frequency wander across the whole record (~60%
 amplitude error on a plain 5 Hz sine). Integration therefore extends the
 record by linear prediction (Burg) so oscillations continue coherently,
 fades the extensions with a smooth taper, and only then applies the mask.
+Each extension is the all-pole filter 1 / (1 + a(z)) of the Burg
+coefficients a, run by scipy.signal.lfilter on zeros with the record's
+last samples as its initial state: the prediction recurrence in compiled
+code, not one Python step per predicted sample. Where the recurrence is
+ill-conditioned (nearly coincident poles, as on noise-free polynomial or
+two-tone records) any two summation orders part from the first predicted
+sample on; a clamp at 4x the record's peak bounds what such an extension
+can do to the integral.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.fft import next_fast_len
+from scipy.signal import lfilter, lfiltic
 
 from .errors import GapTooLargeError
 
@@ -211,17 +220,19 @@ def _burg_coefficients(x: np.ndarray, order: int) -> np.ndarray:
 
 
 def _predict_forward(x: np.ndarray, count: int, order: int, fit: int) -> np.ndarray:
-    """Continue x past its last sample by `count` linear predictions."""
+    """Continue x past its last sample by `count` linear predictions.
+
+    The prediction y[i] = -sum_j a[j] y[i-1-j], started from the last
+    `order` samples of x less the mean of the fitted segment, is the
+    all-pole filter 1 / (1 + a(z)) run on zeros from that history; lfiltic
+    turns the history into the filter's state, and lfilter runs the
+    recurrence in compiled code.
+    """
     seg = x[-min(fit, x.size):]
     mu = seg.mean()
-    a = _burg_coefficients(seg - mu, order)
-    out = np.empty(count)
-    buf = (x[-order:] - mu)[::-1].copy()   # buf[0] = newest
-    for i in range(count):
-        nxt = -np.dot(a, buf)
-        out[i] = nxt
-        buf[1:] = buf[:-1]
-        buf[0] = nxt
+    den = np.concatenate(([1.0], _burg_coefficients(seg - mu, order)))
+    history = (x[-order:] - mu)[::-1]       # newest first
+    out, _ = lfilter([1.0], den, np.zeros(count), zi=lfiltic([1.0], den, history))
     return out + mu
 
 

@@ -422,6 +422,19 @@ class TestExportGeojson:
         assert str(poly) in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_threshold_is_data_error(self, sim_dir, proc_dir,
+                                                tmp_path, capsys):
+        out = tmp_path / "map.geojson"
+        rc = main(["export-geojson", "--windows", str(proc_dir / "windows.csv"),
+                   "--column", "VA10_left_mm",
+                   "--polyline", str(sim_dir / "polyline.json"),
+                   "--thresholds", "4,nan,inf", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "threshold nan" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_unknown_column_is_data_error(self, proc_dir, tmp_path):
         poly = tmp_path / "poly.json"
         poly.write_text(json.dumps([[47.0, 8.0], [47.01, 8.0]]))

@@ -9,7 +9,7 @@ import pytest
 
 from trackvib.comparison import ComparisonReport
 from trackvib.errors import FormatError
-from trackvib.fileio import (TRC_SPACING_M, TrcData, export_geojson,
+from trackvib.fileio import (TRC_SPACING_M, TrcData, _cells, export_geojson,
                              load_config, read_polyline, read_record,
                              read_record_header,
                              read_speed, read_table, read_trc, read_windows,
@@ -248,6 +248,36 @@ class TestTableLayout:
         p.write_text("time_s,speed_mps\n0.0,10.0\n\n1.0,10.0\n\n")
         with pytest.raises(FormatError, match="gap.csv:3"):
             read_speed(p)
+
+
+class TestDyadicCells:
+    """A column of whole multiples of 1/256 is written from integers; its
+    text must be repr's, byte for byte."""
+
+    def test_every_multiple_below_4096(self):
+        v = np.arange(2 ** 20) / 256.0
+        assert _cells(v) == list(map(repr, v.tolist()))
+
+    def test_random_multiples_below_2_24(self):
+        v = np.random.default_rng(7).integers(0, 2 ** 32, 100_000) / 256.0
+        assert _cells(v) == list(map(repr, v.tolist()))
+
+    @pytest.mark.parametrize("odd", [-0.0, -0.25, np.nan, np.inf, 2.0 ** 24,
+                                     0.1])
+    def test_other_columns_fall_back_to_repr(self, odd):
+        v = np.append(np.arange(600) / 256.0, odd)
+        assert _cells(v) == list(map(repr, v.tolist()))
+
+    def test_round_trip_bit_exact(self, tmp_path):
+        clock = np.random.default_rng(8).integers(0, 2 ** 32, 100_000) / 256.0
+        mixed = clock.copy()
+        mixed[:6] = [-0.0, -0.25, np.nan, np.inf, 2.0 ** 24, 0.1]
+        p = tmp_path / "clock.csv"
+        write_table(p, {"time_s": clock, "mixed": mixed})
+        _, columns, _ = read_table(p, ("time_s", "mixed"))
+        for name, v in (("time_s", clock), ("mixed", mixed)):
+            assert np.array_equal(columns[name].view(np.int64),
+                                  v.view(np.int64))
 
 
 class TestTrcFormat:
@@ -537,6 +567,14 @@ class TestGeoJson:
                             thresholds=(8.0, 12.0))
         sev = [f["properties"]["severity"] for f in fc["features"]]
         assert sev == [0, 0, 1, 2, 0, None]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_threshold_rejected(self, bad):
+        # a nan threshold is never reached and sorts to no defined place, so
+        # every severity above it would silently come out too low
+        with pytest.raises(ValueError, match=f"threshold {bad!r}"):
+            export_geojson(self.make_stats(), self.straight_polyline(),
+                           thresholds=(4.0, bad, 12.0))
 
     def test_unusable_window_value_null(self):
         fc = export_geojson(self.make_stats(), self.straight_polyline(),

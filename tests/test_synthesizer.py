@@ -351,6 +351,25 @@ class TestKernelEdgeCases:
         err = np.max(np.abs(got - ref), axis=0)
         assert np.all(err <= 1e-11 * np.max(np.abs(ref), axis=0))
 
+    def test_taylor_order_from_actual_node_offset(self, monkeypatch):
+        # synth_profile's rail samples sit on their nodes: one Taylor block;
+        # simulate_run's wheel positions fall between nodes and keep the
+        # order of a step of up to h / 2 (J = 10 at 0.5 cycles/m)
+        orders = []
+        taylor_weights = synthesizer._taylor_weights
+
+        def recording(w, weights, order):
+            orders.append(order)
+            return taylor_weights(w, weights, order)
+
+        monkeypatch.setattr(synthesizer, "_taylor_weights", recording)
+        profile = synth_profile(120.0, NOISE_SPEC, seed=9)
+        assert orders == [1]
+        simulate_run(profile, constant_run(t_end=13.0))
+        assert orders == [1, 10]
+        assert synthesizer._taylor_order(2 * np.pi * 0.5,
+                                         synthesizer.PROFILE_SPACING_M / 2) == 10
+
     def test_trig_count_independent_of_sample_rate(self, monkeypatch):
         # sin and cos are evaluated per anchor and offset of the node
         # lattice, and an anchor again at most once per chunk boundary

@@ -365,6 +365,63 @@ class TestDoubleIntegrate:
             double_integrate(acc, 200.0)
 
 
+def predict_forward_reference(x, count, order, fit):
+    """The Burg extension as its recurrence, one sample at a time:
+    y[i] = -sum_j a[j] y[i-1-j] from the last order samples, less the
+    mean of the fitted segment."""
+    seg = x[-min(fit, x.size):]
+    mu = seg.mean()
+    a = timeseries._burg_coefficients(seg - mu, order)
+    out = np.empty(count)
+    buf = (x[-order:] - mu)[::-1].copy()   # buf[0] = newest
+    for i in range(count):
+        out[i] = -np.dot(a, buf)
+        buf[1:] = buf[:-1]
+        buf[0] = out[i]
+    return out + mu
+
+
+class TestPredictForward:
+    """The filter form of the extension against its recurrence."""
+
+    def assert_matches_recurrence(self, x, count, order, fit):
+        got = timeseries._predict_forward(x, count, order, fit)
+        ref = predict_forward_reference(x, count, order, fit)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(x))
+        return ref
+
+    def test_order_one(self):
+        # the shortest record double_integrate extends: n = 2, order 1
+        self.assert_matches_recurrence(np.array([0.3, -0.7]), 1024, 1, 2048)
+
+    def test_order_32_on_noisy_sine(self):
+        rng = np.random.default_rng(5)
+        t = np.arange(4096) / 256.0
+        x = np.sin(2 * np.pi * 3.0 * t) + 0.1 * rng.normal(size=t.size)
+        self.assert_matches_recurrence(x, 1024, 32, 2048)
+
+    def test_constant_segment(self):
+        # every Burg denominator is 0, so the prediction is the mean
+        ref = self.assert_matches_recurrence(np.full(3000, 5.0), 1024, 32, 2048)
+        assert np.all(ref == 5.0)
+
+    def test_predictor_the_clamp_catches(self, monkeypatch):
+        # Burg keeps every reflection coefficient in [-1, 1]: a predictor
+        # that grows past double_integrate's clamp of 4 max|x| has nearly
+        # coincident poles, and any two summation orders part from the first
+        # predicted sample on. So the predictor here is set by hand, a
+        # double pole at z = 1 that continues the ramp, and the arithmetic
+        # of an integer ramp through it is exact in either form.
+        def double_pole(seg, order):
+            return np.concatenate(([-2.0, 1.0], np.zeros(order - 2)))
+
+        monkeypatch.setattr(timeseries, "_burg_coefficients", double_pole)
+        x = np.arange(40) - 19.5        # a record less its mean
+        ref = self.assert_matches_recurrence(x, 64, 32, 128)
+        assert np.max(np.abs(ref)) > 4.0 * np.max(np.abs(x))
+        assert np.array_equal(ref, 20.5 + np.arange(64))
+
+
 class TestMergeRecords:
     def blocks(self, n_blocks=2, block_s=10.0, gap_samples=0):
         rng = np.random.default_rng(1)
