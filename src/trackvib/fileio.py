@@ -471,8 +471,11 @@ def export_geojson(stats, polyline, thresholds, column: str = "",
     Window [start, end) in track meters is mapped to the same arc-length
     interval along the (lat, lon) polyline. severity counts how many of the
     ascending thresholds the window value reaches; unusable windows carry
-    value null and severity null. A threshold that is not finite raises
-    ValueError.
+    value null and severity null. Every window must start on the polyline
+    and every usable window end on it, or ValueError is raised; an unusable
+    window past its end (such as one opened for a lone trailing grid point)
+    is drawn up to the end, and keeps its nominal window_end_m. A threshold
+    that is not finite raises ValueError.
     """
     arcs = _polyline_arcs(polyline)
     thresholds = [float(t) for t in thresholds]
@@ -482,19 +485,22 @@ def export_geojson(stats, polyline, thresholds, column: str = "",
     thresholds.sort()
     pts = np.asarray(polyline, dtype=float)
     features = []
-    if len(stats) and stats.ends_m[-1] - arcs[-1] > 1e-6:
+    usable = stats.usable
+    reach = max(np.max(stats.starts_m, initial=-np.inf),
+                np.max(stats.ends_m[usable], initial=-np.inf))
+    if reach - arcs[-1] > 1e-6:
         raise ValueError(f"polyline is {arcs[-1]:.1f} m long but windows "
-                         f"reach {stats.ends_m[-1]:.1f} m")
+                         f"reach {reach:.1f} m")
     for k in range(len(stats)):
         s0 = float(stats.starts_m[k])
         s1 = float(stats.ends_m[k])
-        inner = np.flatnonzero((arcs > s0) & (arcs < s1))
+        drawn = s1 if usable[k] else min(s1, float(arcs[-1]))
+        inner = np.flatnonzero((arcs > s0) & (arcs < drawn))
         coords = ([_locate(pts, arcs, s0)]
                   + [[float(pts[i, 1]), float(pts[i, 0])] for i in inner]
-                  + [_locate(pts, arcs, s1)])
-        usable = bool(stats.usable[k])
-        value = float(stats.values[k]) if usable else None
-        severity = sum(value >= t for t in thresholds) if usable else None
+                  + [_locate(pts, arcs, drawn)])
+        value = float(stats.values[k]) if usable[k] else None
+        severity = sum(value >= t for t in thresholds) if usable[k] else None
         features.append({
             "type": "Feature",
             "geometry": {"type": "LineString", "coordinates": coords},

@@ -11,19 +11,20 @@ wheel-mounted sensor would see analytically per component,
 so the simulated records contain no interpolation or differentiation error
 and can serve as ground truth for the processing chain.
 
-One sin/cos basis serves every channel. For the distinct angular
-wavenumbers w of all component tables, S = sin(x w) and C = cos(x w) span
-every sum of shifted sinusoids as a weighted sum of their columns:
+One node basis serves every channel. For the distinct angular wavenumbers
+w of all component tables, the columns of exp(i x w) = cos(x w) + i sin(x w)
+span every sum of shifted sinusoids:
 
-    sin(w x + phi) = S cos(phi) + C sin(phi)
-    cos(w x + phi) = C cos(phi) - S sin(phi)
+    sin(w x + phi) = sin(x w) cos(phi) + cos(x w) sin(phi)
 
-The back wheel sits at x - wheelbase, which is the front wheel with every
-phase shifted to phi - w wheelbase, and a noise profile's right rail
-reuses every left wavenumber; so one product of [S | C] with a small
-weight matrix gives the v^2 sin and dv/dt cos sums of all eight channels.
-synth_profile samples the rails of both axes through the same kernel, in
-one call.
+A wheel on rail z sees a(t) = v^2 z''(x) + dv/dt z'(x), so simulate_run
+weights the basis with one z'' column per rail that has components, and
+one z' column more only when dv/dt is non-zero somewhere; a rail without
+components gives +0.0 and never enters the kernel. Both wheels ride the
+same rails, so the columns are evaluated once at the distinct positions of
+the front and the back wheel, and each channel gathers its samples back
+from them. synth_profile samples the rails of both axes through the same
+kernel, in one call.
 
 The basis is evaluated only at the nodes g h, h = PROFILE_SPACING_M (half a
 wavelength at MAX_NU_CYCLES_PER_M), not at every sample. A weighted column
@@ -40,16 +41,17 @@ sample sits on its node, as synth_profile's do).
 Nor is sin/cos evaluated at every node. A node g = a B + j, B = ANGLE_BLOCK
 and 0 <= j < B, is its anchor a B plus an offset, and
 
-    sin(A + J) = sin A cos J + cos A sin J
-    cos(A + J) = cos A cos J - sin A sin J
+    exp(i w g h) = exp(i w a B h) exp(i w j h)
 
-build its basis from a table of sin/cos(w j h), j < B, made once per call,
-and sin/cos(w a B h) at each anchor, whose argument is the exact integer
-a B times h. That is one sin/cos per B nodes, plus the B offsets. The
-error grows with |w x|, as the rounding of a per-node argument w g h does.
-Against a long double per-component sum at 0.02-0.5 cycles/m it measured
-4.9e-13 of the peak on a direct 2 km run (2.7e-13 with a sin/cos per
-node), and 2.3e-12 (1.5e-12) on 9990-10000 m.
+builds the complex node basis with one complex product per element from a
+table of exp(i w j h), j < B, made once per call, and exp(i w a B h) at
+each anchor, whose argument is the exact integer a B times h. That is one
+sin/cos per B nodes, plus the B offsets. The basis's float64 view
+interleaves cos and sin, and meets the Taylor weights interleaved the same
+way. The error grows with |w x|, as the rounding of a per-node argument
+w g h does. Against a long double per-component sum at 0.02-0.5 cycles/m it
+measured 4.9e-13 of the peak on a direct 2 km run (2.7e-13 with a sin/cos
+per node), and 2.3e-12 (1.5e-12) on 9990-10000 m.
 
 Impulse events model wheel/rail defects: a bipolar raised-cosine doublet in
 acceleration (positive raised-cosine over the first half-duration, negative
@@ -167,6 +169,16 @@ class SimConfig:
             raise ValueError("sample_rate_hz must be > 0")
         if not self.wheelbase_m > 0:
             raise ValueError("wheelbase_m must be > 0")
+        d = self.lateral_disturbance
+        if d:
+            rms = float(d["rms_mps2"])
+            lo, hi = (float(b) for b in d["band_hz"])
+            if not 0.0 <= rms < np.inf:
+                raise ValueError(f"lateral_disturbance rms_mps2 must be finite and "
+                                 f">= 0, got {rms}")
+            if not lo < hi:
+                raise ValueError(f"lateral_disturbance band_hz must be [lo, hi] "
+                                 f"with lo < hi, got [{lo}, {hi}]")
         object.__setattr__(self, "speed_plan", plan)
 
 
@@ -198,26 +210,37 @@ def _taylor_order(w_max: float, reach: float) -> int:
 
 
 def _taylor_weights(w: np.ndarray, weights: np.ndarray, order: int) -> np.ndarray:
-    """Weights on [sin(x w) | cos(x w)] of g^(m) / m!, m < order, for each
-    column g of weights; block m holds columns m ncol .. (m + 1) ncol."""
-    k = w.size
-    a, b = weights[:k], weights[k:]
-    blocks = [weights]
+    """Weights of g^(m) / m!, m < order, for each column g of weights, as
+    rows m ncol .. (m + 1) ncol against the node basis's float64 view,
+    whose columns interleave cos(x w_j) and sin(x w_j)."""
+    k, ncol = w.size, weights.shape[1]
+    # g = a sin(w x) + b cos(w x) is Re(conj(u) exp(i w x)) with u = b + i a,
+    # and d/dx multiplies u by -i w
+    u = np.empty((order, ncol, k), dtype=complex)
+    u[0].real, u[0].imag = weights[k:].T, weights[:k].T
     for m in range(1, order):
-        # d/dx (a sin(w x) + b cos(w x)) = -b w sin(w x) + a w cos(w x)
-        a, b = -b * w[:, None] / m, a * w[:, None] / m
-        blocks.append(np.vstack([a, b]))
-    return np.hstack(blocks)
+        np.multiply(u[m - 1], -1j * (w / m), out=u[m])
+    return u.view(np.float64).reshape(order * ncol, 2 * k)
+
+
+def _phasors(arg: np.ndarray) -> np.ndarray:
+    """exp(i arg), from one cos and one sin of arg."""
+    out = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=out.imag)
+    return out
 
 
 def _basis_sums(x: np.ndarray, w: np.ndarray, weights: np.ndarray):
-    """Yield (lo, hi, [sin(x w) | cos(x w)] @ weights) over chunks of x.
+    """Iterator of (lo, hi, [sin(x w) | cos(x w)] @ weights) over chunks of x.
 
     w holds k distinct angular wavenumbers and weights has 2k rows, the
-    first k for the sin block. x must be non-decreasing. sin and cos are
-    evaluated for ANGLE_BLOCK offsets per call and once per chunk and anchor
-    that x visits, whatever the sample rate or the number of weight
-    columns; a chunk's working set stays near CHUNK_FLOATS float64 values.
+    first k for the sin block. x must be non-decreasing. The node basis is
+    complex, exp(i w g h), and sin and cos are evaluated for ANGLE_BLOCK
+    offsets per call and once per chunk and anchor that x visits, whatever
+    the sample rate or the number of weight columns; a chunk's working set
+    stays near CHUNK_FLOATS float64 values. Each block is the (hi - lo,
+    ncol) transpose of a C-contiguous array, so its columns are contiguous.
     """
     if np.any(np.diff(x) < 0):
         raise ValueError("sample positions must be non-decreasing")
@@ -228,41 +251,52 @@ def _basis_sums(x: np.ndarray, w: np.ndarray, weights: np.ndarray):
     order = _taylor_order(w.max() if k else 0.0, reach)
     taylor = _taylor_weights(w, weights, order)
     opens = np.diff(g, prepend=g[:1] - 1) != 0  # sample i is the first on its node
-    # working set: per node its basis, k floats of headroom and its
-    # coefficients; per sample its offset, gathered row and sums
+    # working set: per node its complex basis (2k floats), k floats of slack
+    # and its order tables; per sample its node, node position and offset,
+    # its sums, a repeated table row and the caller's gathers from the sums.
+    # The slack holds a chunk's basis to at most 2/3 of CHUNK_FLOATS: glibc
+    # raises its mmap and trim thresholds to the largest block freed, and
+    # the peak RSS and timings of later stages in the process follow them.
     cost = ((3 * k + order * ncol) * np.cumsum(opens)
-            + (3 * ncol + 2) * np.arange(1, x.size + 1))
+            + (3 * ncol + 3) * np.arange(1, x.size + 1))
     bounds = np.flatnonzero(np.diff(cost // CHUNK_FLOATS, prepend=-1, append=-1))
-    # node g = a ANGLE_BLOCK + j: sin and cos of w j h, j < ANGLE_BLOCK
-    arg = np.multiply.outer(PROFILE_SPACING_M * np.arange(ANGLE_BLOCK), w)
-    sin_j, cos_j = np.sin(arg), np.cos(arg)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        first = np.union1d(0, np.flatnonzero(opens[lo:hi]))
-        node_g = g[lo + first]
-        node_x = node_g * PROFILE_SPACING_M
-        anchor, offset = np.divmod(node_g, ANGLE_BLOCK)
-        runs = np.flatnonzero(np.diff(anchor, prepend=anchor[0] - 1))
-        # the exact integer a ANGLE_BLOCK times h: an anchor node is g h
-        arg = np.multiply.outer((anchor[runs] * ANGLE_BLOCK) * PROFILE_SPACING_M, w)
-        offset = offset.astype(np.intp)
-        basis = np.empty((first.size, 2 * k))
-        for r0, r1, sin_a, cos_a in zip(runs, np.append(runs[1:], first.size),
-                                        np.sin(arg), np.cos(arg)):
-            sin_o, cos_o = sin_j[offset[r0:r1]], cos_j[offset[r0:r1]]
-            s, c = basis[r0:r1, :k], basis[r0:r1, k:]
-            # sin(A + J) = sA cJ + cA sJ, cos(A + J) = cA cJ - sA sJ
-            np.multiply(cos_o, sin_a, out=s)
-            s += cos_a * sin_o
-            np.multiply(cos_o, cos_a, out=c)
-            c -= sin_a * sin_o
-        coef = (basis @ taylor).reshape(first.size, order, ncol)
-        node = np.repeat(np.arange(first.size), np.diff(first, append=hi - lo))
-        delta = (x[lo:hi] - node_x[node])[:, None]
-        sums = coef[node, order - 1]
-        for m in range(order - 2, -1, -1):      # Horner in delta
-            sums *= delta
-            sums += coef[node, m]
-        yield lo, hi, sums
+    # node g = a ANGLE_BLOCK + j: exp(i w j h), j < ANGLE_BLOCK
+    offsets = _phasors(np.multiply.outer(PROFILE_SPACING_M * np.arange(ANGLE_BLOCK), w))
+    return ((lo, hi, _node_polynomials(x[lo:hi], w, offsets, taylor, order).T)
+            for lo, hi in zip(bounds[:-1], bounds[1:]))
+
+
+def _node_polynomials(x: np.ndarray, w: np.ndarray, offsets: np.ndarray,
+                      taylor: np.ndarray, order: int) -> np.ndarray:
+    """(ncol, x.size) sums of one chunk of _basis_sums: each sample a
+    Horner polynomial in its offset from the nearest node, whose
+    coefficients are the node basis times taylor."""
+    k = w.size
+    g = np.rint(x / PROFILE_SPACING_M)
+    first = np.flatnonzero(np.diff(g, prepend=g[0] - 1))   # first sample per node
+    node_g = g[first]
+    node_x = node_g * PROFILE_SPACING_M
+    anchor, offset = np.divmod(node_g, ANGLE_BLOCK)
+    runs = np.flatnonzero(np.diff(anchor, prepend=anchor[0] - 1))
+    # the exact integer a ANGLE_BLOCK times h: an anchor node is g h
+    anchors = _phasors(np.multiply.outer(
+        (anchor[runs] * ANGLE_BLOCK) * PROFILE_SPACING_M, w))
+    offset = offset.astype(np.intp)
+    # exp(i w g h) = exp(i w a B h) exp(i w j h), one product per element
+    basis = np.empty((first.size, k), dtype=complex)
+    for r0, r1, at_anchor in zip(runs, np.append(runs[1:], first.size), anchors):
+        np.multiply(offsets[offset[r0:r1]], at_anchor, out=basis[r0:r1])
+    # tables[m] is the contiguous (ncol, nodes) table of g^(m)(node) / m!
+    tables = (taylor @ basis.view(np.float64).T).reshape(order, -1, first.size)
+    del basis
+    # a node's samples are a run of x: its row entries repeat over the run
+    run = np.diff(first, append=x.size)
+    delta = x - np.repeat(node_x, run)
+    sums = np.repeat(tables[order - 1], run, axis=1)
+    for m in range(order - 2, -1, -1):          # Horner in delta
+        sums *= delta
+        sums += np.repeat(tables[m], run, axis=1)
+    return sums
 
 
 def _sine_weights(w: np.ndarray, wj: np.ndarray, amp: np.ndarray,
@@ -454,14 +488,36 @@ def _trajectory(config: SimConfig, length_m: float):
 
 def _band_noise(rng: np.random.Generator, n: int, fs: float, rms: float,
                 band_hz) -> np.ndarray:
-    """Band-limited Gaussian noise via spectral masking, scaled to rms."""
-    spec = np.fft.rfft(rng.standard_normal(n))
+    """Band-limited Gaussian noise via spectral masking, scaled to rms.
+    Raises ValueError if the band keeps no frequency bin above 0 Hz."""
     f = np.fft.rfftfreq(n, 1.0 / fs)
     lo, hi = band_hz
-    spec[(f < lo) | (f > hi)] = 0.0
+    drop = (f < lo) | (f > hi)
+    if np.all(drop[1:]):
+        raise ValueError(f"lateral_disturbance band_hz [{lo}, {hi}] keeps no "
+                         f"frequency bin above 0 Hz of {n} samples at {fs} Hz")
+    spec = np.fft.rfft(rng.standard_normal(n))
+    spec[drop] = 0.0
     x = np.fft.irfft(spec, n=n)
     std = x.std()
     return x * (rms / std) if std > 0 else x
+
+
+def _distinct(x: np.ndarray):
+    """Sorted distinct values of x and, per element, its index among them.
+    A stable sort merges the sorted runs x is made of in linear time."""
+    order = np.argsort(x, kind="stable")
+    ranked = x[order]
+    opens = np.empty(x.size, dtype=bool)
+    opens[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=opens[1:])
+    distinct = ranked[opens]
+    del ranked                                  # before the index is built
+    ids = np.cumsum(opens, dtype=np.int32)      # half of intp: runs are < 2**31
+    ids -= 1
+    index = np.empty(x.size, dtype=np.int32)
+    index[order] = ids
+    return distinct, index
 
 
 def simulate_run(profile: TrackProfile, config: SimConfig) -> SimResult:
@@ -469,34 +525,55 @@ def simulate_run(profile: TrackProfile, config: SimConfig) -> SimResult:
 
     Channel ids follow ``{location}-{front|back}-{side}-{axis}``. The back
     wheel trails the front one by the wheelbase, so at constant speed its
-    record is the front record delayed by wheelbase/speed. Impulse events and
-    sensor noise are separate stages (add_impulses, add_sensor_noise).
+    record is the front record delayed by wheelbase/speed. A wheel on rail
+    z sees v^2 z''(x) + dv/dt z'(x): one _basis_sums call evaluates z'' of
+    each rail with components, and z' only where the speed varies, at the
+    distinct positions of both wheels, and each channel gathers its wheel's
+    samples from them. A rail without components gives +0.0. Impulse
+    events and sensor noise are separate stages (add_impulses,
+    add_sensor_noise).
     """
     _, v, dvdt, x_front = _trajectory(config, profile.length_m)
+    n = x_front.size
     loc = config.sensor_location
     keys = [(pos, side, axis) for pos in POSITIONS for side in SIDES for axis in AXES]
-    # per channel, weights of its v^2 sin sum and of its dv/dt cos sum (a
-    # sin sum with every phase advanced by pi/2); the back wheel is the
-    # front one with every phase shifted by -w wheelbase
-    w = _angular(profile.components.values())
-    weights = []
-    for pos, side, axis in keys:
-        comps = profile.components[f"{axis}-{side}"]
-        wj = 2.0 * np.pi * comps[:, 0]
-        amp_m = comps[:, 1] * 1e-3          # mm -> m
-        phase = comps[:, 2] - (0.0 if pos == "front" else wj * config.wheelbase_m)
-        weights += [_sine_weights(w, wj, amp_m * wj * wj, phase),
-                    _sine_weights(w, wj, amp_m * wj, phase + 0.5 * np.pi)]
-    accs = np.empty((len(keys), x_front.size))
-    v2 = v * v
-    for lo, hi, sums in _basis_sums(x_front, w, np.column_stack(weights)):
-        accs[:, lo:hi] = (dvdt[lo:hi, None] * sums[:, 1::2]
-                          - v2[lo:hi, None] * sums[:, 0::2]).T
+    rail_tables = [profile.components[f"{axis}-{side}"]
+                   for side in SIDES for axis in AXES]
+    rails = [q for q, comps in enumerate(rail_tables) if comps.size]
+    # accs[p, q]: wheel POSITIONS[p] on rail q; a rail without components stays +0.0
+    accs = np.zeros((len(POSITIONS), len(rail_tables), n))
+    if rails:
+        tables = [rail_tables[q] for q in rails]
+        w = _angular(tables)
+        varying = bool(np.any(dvdt))
+        # per rail the weights of z'' = sum -A w^2 sin(w x + phi) and, where
+        # the speed varies, of z' = sum A w sin(w x + phi + pi/2)
+        curvature, slope = [], []
+        for comps in tables:
+            wj = 2.0 * np.pi * comps[:, 0]
+            amp_m = comps[:, 1] * 1e-3          # mm -> m
+            curvature.append(_sine_weights(w, wj, -amp_m * wj * wj, comps[:, 2]))
+            if varying:
+                slope.append(_sine_weights(w, wj, amp_m * wj,
+                                           comps[:, 2] + 0.5 * np.pi))
+        x, index = _distinct(np.concatenate([x_front, x_front - config.wheelbase_m]))
+        wheels = index[:n], index[n:]       # per sample of the front, back wheel
+        for lo, hi, sums in _basis_sums(x, w, np.column_stack(curvature + slope)):
+            for p, wheel in enumerate(wheels):
+                # the wheel's samples at positions lo .. hi of x
+                a, b = np.searchsorted(wheel, (lo, hi))
+                at = wheel[a:b] - lo
+                v2 = np.square(v[a:b])
+                for r, q in enumerate(rails):
+                    acc = accs[p, q, a:b]
+                    np.multiply(v2, np.take(sums[:, r], at), out=acc)
+                    if varying:
+                        acc += dvdt[a:b] * np.take(sums[:, len(rails) + r], at)
 
     channels: dict[str, TimeSeries] = {}
     wheel_positions: dict[str, np.ndarray] = {}
     x_back = x_front - config.wheelbase_m
-    for (pos, side, axis), acc in zip(keys, accs):
+    for (pos, side, axis), acc in zip(keys, accs.reshape(-1, n)):
         cid = f"{loc}-{pos}-{side}-{axis}"
         if axis == "lateral" and config.lateral_disturbance:
             d = config.lateral_disturbance

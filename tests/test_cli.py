@@ -111,6 +111,20 @@ class TestSimulate:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("disturbance", [
+        {"rms_mps2": -0.5, "band_hz": [1.0, 20.0]},
+        {"rms_mps2": 0.05, "band_hz": [20.0, 1.0]},
+        {"rms_mps2": 0.05, "band_hz": [2000.0, 3000.0]}],
+        ids=["negative-rms", "reversed-band", "above-nyquist"])
+    def test_bad_lateral_disturbance_is_data_error(self, tmp_path, capsys,
+                                                   disturbance):
+        cfg = write_config(tmp_path / "config.json",
+                           dict(CONFIG, lateral_disturbance=disturbance))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "lateral_disturbance" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_used_reproduces_the_run(self, tmp_path):
         # every config field, and a --seed override the echo must carry
         cfg = write_config(tmp_path / "config.json", {
@@ -408,6 +422,34 @@ class TestExportGeojson:
         # edge windows fall into the integrator settle margin; mid-run ones
         # must carry a real severity
         assert fc["features"][2]["properties"]["severity"] is not None
+
+    def test_lone_trailing_grid_point(self, tmp_path):
+        # 600 m at 10 m/s: the grid runs 0.25-600.25 m, so the last window
+        # [600.25, 700.25) holds one point and is unusable; the ~656 m
+        # polyline covers every grid point
+        cfg = write_config(tmp_path / "config.json", dict(
+            CONFIG, seed=5, sensor="bogie_mems", impulses=[
+                {"position_m": 300.0, "amplitude_g": 5.0, "duration_ms": 4.0}]))
+        run, proc = tmp_path / "run", tmp_path / "proc"
+        assert main(["simulate", "--config", str(cfg), "--out", str(run)]) == 0
+        assert main(["process", "--records", str(run), "--out", str(proc)]) == 0
+        last = (proc / "windows.csv").read_text().splitlines()[-1]
+        assert last.split(",")[1:] == ["600.25", "700.25", "nan", "0.0"]
+        out = tmp_path / "map.geojson"
+        assert main(["export-geojson", "--windows", str(proc / "windows.csv"),
+                     "--column", "VA10_left_mm",
+                     "--polyline", str(run / "polyline.json"),
+                     "--out", str(out)]) == 0
+        feature = json.loads(out.read_text())["features"][-1]
+        assert feature["properties"]["window_end_m"] == 700.25
+        assert feature["properties"]["value_mm"] is None
+        assert feature["geometry"]["coordinates"][-1] == [8.0, 47.0059]
+        # a polyline short of a usable window is still refused
+        short = tmp_path / "short.json"
+        short.write_text(json.dumps([[47.0, 8.0], [47.004, 8.0]]))   # ~445 m
+        assert main(["export-geojson", "--windows", str(proc / "windows.csv"),
+                     "--column", "VA10_left_mm", "--polyline", str(short),
+                     "--out", str(tmp_path / "short.geojson")]) == 1
 
     @pytest.mark.parametrize("content", ["5", "[[47.0], [47.1]]"])
     def test_malformed_polyline_is_data_error(self, proc_dir, tmp_path, capsys,

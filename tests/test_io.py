@@ -586,6 +586,34 @@ class TestGeoJson:
             export_geojson(self.make_stats(), self.straight_polyline(400.0),
                            thresholds=())
 
+    def test_unusable_window_drawn_to_polyline_end(self):
+        # window 5, [500, 600), is unusable: the polyline need only reach
+        # its start, and it is drawn up to the polyline's 560 m end
+        fc = export_geojson(self.make_stats(), self.straight_polyline(560.0),
+                            thresholds=())
+        last = fc["features"][5]
+        assert last["properties"]["window_end_m"] == 600.0
+        (lon0, lat0), (lon1, lat1) = (last["geometry"]["coordinates"][0],
+                                      last["geometry"]["coordinates"][-1])
+        assert haversine_m(lat0, lon0, lat1, lon1) == pytest.approx(60.0, rel=1e-3)
+        assert [lon1, lat1] == [8.0, self.straight_polyline(560.0)[1][0]]
+
+    def test_polyline_short_of_a_usable_end_or_any_start_rejected(self):
+        usable_last = WindowedStats(100.0, 100.0 * np.arange(6),
+                                    np.array([1.0, 5.0, 9.0, 13.0, 2.0, 3.0]),
+                                    np.ones(6))
+        with pytest.raises(ValueError, match="windows reach 600.0 m"):
+            export_geojson(usable_last, self.straight_polyline(560.0), thresholds=())
+        # [100, 200) and [200, 300) unusable: 150 m is past the first's
+        # start but short of the second's
+        trailing = WindowedStats(100.0, 100.0 * np.arange(3),
+                                 np.array([1.0, np.nan, np.nan]),
+                                 np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="windows reach 200.0 m"):
+            export_geojson(trailing, self.straight_polyline(150.0), thresholds=())
+        assert len(export_geojson(trailing, self.straight_polyline(200.0),
+                                  thresholds=())["features"]) == 3
+
     def test_single_vertex_polyline_rejected(self):
         with pytest.raises(ValueError):
             export_geojson(self.make_stats(), [(47.0, 8.0)], thresholds=())

@@ -25,6 +25,9 @@ FINE_SINE = {"type": "sines", "components": [
 # from rest, ramp, cruise, brake to a 5 s stop, restart
 STOP_START_PLAN = ((0.0, 0.0), (10.0, 12.0), (15.0, 12.0), (20.0, 0.0),
                    (25.0, 0.0), (30.0, 8.0), (80.0, 8.0))
+# the same within 120 m: braking at 8-12 s, stopped at 12-16 s
+SHORT_STOP_PLAN = ((0.0, 0.0), (5.0, 8.0), (8.0, 8.0), (12.0, 0.0), (16.0, 0.0),
+                   (20.0, 8.0), (40.0, 8.0))
 
 
 def constant_run(v=10.0, t_end=15.0, **kw):
@@ -156,6 +159,19 @@ class TestSimulateRun:
         assert sim.speeds_mps[0] == pytest.approx(5.0)
         assert sim.speeds_mps[int(10 * fs)] == pytest.approx(10.0, rel=1e-3)
 
+    @pytest.mark.parametrize("disturbance", [
+        {"rms_mps2": -0.5, "band_hz": (1.0, 40.0)},
+        {"rms_mps2": 0.2, "band_hz": (20.0, 1.0)},
+        # above the 1280 Hz Nyquist frequency
+        {"rms_mps2": 0.2, "band_hz": (2000.0, 3000.0)},
+        # below the 0.067 Hz bin spacing of 15 s: the 0 Hz bin alone
+        {"rms_mps2": 0.2, "band_hz": (0.0, 0.01)}],
+        ids=["negative-rms", "reversed-band", "above-nyquist", "no-bin-above-0-hz"])
+    def test_bad_lateral_disturbance_refused(self, disturbance):
+        p = synth_profile(150.0, SINE_SPEC)
+        with pytest.raises(ValueError, match="lateral_disturbance"):
+            simulate_run(p, constant_run(seed=6, lateral_disturbance=disturbance))
+
     def test_lateral_disturbance_only_on_lateral(self):
         p = synth_profile(150.0, SINE_SPEC)
         quiet = simulate_run(p, constant_run(seed=6))
@@ -185,8 +201,9 @@ def reference_acceleration(comps, xw, v, dvdt, chunk=8192):
 
 
 def assert_channels_match_reference(profile, cfg):
-    """Every channel within 1e-11 x its peak of reference_acceleration and
-    every wheel position exact; returns the trajectory's v and dv/dt."""
+    """Every channel of a rail with components within 1e-11 x its peak of
+    reference_acceleration, every channel of a rail without exactly +0.0,
+    and every wheel position exact; returns the trajectory's v and dv/dt."""
     sim = simulate_run(profile, cfg)
     _, v, dvdt, x_front = synthesizer._trajectory(cfg, profile.length_m)
     assert np.array_equal(sim.speeds_mps, v)
@@ -194,8 +211,11 @@ def assert_channels_match_reference(profile, cfg):
         _, pos, side, axis = cid.split("-")
         xw = x_front if pos == "front" else x_front - cfg.wheelbase_m
         assert np.array_equal(sim.wheel_positions[cid], xw)
-        ref = reference_acceleration(profile.components[f"{axis}-{side}"],
-                                     xw, v, dvdt)
+        comps = profile.components[f"{axis}-{side}"]
+        if not comps.size:
+            assert np.all(ts.samples == 0.0) and not np.any(np.signbit(ts.samples)), cid
+            continue
+        ref = reference_acceleration(comps, xw, v, dvdt)
         peak = np.max(np.abs(ref))
         assert peak > 0
         assert np.max(np.abs(ts.samples - ref)) <= 1e-11 * peak, cid
@@ -239,15 +259,16 @@ class _CountingNumpy:
 
 
 class TestSharedBasis:
-    """The one sin/cos basis against the per-channel, per-component sums."""
+    """The one node basis against the per-channel, per-component sums."""
 
     @pytest.fixture(scope="class")
     def profile(self):
         return synth_profile(300.0, NOISE_SPEC, seed=8, lateral_spec=THREE_SINES)
 
     def test_channels_match_per_channel_reference(self, profile):
-        # varying speed, a stop and a restart: the back wheel's phase shift
-        # must hold where the wheels are not a fixed time apart
+        # varying speed, a stop and a restart: each wheel's samples, gathered
+        # from the distinct positions of both, must hold where the wheels
+        # are not a fixed time apart
         v, dvdt = assert_channels_match_reference(
             profile, SimConfig(speed_plan=STOP_START_PLAN, seed=8))
         assert np.any(v == 0.0) and np.any(dvdt > 0) and np.any(dvdt < 0)
@@ -263,9 +284,9 @@ class TestSharedBasis:
                     assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
 
     def test_each_wavenumber_evaluated_once_per_sample(self, monkeypatch):
-        # noise rails: the right rail reuses every left wavenumber, and the
-        # back wheel is the front one shifted by the wheelbase, so a
-        # per-channel kernel evaluates three times the distinct columns here
+        # noise rails: the right rail reuses every left wavenumber, and both
+        # wheels share one basis at their distinct positions, so sin and
+        # cos see each distinct wavenumber, not each component row
         profile = synth_profile(200.0, NOISE_SPEC, seed=9)
         cfg = SimConfig(speed_plan=((0, 3), (15, 12), (17, 12), (25, 0),
                                     (35, 0), (43, 12), (200, 12)))
@@ -310,13 +331,43 @@ class TestKernelEdgeCases:
         (NOISE_SPEC, FINE_SINE, SimConfig(speed_plan=((0.0, 40.0), (4.0, 40.0)),
                                           sample_rate_hz=512.0)),
         # from rest, a stop and a restart: runs of equal positions
-        (FINE_SINE, NOISE_SPEC, SimConfig(speed_plan=(
-            (0.0, 0.0), (5.0, 8.0), (8.0, 8.0), (12.0, 0.0), (16.0, 0.0),
-            (20.0, 8.0), (40.0, 8.0)))),
-    ], ids=["10-cycles-per-m", "40-mps-sparse-samples", "stop-and-restart"])
+        (FINE_SINE, NOISE_SPEC, SimConfig(speed_plan=SHORT_STOP_PLAN)),
+        # a wheelbase off the node grid: the back wheel's positions are
+        # none of the front wheel's
+        (NOISE_SPEC, THREE_SINES, SimConfig(speed_plan=SHORT_STOP_PLAN,
+                                            wheelbase_m=2.53)),
+        # no lateral profile: the lateral channels are +0.0, braking too
+        (NOISE_SPEC, None, SimConfig(speed_plan=SHORT_STOP_PLAN)),
+    ], ids=["10-cycles-per-m", "40-mps-sparse-samples", "stop-and-restart",
+            "wheelbase-off-node-grid", "no-lateral-profile"])
     def test_channels_match_reference(self, spec, lateral, cfg):
         assert_channels_match_reference(
             synth_profile(120.0, spec, seed=12, lateral_spec=lateral), cfg)
+
+    @pytest.mark.parametrize("lateral, cfg", [
+        (None, SimConfig(speed_plan=SHORT_STOP_PLAN)),
+        (THREE_SINES, constant_run(t_end=13.0))],
+        ids=["stop-start-no-lateral", "constant-speed-with-lateral"])
+    def test_one_kernel_call_at_distinct_positions(self, monkeypatch, lateral, cfg):
+        # per rail with components a v^2 z'' column, and a dv/dt z' column
+        # only where the speed varies, at each distinct wheel position once
+        calls = []
+        basis_sums = synthesizer._basis_sums
+
+        def recording(x, w, weights):
+            calls.append((x.size, weights.shape[1]))
+            return basis_sums(x, w, weights)
+
+        profile = synth_profile(120.0, NOISE_SPEC, seed=12, lateral_spec=lateral)
+        monkeypatch.setattr(synthesizer, "_basis_sums", recording)
+        sim = simulate_run(profile, cfg)
+        _, _, dvdt, x_front = synthesizer._trajectory(cfg, profile.length_m)
+        positions = np.unique(np.concatenate([x_front, x_front - cfg.wheelbase_m]))
+        rails = sum(c.size > 0 for c in profile.components.values())
+        assert rails == (4 if lateral else 2)
+        assert calls == [(positions.size, rails * (2 if np.any(dvdt) else 1))]
+        assert positions.size < 2 * x_front.size
+        assert len(sim.channels) == 8
 
     def test_decreasing_positions_refused(self):
         x = np.array([0.0, 0.1, 0.3, 0.2, 0.4])
