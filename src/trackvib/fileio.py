@@ -12,10 +12,13 @@ then one header row of column names, then one row per sample. Every float
 cell is byte-identical to repr of its value, so a write/read cycle is
 bit-exact and invalid samples read 'nan'; a column of whole multiples of
 1/256 below 2**24 (the 256 Hz clock, the 0.25 m grid, window bounds) gets
-that text from integers, the rest from repr. Flags are written as 0/1. In
-a .trc table the first column is distance_m on the 0.25 m grid, and the
-geometry columns are named like VA10_left_mm / HA10_right_mm; any chord
-length matching that pattern round-trips.
+that text from integers, the rest from repr. Flags are written as 0/1.
+Rows are formatted and written in blocks of _BLOCK_ROWS, so a write holds
+one block of text; a read takes the comments and the header row in Python
+and has np.loadtxt parse the rows straight from the file. In a .trc
+table the first column is distance_m on the 0.25 m grid, and the geometry
+columns are named like VA10_left_mm / HA10_right_mm; any chord length
+matching that pattern round-trips.
 
 Simulate config and survey polyline: JSON checked against the shapes below;
 a misfit raises FormatError naming the path, and in a config the field.
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import re
 from dataclasses import dataclass, field
 
@@ -145,15 +149,26 @@ def read_record(path) -> tuple[TimeSeries, dict]:
 
 # repr of r / 256 less its leading "0", r < 256: ".0", ".00390625", ...
 _FRACTIONS = [repr(r / 256)[1:] for r in range(256)]
+# rows formatted and written at a time: the text of one block is all a
+# table write holds, whatever the length of the table
+_BLOCK_ROWS = 4096
+_BLANK_LINE = re.compile(rb"\n\r?\n")     # a line end, then an empty line
 
 
-def _cells(values) -> list[str]:
+def _column(values) -> np.ndarray:
+    """values as the array its cells are written from: bool, text or float."""
     a = np.asarray(values)
+    if a.dtype == bool or a.dtype.kind == "U":
+        return a
+    return a.astype(float, copy=False)
+
+
+def _cells(a: np.ndarray) -> list[str]:
+    """The cell texts of a column converted by _column."""
     if a.dtype == bool:
         return np.where(a, "1", "0").tolist()
     if a.dtype.kind == "U":     # text labels
         return a.tolist()
-    a = a.astype(float)
     # A column of whole multiples of 1/256 in [0, 2**24), none -0.0, such
     # as a clock at 256 Hz or the 0.25 m grid, is written from integers.
     # Each value has an exact decimal of at most 16 significant digits, and
@@ -173,51 +188,73 @@ def write_table(path, columns: dict, comments: dict | None = None) -> None:
     """Write a table: comments (key -> JSON value, in the given order),
     then the header row, then the rows of columns (name -> 1-D values of
     equal length; bool columns become 0/1, text columns stay as they are,
-    all others are written as the repr of their floats)."""
-    cells = [_cells(values) for values in columns.values()]
+    all others are written as the repr of their floats).
+
+    Columns of unequal length raise ValueError before the file is opened.
+    Rows are formatted and written _BLOCK_ROWS at a time.
+    """
+    arrays = [_column(values) for values in columns.values()]
+    lengths = [len(a) for a in arrays]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"{path}: columns differ in length: " + ", ".join(
+            f"{name} {n}" for name, n in zip(columns, lengths)))
+    head = [f"# {key}: {json.dumps(value, sort_keys=True)}\n"
+            for key, value in (comments or {}).items()]
     with open(path, "w", encoding="utf-8") as fh:
-        for key, value in (comments or {}).items():
-            fh.write(f"# {key}: {json.dumps(value, sort_keys=True)}\n")
-        fh.write(",".join(columns) + "\n")
-        rows = list(map(",".join, zip(*cells, strict=True)))
-        if rows:
-            fh.write("\n".join(rows) + "\n")
+        fh.write("".join(head) + ",".join(columns) + "\n")
+        for lo in range(0, max(lengths, default=0), _BLOCK_ROWS):
+            cells = [_cells(a[lo:lo + _BLOCK_ROWS]) for a in arrays]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def read_table(path, leading: tuple, dtype=float) -> tuple[dict, dict, int]:
     """Comments, columns (name -> 1-D array of dtype) and the file line of
     the first data row of a table whose header row starts with ``leading``.
 
-    Comment values that are not JSON are kept as text.
+    Comment values that are not JSON are kept as text. Only the comments
+    and the header row are read here; np.loadtxt parses the rows from the
+    file, after a scan of its bytes for a blank line between rows.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().rstrip().splitlines()
     comments: dict = {}
-    for i, line in enumerate(lines):
-        if line.startswith("#"):
-            key, sep, value = line[1:].partition(":")
-            if sep:
-                try:
-                    comments[key.strip()] = json.loads(value)
-                except json.JSONDecodeError:
-                    comments[key.strip()] = value.strip()
-        elif line.strip():
-            break
-    else:
-        raise FormatError(f"{path}: no header row")
-    names = [n.strip() for n in lines[i].split(",")]
-    if names[:len(leading)] != list(leading):
-        raise FormatError(f"{path}:{i + 1}: header must start with "
-                          f"{','.join(leading)}, got {lines[i]!r}")
-    body = lines[i + 1:]
-    if not body:
-        raise FormatError(f"{path}: no data rows")
-    if "" in body:
-        raise FormatError(f"{path}:{i + 2 + body.index('')}: blank line "
-                          f"between data rows")
+    with open(path, "rb") as fh:
+        for i, raw in enumerate(fh):
+            line = raw.decode("utf-8").rstrip("\r\n")
+            if line.startswith("#"):
+                key, sep, value = line[1:].partition(":")
+                if sep:
+                    try:
+                        comments[key.strip()] = json.loads(value)
+                    except json.JSONDecodeError:
+                        comments[key.strip()] = value.strip()
+            elif line.strip():
+                break
+        else:
+            raise FormatError(f"{path}: no header row")
+        names = [n.strip() for n in line.split(",")]
+        if names[:len(leading)] != list(leading):
+            raise FormatError(f"{path}:{i + 1}: header must start with "
+                              f"{','.join(leading)}, got {line!r}")
+        body = fh.tell()
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as text:
+            end = len(text)     # the rows end at the last byte not white space
+            while end > body and text[end - 1:end].isspace():
+                end -= 1
+            if end == body:
+                raise FormatError(f"{path}: no data rows")
+            # the scan starts at the header's line end, so that a blank
+            # first row is found too
+            blank = _BLANK_LINE.search(text, body - 1, end)
+            if blank:
+                line_no = i + 2 + text[body:blank.start() + 1].count(b"\n")
+                raise FormatError(f"{path}:{line_no}: blank line between "
+                                  f"data rows")
+            # lines of spaces after the last row are not rows
+            max_rows = (text[body:end].count(b"\n") + 1
+                        if b"\n" in text[end:].rstrip(b"\r\n") else None)
     try:
-        rows = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None,
-                          ndmin=2)
+        rows = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None,
+                          skiprows=i + 1, max_rows=max_rows,
+                          encoding="utf-8", ndmin=2)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     if rows.shape[1] != len(names):

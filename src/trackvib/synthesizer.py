@@ -624,7 +624,11 @@ def add_sensor_noise(ts: TimeSeries, spec: SensorSpec, seed: int = 0):
     """
     rng = _channel_rng(seed, ts.channel_id)
     sigma = spec.noise_sigma(ts.sample_rate_hz)
-    noisy = ts.samples + sigma * rng.standard_normal(len(ts))
     limit = spec.range_g * G
-    clipped = np.abs(noisy) > limit
-    return replace(ts, samples=np.clip(noisy, -limit, limit)), clipped
+    # the noisy record is built in the noise buffer: one full-length array
+    noisy = rng.standard_normal(len(ts))
+    noisy *= sigma
+    noisy += ts.samples
+    clipped = (noisy > limit) | (noisy < -limit)
+    np.clip(noisy, -limit, limit, out=noisy)
+    return replace(ts, samples=noisy), clipped

@@ -3,13 +3,15 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from trackvib.comparison import ComparisonReport
 from trackvib.errors import FormatError
-from trackvib.fileio import (TRC_SPACING_M, TrcData, _cells, export_geojson,
+from trackvib.fileio import (_BLOCK_ROWS, TRC_SPACING_M, TrcData, _cells,
+                             export_geojson,
                              load_config, read_polyline, read_record,
                              read_record_header,
                              read_speed, read_table, read_trc, read_windows,
@@ -248,6 +250,69 @@ class TestTableLayout:
         p.write_text("time_s,speed_mps\n0.0,10.0\n\n1.0,10.0\n\n")
         with pytest.raises(FormatError, match="gap.csv:3"):
             read_speed(p)
+
+    @pytest.mark.parametrize("rows, line", [
+        (b"\n0.0,10.0\n1.0,10.0\n", 2),
+        (b"0.0,10.0\r\n\r\n1.0,10.0\r\n", 3)])
+    def test_blank_first_row_and_crlf_blank_line(self, tmp_path, rows, line):
+        p = tmp_path / "gap.csv"
+        p.write_bytes(b"time_s,speed_mps\n" + rows)
+        with pytest.raises(FormatError, match=f"gap.csv:{line}: blank line"):
+            read_speed(p)
+
+    def test_trailing_blank_and_space_lines_are_not_rows(self, tmp_path):
+        p = tmp_path / "tail.csv"
+        p.write_text("time_s,speed_mps\n0.0,10.0\n1.0,10.0 \n\n  \n\t\n")
+        assert read_speed(p)[1].tolist() == [10.0, 10.0]
+
+    def test_unequal_columns_refused_before_the_file_exists(self, tmp_path):
+        p = tmp_path / "ragged.csv"
+        with pytest.raises(ValueError, match="a 3, b 2"):
+            write_table(p, {"a": np.zeros(3), "b": np.zeros(2)}, {"n": 1})
+        assert not p.exists()
+
+
+class TestTableBlocks:
+    """Rows are written _BLOCK_ROWS at a time; the seams between blocks
+    must not show in the file."""
+
+    B = _BLOCK_ROWS
+
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+    def test_file_is_the_one_shot_repr_join(self, tmp_path, n):
+        clock = np.arange(n) / 256.0
+        # dyadic in every block but the second, which falls back to repr
+        mixed = clock.copy()
+        odd = mixed[self.B:self.B + 5]
+        odd[:] = [-0.0, np.nan, np.inf, 2.0 ** 24, 0.1][:odd.size]
+        p = tmp_path / "blocks.csv"
+        write_table(p, {"time_s": clock, "mixed": mixed}, {"n": n})
+        rows = "".join(f"{c!r},{m!r}\n"
+                       for c, m in zip(clock.tolist(), mixed.tolist()))
+        assert p.read_text() == f"# n: {n}\ntime_s,mixed\n" + rows
+        if n == 0:
+            return
+        _, columns, _ = read_table(p, ("time_s", "mixed"))
+        for name, v in (("time_s", clock), ("mixed", mixed)):
+            assert np.array_equal(columns[name].view(np.int64),
+                                  v.view(np.int64))
+
+    def test_write_holds_one_block_of_text(self, tmp_path):
+        # a mainline-10km .trc: 40 001 rows of 8 float columns
+        rng = np.random.default_rng(4)
+        n, ncol = 40_001, 8
+        columns = {"distance_m": TRC_SPACING_M * np.arange(n)}
+        columns.update((f"c{k}", rng.normal(size=n)) for k in range(ncol - 1))
+        tracemalloc.start()
+        try:
+            write_table(tmp_path / "big.trc", columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # each cell of a block costs under 300 B while it is held: its str
+        # and its float from tolist, a list slot, and its share of the row
+        # text and of the block's joined and encoded text
+        assert peak <= self.B * ncol * 300
 
 
 class TestDyadicCells:

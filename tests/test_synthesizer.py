@@ -520,6 +520,23 @@ class TestAddSensorNoise:
         assert np.max(np.abs(noisy.samples)) <= limit + 1e-15
         assert clipped.mean() > 0.9
 
+    def test_matches_its_formula(self):
+        # a record that clips at both ends, noise from the channel's stream
+        spec = SENSOR_SPECS["bogie_mems"]
+        limit = spec.range_g * G
+        s = np.linspace(-1.5 * limit, 1.5 * limit, 5001)
+        ts = TimeSeries(s, 2560.0, channel_id="bogie-front-left-vertical")
+        before = s.copy()
+        noisy, clipped = add_sensor_noise(ts, spec, seed=3)
+        z = synthesizer._channel_rng(3, ts.channel_id).standard_normal(s.size)
+        sigma = spec.noise_sigma(2560.0)
+        reference = np.clip(s + sigma * z, -limit, limit)
+        assert np.array_equal(noisy.samples.view(np.int64),
+                              reference.view(np.int64))
+        assert np.array_equal(clipped, np.abs(s + sigma * z) > limit)
+        assert clipped[0] and clipped[-1] and not clipped[s.size // 2]
+        assert np.array_equal(s.view(np.int64), before.view(np.int64))
+
     def test_catalog_covers_all_locations(self):
         locs = {s.location for s in SENSOR_SPECS.values()}
         assert locs == {"carbody", "bogie", "axlebox"}
