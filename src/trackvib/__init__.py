@@ -12,16 +12,15 @@ from .errors import (FormatError, GapTooLargeError, InsufficientDataError,
                      MissingChannelError, MixedLocationError, NoOverlapError,
                      NoValidSpeedError, PlanTooShortError, TooShortError,
                      TrackVibError, UndefinedCorrelationError)
-from .fileio import (TrcData, export_geojson, load_config, read_record,
-                     read_trc, read_windows, write_geojson, write_record,
-                     write_report_csv, write_report_json, write_trc,
-                     write_windows)
+from .fileio import (TrcData, column_name, export_geojson, load_config,
+                     read_record, read_trc, read_windows, write_geojson,
+                     write_record, write_report_csv, write_report_json,
+                     write_trc, write_windows)
 from .geometry import (SpatialPSD, WindowedStats, chord_alignment,
                        psd_spatial, select_cutoff, transfer_function,
                        windowed_max)
 from .pipeline import (ProcessOptions, ProcessResult, chord_ground_truth,
-                       column_name, compare_trc, parse_channel_id,
-                       process_records)
+                       compare_trc, parse_channel_id, process_records)
 from .spatial import (DistanceAxis, SpatialSeries, build_distance_axis,
                       resample_to_space)
 from .speed import DelayEstimate, SpeedProfile, estimate_delay, estimate_speed

@@ -2,8 +2,7 @@
 
     trackvib simulate --config run.json --out rundir [--seed N]
     trackvib process --records rundir --out outdir [--chord D] [--cutoff HZ]
-                     [--window M] [--vref MPS] [--wheelbase M]
-                     [--speed-file CSV]
+                     [--window M] [--wheelbase M] [--speed-file CSV]
     trackvib compare --estimated est.trc --reference ref.trc --out outdir
                      [--window M] [--max-shift M]
     trackvib export-geojson --windows windows.csv --column NAME
@@ -25,13 +24,13 @@ from pathlib import Path
 
 from . import fileio, pipeline
 from .errors import TrackVibError
-from .pipeline import chord_ground_truth
+from .geometry import REFERENCE_LOW_SPEED_MPS
+from .pipeline import chord_ground_truth, parse_channel_id
 from .synthesizer import (SENSOR_SPECS, ImpulseEvent, SimConfig, add_impulses,
                           add_sensor_noise, simulate_run, synth_profile)
 
 EXIT_OK = 0
 EXIT_DATA = 1
-EXIT_USAGE = 2
 
 BLOCK_S = 10.0      # length of a simulated .rec block
 
@@ -56,7 +55,7 @@ def cmd_simulate(args) -> int:
     starts = range(0, sim.speeds_mps.size, n_block)
     sensor_meta = asdict(sensor) if sensor else None
     for cid, ts in sorted(sim.channels.items()):
-        if "vertical" in cid and events:
+        if events and parse_channel_id(cid)["axis"] == "vertical":
             ts = add_impulses(ts, events, sim.wheel_positions[cid])
         if sensor:
             ts, _ = add_sensor_noise(ts, sensor, seed)
@@ -83,9 +82,8 @@ def cmd_process(args) -> int:
     paths = sorted(records.glob("*.rec"))
     if not paths:
         raise TrackVibError(f"no .rec files in {records}")
-    opts = pipeline.ProcessOptions(
-        cutoff_hz=args.cutoff, v_ref_mps=args.vref, window_m=args.window,
-        wheelbase_m=args.wheelbase)
+    opts = pipeline.ProcessOptions(cutoff_hz=args.cutoff, window_m=args.window,
+                                   wheelbase_m=args.wheelbase)
     if args.chord is not None:
         opts = replace(opts, chords_m=(args.chord,),
                        lateral_chords_m=(args.chord,))
@@ -173,11 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="chord length in m (default: "
                    + " and ".join(f"{d:g}" for d in defaults.chords_m) + ")")
     p.add_argument("--cutoff", type=float, default=None,
-                   help="integration high-pass cutoff in Hz (default: vref/chord)")
+                   help="integration high-pass cutoff in Hz (default: "
+                   f"{REFERENCE_LOW_SPEED_MPS:g} m/s / chord)")
     p.add_argument("--window", type=float, default=defaults.window_m,
                    help="maxima window in m (default %(default)g)")
-    p.add_argument("--vref", type=float, default=defaults.v_ref_mps,
-                   help="reference low speed in m/s for the cutoff rule")
     p.add_argument("--wheelbase", type=float, default=defaults.wheelbase_m)
     p.add_argument("--speed-file", default=None,
                    help="CSV with header row time_s,speed_mps[,...] bypassing "

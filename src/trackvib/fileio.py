@@ -16,9 +16,10 @@ that text from integers, the rest from repr. Flags are written as 0/1.
 Rows are formatted and written in blocks of _BLOCK_ROWS, so a write holds
 one block of text; a read takes the comments and the header row in Python
 and has np.loadtxt parse the rows straight from the file. In a .trc
-table the first column is distance_m on the 0.25 m grid, and the geometry
-columns are named like VA10_left_mm / HA10_right_mm; any chord length
-matching that pattern round-trips.
+table the first column is distance_m on the 0.25 m grid; the others are
+SPEED_COLUMN and geometry columns named by column_name, such as
+VA10_left_mm or HA7.5_right_mm. A geometry column spelled otherwise
+(VA10.0_left_mm) is refused, so that tables match column by column.
 
 Simulate config and survey polyline: JSON checked against the shapes below;
 a misfit raises FormatError naming the path, and in a config the field.
@@ -37,11 +38,13 @@ import numpy as np
 from .errors import FormatError
 from .geometry import WindowedStats
 from .spatial import TRC_SPACING_M
-from .synthesizer import SENSOR_SPECS
+from .synthesizer import AXES, SENSOR_SPECS, SIDES
 from .timeseries import KIND_ACCELERATION, KIND_DISPLACEMENT, TimeSeries
 
 _UNITS = {KIND_ACCELERATION: "m/s^2", KIND_DISPLACEMENT: "m"}
-_GEOM_COLUMN = re.compile(r"^(VA|HA)(\d+(?:\.\d+)?)_(left|right)_mm$")
+SPEED_COLUMN = "speed_mps"          # of a .trc table and of speed.csv
+_PREFIXES = ("VA", "HA")            # of a geometry column, per axis in AXES
+_GEOM_COLUMN = re.compile(rf"^({'|'.join(_PREFIXES)})(\d+(?:\.\d+)?)_({'|'.join(SIDES)})_mm$")
 EARTH_RADIUS_M = 6371000.0
 
 
@@ -277,6 +280,12 @@ class TrcData:
         return [c for c in self.columns if _GEOM_COLUMN.match(c)]
 
 
+def column_name(chord_d_m: float, side: str, axis: str) -> str:
+    """The .trc geometry column of a chord on one rail and axis, such as
+    VA10_left_mm; _check_trc refuses any other spelling of it."""
+    return f"{_PREFIXES[AXES.index(axis)]}{chord_d_m:g}_{side}_mm"
+
+
 def _check_trc(trc: TrcData, origin: str) -> None:
     d = np.asarray(trc.distance_m, dtype=float)
     if d.ndim != 1 or d.size < 2:
@@ -290,8 +299,16 @@ def _check_trc(trc: TrcData, origin: str) -> None:
         if np.asarray(col).shape != d.shape:
             raise FormatError(f"{origin}: column {name!r} length differs from "
                               f"distance_m")
-        if name != "speed_mps" and not _GEOM_COLUMN.match(name):
+        if name == SPEED_COLUMN:
+            continue
+        m = _GEOM_COLUMN.match(name)
+        if not m:
             raise FormatError(f"{origin}: unrecognized column {name!r}")
+        prefix, chord, side = m.groups()
+        canonical = column_name(float(chord), side, AXES[_PREFIXES.index(prefix)])
+        if name != canonical:
+            raise FormatError(f"{origin}: column {name!r} must be spelled "
+                              f"{canonical!r}")
 
 
 def write_trc(path, trc: TrcData) -> None:
@@ -368,7 +385,7 @@ def read_windows(path, column: str):
 def write_speed(path, speed, source: str) -> None:
     """speed.csv: time_s, speed_mps and valid of a SpeedProfile."""
     times = np.arange(speed.speeds_mps.size) / speed.sample_rate_hz
-    write_table(path, {"time_s": times, "speed_mps": speed.speeds_mps,
+    write_table(path, {"time_s": times, SPEED_COLUMN: speed.speeds_mps,
                        "valid": np.asarray(speed.valid, dtype=bool)},
                 {"params": source})
 
@@ -377,8 +394,8 @@ def read_speed(path) -> tuple[np.ndarray, np.ndarray]:
     """Times and speeds of a speed table such as speed.csv. Further columns
     are ignored. Each row needs a finite time, later than the row before,
     and a finite speed >= 0."""
-    _, columns, first_line = read_table(path, ("time_s", "speed_mps"))
-    times, speeds = columns["time_s"], columns["speed_mps"]
+    _, columns, first_line = read_table(path, ("time_s", SPEED_COLUMN))
+    times, speeds = columns["time_s"], columns[SPEED_COLUMN]
     if times.size < 2:
         raise FormatError(f"{path}: need at least two time,speed rows")
     ok = np.isfinite(times) & np.isfinite(speeds) & (speeds >= 0)

@@ -101,7 +101,7 @@ def select_cutoff(chord_d_m: float, v_ref_mps: float = REFERENCE_LOW_SPEED_MPS) 
         raise ValueError(f"chord length must be > 0, got {chord_d_m}")
     if not v_ref_mps > 0:
         raise ValueError(f"reference speed must be > 0, got {v_ref_mps}")
-    if chord_d_m == 35.0 and v_ref_mps == 3.0:
+    if chord_d_m == 35.0 and v_ref_mps == REFERENCE_LOW_SPEED_MPS:
         return 0.1
     return v_ref_mps / chord_d_m
 

@@ -2,7 +2,7 @@
 
 Stage order: merge -> decimate to the working rate -> double integration
 (cutoff from the chord unless overridden) -> speed from front/back cross
-correlation (or interpolated from an external time table) -> distance axis
+correlation at SPEED_CUTOFF_HZ (or from an external time table) -> distance axis
 -> spatial resampling -> chord alignment -> windowed maxima. The front
 sensor's displacement is the geometry estimate; the back one exists for the
 speed estimator. Only the records a job reads are merged and decimated,
@@ -15,19 +15,24 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import comparison
 from .errors import (InsufficientDataError, MissingChannelError,
                      MixedLocationError, NoOverlapError, TooShortError,
                      UndefinedCorrelationError)
-from .fileio import TrcData
-from .geometry import (MODE_MAX_ABS, chord_alignment, select_cutoff,
-                       windowed_max)
+from .fileio import SPEED_COLUMN, TrcData, column_name
+from .geometry import (MODE_MAX_ABS, REFERENCE_LOW_SPEED_MPS, chord_alignment,
+                       select_cutoff, windowed_max)
 from .spatial import (TRC_SPACING_M, DistanceAxis, SpatialSeries,
                       build_distance_axis, resample_to_space)
 from .speed import SpeedProfile, estimate_delay, estimate_speed
-from .synthesizer import profile_spatial_series
+from .synthesizer import (AXES, DEFAULT_WHEELBASE_M, POSITIONS, SIDES,
+                          profile_spatial_series)
 from .timeseries import TimeSeries, decimate, double_integrate, merge_records
 
 WORKING_RATE_HZ = 256.0
+# The speed estimator integrates at the 10 m chord's cutoff, whatever the
+# chords or the cutoff of the geometry jobs, so they do not move the speed.
+SPEED_CUTOFF_HZ = select_cutoff(10.0)
 
 # High-pass warm-up: displacement this close to a record end still carries
 # the integrator's settle transient and must not be reported as geometry.
@@ -43,9 +48,8 @@ class ProcessOptions:
     chords_m: tuple = (10.0, 35.0)
     lateral_chords_m: tuple = (10.0,)
     cutoff_hz: float | None = None        # override select_cutoff
-    v_ref_mps: float = 3.0
     window_m: float = 100.0
-    wheelbase_m: float = 2.5
+    wheelbase_m: float = DEFAULT_WHEELBASE_M
 
 
 @dataclass
@@ -61,8 +65,8 @@ class ProcessResult:
             raise MissingChannelError("nothing was processed")
         first = next(iter(self.alignments.values()))
         grid = first.positions()
-        columns = {"speed_mps": np.interp(grid, self.axis.positions_m,
-                                          self.speed.speeds_mps)}
+        columns = {SPEED_COLUMN: np.interp(grid, self.axis.positions_m,
+                                           self.speed.speeds_mps)}
         for name, series in self.alignments.items():
             columns[name] = series.values
         meta = dict(self.params)
@@ -72,19 +76,21 @@ class ProcessResult:
 
 
 def parse_channel_id(channel_id: str) -> dict:
+    """The parts of a channel id location-position-side-axis, whose last
+    three come from synthesizer.POSITIONS, SIDES and AXES."""
     parts = channel_id.split("-")
-    if len(parts) != 4 or parts[1] not in ("front", "back") \
-            or parts[2] not in ("left", "right") \
-            or parts[3] not in ("vertical", "lateral"):
+    if len(parts) != 4 or parts[1] not in POSITIONS or parts[2] not in SIDES \
+            or parts[3] not in AXES:
         raise MissingChannelError(f"channel id {channel_id!r} does not follow "
                                   f"location-position-side-axis")
-    return {"location": parts[0], "position": parts[1], "side": parts[2],
-            "axis": parts[3]}
+    return dict(zip(("location", "position", "side", "axis"), parts))
 
 
-def column_name(chord_d_m: float, side: str, axis: str) -> str:
-    prefix = "VA" if axis == "vertical" else "HA"
-    return f"{prefix}{chord_d_m:g}_{side}_mm"
+def _column_keys(chords_m, lateral_chords_m) -> list:
+    """(chord_m, side, axis) of each geometry column, in table order."""
+    return [(d, side, axis)
+            for chords, axis in zip((chords_m, lateral_chords_m), AXES)
+            for d in chords for side in SIDES]
 
 
 def _prepare(blocks, cid: str) -> TimeSeries:
@@ -154,14 +160,13 @@ def plan_records(channel_ids, opts: ProcessOptions = ProcessOptions(),
         cid = "-".join(locations + [position, side, axis])
         return cid if cid in channel_ids else None
 
-    chords = [(d, "vertical") for d in opts.chords_m]
-    chords += [(d, "lateral") for d in opts.lateral_chords_m]
-    jobs = [(d, side, axis, cid) for d, axis in chords for side in ("left", "right")
+    jobs = [(d, side, axis, cid)
+            for d, side, axis in _column_keys(opts.chords_m, opts.lateral_chords_m)
             if (cid := present("front", side, axis))]
     if not jobs:
         raise MissingChannelError("no front vertical or lateral channel found")
     pairs = [(present("front", s, "vertical"), present("back", s, "vertical"))
-             for s in ("left", "right")]
+             for s in SIDES]
     pair = () if speed_given else next(filter(all, pairs), None)
     if pair is None:
         raise MissingChannelError("speed estimation needs front and back "
@@ -180,8 +185,8 @@ def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
     span every record sample after decimation, or TooShortError is raised.
     """
     plan = plan_records(channels.keys(), opts, speed_override is not None)
-    cutoffs = {d: select_cutoff(d, opts.v_ref_mps) if opts.cutoff_hz is None
-               else opts.cutoff_hz for d in (*opts.chords_m, *opts.lateral_chords_m)}
+    cutoffs = {d: select_cutoff(d) if opts.cutoff_hz is None else opts.cutoff_hz
+               for d in (*opts.chords_m, *opts.lateral_chords_m)}
     prepared = {cid: _prepare(channels[cid], cid) for cid in plan.read}
     n = min(len(ts) for ts in prepared.values())
     records = {cid: replace(ts, samples=ts.samples[:n]) if len(ts) > n else ts
@@ -198,11 +203,8 @@ def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
     if speed_override is not None:
         speed = _speed_from_table(*speed_override, n)
     else:
-        cutoff = cutoffs[opts.chords_m[0]]
-        front, back = plan.pair
-        speed = estimate_speed(estimate_delay(displacement(front, cutoff),
-                                              displacement(back, cutoff)),
-                               opts.wheelbase_m)
+        front, back = (displacement(cid, SPEED_CUTOFF_HZ) for cid in plan.pair)
+        speed = estimate_speed(estimate_delay(front, back), opts.wheelbase_m)
 
     axis = build_distance_axis(speed)
 
@@ -211,7 +213,7 @@ def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
         "chords_m": list(opts.chords_m),
         "lateral_chords_m": list(opts.lateral_chords_m),
         "cutoff_hz": opts.cutoff_hz,
-        "v_ref_mps": opts.v_ref_mps,
+        "v_ref_mps": REFERENCE_LOW_SPEED_MPS,
         "window_m": opts.window_m,
         "wheelbase_m": opts.wheelbase_m,
         "grid_spacing_m": TRC_SPACING_M,
@@ -226,7 +228,7 @@ def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
         z_time = displacement(cid, cutoff)
         z_space = resample_to_space(z_time, axis)
         z_space = _mask_settle(z_space, axis, WORKING_RATE_HZ, cutoff)
-        z_mm = replace(z_space, values=z_space.values * 1e3, units="mm")
+        z_mm = replace(z_space, values=z_space.values * 1e3)
         aligned = chord_alignment(z_mm, d)
         column = column_name(d, side, axis_name)
         result.alignments[column] = aligned
@@ -242,18 +244,13 @@ def chord_ground_truth(profile, sim, chords_m=ProcessOptions.chords_m,
     only differences from a processed run are the estimation steps.
     """
     columns = {}
-    grid = None
-    for chords, axis in ((chords_m, "vertical"), (lateral_chords_m, "lateral")):
-        for d in chords:
-            for side in ("left", "right"):
-                series = profile_spatial_series(profile, side, axis)
-                if grid is None:
-                    grid = series.positions()
-                aligned = chord_alignment(series, d)
-                columns[column_name(d, side, axis)] = aligned.values
+    for d, side, axis in _column_keys(chords_m, lateral_chords_m):
+        series = profile_spatial_series(profile, side, axis)
+        columns[column_name(d, side, axis)] = chord_alignment(series, d).values
+    grid = profile_spatial_series(profile, SIDES[0]).positions()
     x_front = next(pos for cid, pos in sim.wheel_positions.items()
-                   if "-front-" in cid)
-    columns["speed_mps"] = np.interp(grid, x_front, sim.speeds_mps)
+                   if parse_channel_id(cid)["position"] == "front")
+    columns[SPEED_COLUMN] = np.interp(grid, x_front, sim.speeds_mps)
     return TrcData(grid, columns, {"source": "synthesizer"})
 
 
@@ -269,9 +266,6 @@ def compare_trc(est: TrcData, ref: TrcData,
     are skipped rather than failing the run; pass a dict as `skipped` to
     collect column -> reason. Raises only if no column is comparable.
     """
-    # looked up per call: bench/tracing.py patches trackvib.comparison
-    from .comparison import coregister, correlate
-
     common = [c for c in est.geometry_columns() if c in ref.columns]
     if not common:
         raise MissingChannelError("tables share no geometry column")
@@ -283,14 +277,14 @@ def compare_trc(est: TrcData, ref: TrcData,
     def crop(trc: TrcData, column: str) -> SpatialSeries:
         skip = int(round((start - trc.distance_m[0]) / TRC_SPACING_M))
         return SpatialSeries(trc.columns[column][skip:], TRC_SPACING_M,
-                             float(start), units="mm")
+                             float(start))
 
     for column in common:
         wa = windowed_max(crop(est, column), window_m)
         wb = windowed_max(crop(ref, column), window_m)
         try:
-            wa, wb, shift = coregister(wa, wb, max_shift_m)
-            report = correlate(wa, wb, metadata={
+            wa, wb, shift = comparison.coregister(wa, wb, max_shift_m)
+            report = comparison.correlate(wa, wb, metadata={
                 "column": column, "window_m": window_m,
                 "applied_shift_m": shift, "mode": MODE_MAX_ABS,
             })

@@ -53,7 +53,6 @@ class SpatialSeries:
     values: np.ndarray
     spacing_m: float
     start_m: float
-    units: str = ""
     valid: np.ndarray | None = None
 
     def __post_init__(self):
@@ -134,5 +133,4 @@ def resample_to_space(ts: TimeSeries, axis: DistanceAxis) -> SpatialSeries:
         hi = int(np.floor((pos[e - 1] - start) / dx + 1e-9))
         if hi >= lo:
             valid[max(lo, 0):min(hi, count - 1) + 1] = False
-    units = "m" if ts.kind == "displacement" else "m/s^2"
-    return SpatialSeries(values, dx, float(start), units, valid)
+    return SpatialSeries(values, dx, float(start), valid)

@@ -435,13 +435,7 @@ def profile_spatial_series(profile: TrackProfile, side: str,
         raise ValueError(f"grid step {TRC_SPACING_M} m is not a multiple of "
                          f"the profile grid {profile.spacing_m} m")
     values = profile.channel(side, axis)[::int(round(step))]
-    return SpatialSeries(values, TRC_SPACING_M, 0.0, units="mm")
-
-
-def _plan_arrays(config: SimConfig):
-    t = np.array([k[0] for k in config.speed_plan])
-    v = np.array([k[1] for k in config.speed_plan])
-    return t, v
+    return SpatialSeries(values, TRC_SPACING_M, 0.0)
 
 
 def _trajectory(config: SimConfig, length_m: float):
@@ -449,7 +443,7 @@ def _trajectory(config: SimConfig, length_m: float):
     the first sample at or past length_m. Raises PlanTooShortError if the
     plan runs out first."""
     fs = config.sample_rate_hz
-    kt, kv = _plan_arrays(config)
+    kt, kv = np.array(config.speed_plan).T
     # analytic distance at the knots to size the sample arrays up front
     knot_x = np.concatenate(([0.0], np.cumsum(0.5 * (kv[1:] + kv[:-1]) * np.diff(kt))))
     if knot_x[-1] < length_m:

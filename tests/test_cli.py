@@ -196,6 +196,16 @@ class TestProcess:
         trc = read_trc(out / "estimated.trc")
         assert "VA7_left_mm" in trc.columns
 
+    @pytest.mark.parametrize("flags", [["--chord", "35"], ["--cutoff", "0.2"]])
+    def test_chord_options_do_not_move_speed(self, sim_dir, proc_dir,
+                                             tmp_path, flags):
+        # the speed pair integrates at one fixed cutoff, not the first chord's
+        out = tmp_path / "other"
+        assert main(["process", "--records", str(sim_dir), "--out", str(out),
+                     *flags]) == 0
+        assert ((out / "speed.csv").read_bytes()
+                == (proc_dir / "speed.csv").read_bytes())
+
     def test_off_grid_chord_rejected(self, sim_dir, tmp_path):
         rc = main(["process", "--records", str(sim_dir),
                    "--out", str(tmp_path / "x"), "--chord", "7.1"])

@@ -19,7 +19,7 @@ DX = 0.25
 
 def profile(values, start=0.0, valid=None):
     return SpatialSeries(np.asarray(values, dtype=float), DX, start,
-                         units="mm", valid=valid)
+                         valid=valid)
 
 
 def sine_profile(nu, length_m, amp=1.0):
@@ -96,7 +96,6 @@ class TestChordAlignment:
         va = chord_alignment(z, 10.0)
         assert va.start_m == 50.0
         assert va.spacing_m == DX
-        assert va.units == "mm"
 
     def test_too_short(self):
         with pytest.raises(TooShortError):

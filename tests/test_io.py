@@ -11,7 +11,7 @@ import pytest
 from trackvib.comparison import ComparisonReport
 from trackvib.errors import FormatError
 from trackvib.fileio import (_BLOCK_ROWS, TRC_SPACING_M, TrcData, _cells,
-                             export_geojson,
+                             _check_trc, column_name, export_geojson,
                              load_config, read_polyline, read_record,
                              read_record_header,
                              read_speed, read_table, read_trc, read_windows,
@@ -21,6 +21,7 @@ from trackvib.fileio import (_BLOCK_ROWS, TRC_SPACING_M, TrcData, _cells,
                              write_windows)
 from trackvib.geometry import WindowedStats
 from trackvib.speed import SpeedProfile
+from trackvib.synthesizer import AXES, SIDES
 from trackvib.timeseries import TimeSeries
 
 EARTH_RADIUS_M = 6371000.0
@@ -393,6 +394,28 @@ class TestTrcFormat:
         trc.distance_m = trc.distance_m * 2.0   # 0.5 m steps
         with pytest.raises(FormatError):
             write_trc(tmp_path / "bad.trc", trc)
+
+    @pytest.mark.parametrize("chord", [0.5, 7.5, 10.0, 35.0, 200.0])
+    def test_column_name_is_a_geometry_column(self, chord):
+        # what column_name writes, _check_trc accepts and lists
+        names = [column_name(chord, side, axis) for axis in AXES for side in SIDES]
+        trc = TrcData(TRC_SPACING_M * np.arange(4),
+                      {name: np.zeros(4) for name in names})
+        _check_trc(trc, "table")
+        assert trc.geometry_columns() == names
+
+    @pytest.mark.parametrize("name, canonical", [
+        ("VA10.0_left_mm", "VA10_left_mm"), ("VA010_left_mm", "VA10_left_mm"),
+        ("HA7.50_right_mm", "HA7.5_right_mm")])
+    def test_non_canonical_column_rejected(self, tmp_path, name, canonical):
+        # compare matches columns by name, so VA10.0_left_mm could never
+        # meet the VA10_left_mm of an estimate
+        p = tmp_path / "ref.trc"
+        write_table(p, {"distance_m": TRC_SPACING_M * np.arange(4),
+                        name: np.zeros(4)})
+        with pytest.raises(FormatError, match=re.escape(
+                f"column {name!r} must be spelled {canonical!r}")):
+            read_trc(p)
 
     def test_unknown_column_rejected(self, tmp_path):
         n = 10

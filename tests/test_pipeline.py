@@ -1,6 +1,7 @@
 """End-to-end processing chain on synthetic runs with known geometry."""
 
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from trackvib.fileio import read_trc, write_trc
 from trackvib.pipeline import (ProcessOptions, chord_ground_truth,
                                column_name, compare_trc, parse_channel_id,
                                process_records)
-from trackvib.synthesizer import SimConfig, simulate_run, synth_profile
+from trackvib.synthesizer import (AXES, POSITIONS, SIDES, SimConfig,
+                                  simulate_run, synth_profile)
 
 SINE_SPEC = {"type": "sines",
              "components": [{"nu": 0.05, "amplitude_mm": 5.0}]}
@@ -59,6 +61,11 @@ class TestChannelNaming:
         meta = parse_channel_id("bogie-front-left-vertical")
         assert meta == {"location": "bogie", "position": "front",
                         "side": "left", "axis": "vertical"}
+        # and every id of the vocabulary, at one location
+        for position, side, axis in product(POSITIONS, SIDES, AXES):
+            meta = parse_channel_id(f"bogie-{position}-{side}-{axis}")
+            assert meta == {"location": "bogie", "position": position,
+                            "side": side, "axis": axis}
 
     def test_parse_rejects_malformed(self):
         for bad in ("bogie-front-left", "bogie-top-left-vertical",
@@ -136,8 +143,9 @@ class TestProcessRecords:
         assert res.params["cutoff_hz"] == 0.1
 
     def test_zero_cutoff_refused(self):
-        # 0 is a cutoff, not "unset": it reaches double_integrate, which
-        # refuses it, both in the speed estimate and in the geometry jobs
+        # 0 is a cutoff, not "unset": it reaches double_integrate in the
+        # geometry jobs, which refuses it; the speed estimate keeps its own
+        # cutoff, SPEED_CUTOFF_HZ
         _, sim = simulate(SINE_SPEC)
         opts = ProcessOptions(cutoff_hz=0.0)
         with pytest.raises(ValueError, match="cutoff 0.0 Hz"):
