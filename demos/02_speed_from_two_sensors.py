@@ -8,7 +8,8 @@ speed, sample by sample.
 
 import numpy as np
 
-from trackvib.speed import estimate_delay, estimate_speed
+from trackvib.speed import (DEFAULT_WHEELBASE_M, delay_bounds, estimate_delay,
+                            estimate_speed)
 from trackvib.synthesizer import SimConfig, simulate_run, synth_profile
 from trackvib.timeseries import decimate, double_integrate
 
@@ -27,8 +28,8 @@ zf = double_integrate(front, 0.3)
 zb = double_integrate(back, 0.3)
 
 delays = estimate_delay(zf, zb, window_samples=960,
-                        delay_bounds_s=(0.0625, 2.5))
-speed = estimate_speed(delays, wheelbase_m=2.5)
+                        delay_bounds_s=delay_bounds(DEFAULT_WHEELBASE_M))
+speed = estimate_speed(delays, wheelbase_m=DEFAULT_WHEELBASE_M)
 
 truth = sim.speeds_mps[::10][: speed.speeds_mps.size]
 err = np.abs(speed.speeds_mps - truth) / truth

@@ -175,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
                    f"{REFERENCE_LOW_SPEED_MPS:g} m/s / chord)")
     p.add_argument("--window", type=float, default=defaults.window_m,
                    help="maxima window in m (default %(default)g)")
-    p.add_argument("--wheelbase", type=float, default=defaults.wheelbase_m)
+    p.add_argument("--wheelbase", type=float, default=defaults.wheelbase_m,
+                   help="front-to-back sensor spacing in m (default %(default)g)")
     p.add_argument("--speed-file", default=None,
                    help="CSV with header row time_s,speed_mps[,...] bypassing "
                    "the speed estimator, e.g. the speed.csv of an earlier "

@@ -24,8 +24,9 @@ from .geometry import (MODE_MAX_ABS, REFERENCE_LOW_SPEED_MPS, chord_alignment,
                        select_cutoff, windowed_max)
 from .spatial import (TRC_SPACING_M, DistanceAxis, SpatialSeries,
                       build_distance_axis, resample_to_space)
-from .speed import SpeedProfile, estimate_delay, estimate_speed
-from .synthesizer import (AXES, DEFAULT_WHEELBASE_M, POSITIONS, SIDES,
+from .speed import (DEFAULT_WHEELBASE_M, SpeedProfile, delay_bounds,
+                    estimate_delay, estimate_speed)
+from .synthesizer import (AXES, SIDES, channel_id, parse_channel_id,
                           profile_spatial_series)
 from .timeseries import TimeSeries, decimate, double_integrate, merge_records
 
@@ -35,15 +36,22 @@ WORKING_RATE_HZ = 256.0
 SPEED_CUTOFF_HZ = select_cutoff(10.0)
 
 # High-pass warm-up: displacement this close to a record end still carries
-# the integrator's settle transient and must not be reported as geometry.
+# the integrator's settle transient and must not be reported as geometry,
+# nor read by the speed estimator.
 SETTLE_PERIODS = 1.5
+
+# why compare_trc skips a column it cannot compare
+_SKIP_REASONS = {UndefinedCorrelationError: "windows have no variance",
+                 NoOverlapError: "too few comparable windows",
+                 InsufficientDataError: "too few comparable windows"}
 
 
 @dataclass(frozen=True)
 class ProcessOptions:
-    """What a caller chooses. The working rate, grid spacing, grid origin
-    and delay search are fixed: WORKING_RATE_HZ, TRC_SPACING_M and the
-    defaults of the stage functions."""
+    """What a caller chooses. The working rate, grid spacing and grid
+    origin are fixed: WORKING_RATE_HZ, TRC_SPACING_M and the defaults of
+    the stage functions. The delay search covers speed.SPEED_BOUNDS at
+    wheelbase_m."""
 
     chords_m: tuple = (10.0, 35.0)
     lateral_chords_m: tuple = (10.0,)
@@ -60,7 +68,7 @@ class ProcessResult:
     maxima: dict = field(default_factory=dict)       # column -> WindowedStats
     params: dict = field(default_factory=dict)
 
-    def to_trc(self, metadata: dict | None = None) -> TrcData:
+    def to_trc(self) -> TrcData:
         if not self.alignments:
             raise MissingChannelError("nothing was processed")
         first = next(iter(self.alignments.values()))
@@ -69,21 +77,7 @@ class ProcessResult:
                                            self.speed.speeds_mps)}
         for name, series in self.alignments.items():
             columns[name] = series.values
-        meta = dict(self.params)
-        if metadata:
-            meta.update(metadata)
-        return TrcData(grid, columns, meta)
-
-
-def parse_channel_id(channel_id: str) -> dict:
-    """The parts of a channel id location-position-side-axis, whose last
-    three come from synthesizer.POSITIONS, SIDES and AXES."""
-    parts = channel_id.split("-")
-    if len(parts) != 4 or parts[1] not in POSITIONS or parts[2] not in SIDES \
-            or parts[3] not in AXES:
-        raise MissingChannelError(f"channel id {channel_id!r} does not follow "
-                                  f"location-position-side-axis")
-    return dict(zip(("location", "position", "side", "axis"), parts))
+        return TrcData(grid, columns, dict(self.params))
 
 
 def _column_keys(chords_m, lateral_chords_m) -> list:
@@ -104,19 +98,21 @@ def _prepare(blocks, cid: str) -> TimeSeries:
     return decimate(ts, int(round(factor)))
 
 
-def _mask_settle(series, axis: DistanceAxis, rate_hz: float, cutoff_hz: float):
-    """Invalidate grid samples inside the integrator's settle zone.
+def _settle_samples(n: int, cutoff_hz: float) -> int:
+    """Samples at each end of an n-sample record, at the working rate,
+    inside the integrator's settle zone: the first and last
+    SETTLE_PERIODS/cutoff seconds have no filter context. Capped at a
+    quarter of the record so short runs keep an interior."""
+    return min(int(round(SETTLE_PERIODS / cutoff_hz * WORKING_RATE_HZ)), n // 4)
 
-    The first and last SETTLE_PERIODS/cutoff seconds of a record have no
-    filter context; capped at a quarter of the record so short runs keep
-    an interior.
-    """
-    n_t = len(axis)
-    i = min(int(round(SETTLE_PERIODS / cutoff_hz * rate_hz)), n_t // 4)
+
+def _mask_settle(series, axis: DistanceAxis, cutoff_hz: float):
+    """Invalidate grid samples inside the integrator's settle zone."""
+    i = _settle_samples(len(axis), cutoff_hz)
     if i <= 0:
         return series
     lo = axis.positions_m[i]
-    hi = axis.positions_m[n_t - 1 - i]
+    hi = axis.positions_m[-1 - i]
     pos = series.positions()
     return replace(series, valid=series.valid & (pos >= lo) & (pos <= hi))
 
@@ -157,7 +153,7 @@ def plan_records(channel_ids, opts: ProcessOptions = ProcessOptions(),
 
     def present(position: str, side: str, axis: str) -> str | None:
         """The id of that record at the set's location, if handed in."""
-        cid = "-".join(locations + [position, side, axis])
+        cid = channel_id(*locations, position, side, axis) if locations else None
         return cid if cid in channel_ids else None
 
     jobs = [(d, side, axis, cid)
@@ -204,7 +200,13 @@ def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
         speed = _speed_from_table(*speed_override, n)
     else:
         front, back = (displacement(cid, SPEED_CUTOFF_HZ) for cid in plan.pair)
-        speed = estimate_speed(estimate_delay(front, back), opts.wheelbase_m)
+        delay = estimate_delay(front, back,
+                               delay_bounds_s=delay_bounds(opts.wheelbase_m))
+        # the speed is bridged over the settle zone, as the geometry is masked
+        i = _settle_samples(n, SPEED_CUTOFF_HZ)
+        valid = delay.valid.copy()
+        valid[:i] = valid[n - i:] = False
+        speed = estimate_speed(replace(delay, valid=valid), opts.wheelbase_m)
 
     axis = build_distance_axis(speed)
 
@@ -227,7 +229,7 @@ def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
         cutoff = cutoffs[d]
         z_time = displacement(cid, cutoff)
         z_space = resample_to_space(z_time, axis)
-        z_space = _mask_settle(z_space, axis, WORKING_RATE_HZ, cutoff)
+        z_space = _mask_settle(z_space, axis, cutoff)
         z_mm = replace(z_space, values=z_space.values * 1e3)
         aligned = chord_alignment(z_mm, d)
         column = column_name(d, side, axis_name)
@@ -236,15 +238,16 @@ def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
     return result
 
 
-def chord_ground_truth(profile, sim, chords_m=ProcessOptions.chords_m,
-                       lateral_chords_m=ProcessOptions.lateral_chords_m) -> TrcData:
-    """Reference geometry table straight from a synthetic profile.
+def chord_ground_truth(profile, sim) -> TrcData:
+    """Reference geometry table straight from a synthetic profile, for the
+    chords of the default ProcessOptions.
 
     Applies the same chord arithmetic to the known rail shapes, so the
     only differences from a processed run are the estimation steps.
     """
     columns = {}
-    for d, side, axis in _column_keys(chords_m, lateral_chords_m):
+    for d, side, axis in _column_keys(ProcessOptions.chords_m,
+                                      ProcessOptions.lateral_chords_m):
         series = profile_spatial_series(profile, side, axis)
         columns[column_name(d, side, axis)] = chord_alignment(series, d).values
     grid = profile_spatial_series(profile, SIDES[0]).positions()
@@ -288,14 +291,9 @@ def compare_trc(est: TrcData, ref: TrcData,
                 "column": column, "window_m": window_m,
                 "applied_shift_m": shift, "mode": MODE_MAX_ABS,
             })
-        except UndefinedCorrelationError as exc:
+        except tuple(_SKIP_REASONS) as exc:
             if skipped is not None:
-                skipped[column] = "windows have no variance"
-            first_error = first_error or exc
-            continue
-        except (NoOverlapError, InsufficientDataError) as exc:
-            if skipped is not None:
-                skipped[column] = "too few comparable windows"
+                skipped[column] = _SKIP_REASONS[type(exc)]
             first_error = first_error or exc
             continue
         out[column] = (report, shift)

@@ -17,11 +17,20 @@ from scipy import ndimage
 from .errors import NoValidSpeedError
 from .timeseries import TimeSeries
 
+DEFAULT_WHEELBASE_M = 2.5
 DEFAULT_WINDOW_SAMPLES = 960          # 3.75 s at 256 Hz
-DEFAULT_DELAY_BOUNDS_S = (0.0625, 2.5)  # wheelbase 2.5 m at 40 .. 1 m/s
 QUALITY_THRESHOLD = 0.3               # normalized correlation peak
 SPEED_BOUNDS = (1.0, 40.0)            # m/s kept as valid speed
 MEDIAN_WINDOW_S = 1.0
+
+
+def delay_bounds(wheelbase_m: float) -> tuple[float, float]:
+    """The delays of a wheelbase at the fastest and the slowest speed of
+    SPEED_BOUNDS: (0.0625, 2.5) s at 2.5 m."""
+    return wheelbase_m / SPEED_BOUNDS[1], wheelbase_m / SPEED_BOUNDS[0]
+
+
+DEFAULT_DELAY_BOUNDS_S = delay_bounds(DEFAULT_WHEELBASE_M)
 
 
 @dataclass(frozen=True)
@@ -107,7 +116,6 @@ def estimate_delay(front: TimeSeries, back: TimeSeries,
         c_quality[i] = quality
         on_edge = j == 0 or j == corr.size - 1
         if on_edge or quality < QUALITY_THRESHOLD:
-            c_delay[i] = lag / fs
             continue
         cm, c0, cp = corr[j - 1], corr[j], corr[j + 1]
         curv = cm - 2.0 * c0 + cp

@@ -69,13 +69,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import PlanTooShortError
+from .errors import MissingChannelError, PlanTooShortError
 from .spatial import TRC_SPACING_M, SpatialSeries
-from .timeseries import KIND_ACCELERATION, TimeSeries
+from .speed import DEFAULT_WHEELBASE_M
+from .timeseries import KIND_ACCELERATION, TimeSeries, _apply_mask
 
 G = 9.81
 DEFAULT_SAMPLE_RATE_HZ = 2560.0
-DEFAULT_WHEELBASE_M = 2.5
 PROFILE_SPACING_M = 0.05        # half a wavelength at MAX_NU_CYCLES_PER_M
 LR_CORRELATION = 0.7            # of a noise profile's left and right rails
 DEVIATION_BOUND_MM = 50.0       # synth_profile refuses larger deviations
@@ -88,6 +88,22 @@ ANGLE_BLOCK = 64                # nodes per anchor of the angle-addition tables
 SIDES = ("left", "right")
 POSITIONS = ("front", "back")
 AXES = ("vertical", "lateral")
+
+
+def channel_id(location: str, position: str, side: str, axis: str) -> str:
+    """The id location-position-side-axis of a record."""
+    return "-".join((location, position, side, axis))
+
+
+def parse_channel_id(cid: str) -> dict:
+    """The parts of a channel id location-position-side-axis, whose last
+    three come from POSITIONS, SIDES and AXES."""
+    parts = cid.split("-")
+    if len(parts) != 4 or parts[1] not in POSITIONS or parts[2] not in SIDES \
+            or parts[3] not in AXES:
+        raise MissingChannelError(f"channel id {cid!r} does not follow "
+                                  f"location-position-side-axis")
+    return dict(zip(("location", "position", "side", "axis"), parts))
 
 
 @dataclass(frozen=True)
@@ -155,8 +171,8 @@ class SimConfig:
 
     def __post_init__(self):
         plan = tuple((float(t), float(v)) for t, v in self.speed_plan)
-        if len(plan) < 1:
-            raise ValueError("speed plan needs at least one knot")
+        if len(plan) < 2:
+            raise ValueError("speed plan needs at least two knots")
         if plan[0][0] != 0.0:
             raise ValueError(f"speed plan must start at t = 0 s; its first "
                              f"knot is at t = {plan[0][0]} s")
@@ -470,13 +486,10 @@ def _trajectory(config: SimConfig, length_m: float):
     stop = min(int(np.searchsorted(x, length_m)) + 1, n)
     t, v, x = t[:stop], v[:stop], x[:stop]
     # dv/dt: slope of the active plan segment
-    if kt.size > 1:
-        seg = np.clip(np.searchsorted(kt, t, side="right") - 1, 0, kt.size - 2)
-        seg_dt = kt[seg + 1] - kt[seg]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slopes = np.where(seg_dt > 0, (kv[seg + 1] - kv[seg]) / seg_dt, 0.0)
-    else:
-        slopes = np.zeros_like(t)
+    seg = np.clip(np.searchsorted(kt, t, side="right") - 1, 0, kt.size - 2)
+    seg_dt = kt[seg + 1] - kt[seg]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes = np.where(seg_dt > 0, (kv[seg + 1] - kv[seg]) / seg_dt, 0.0)
     return t, v, slopes, x
 
 
@@ -484,15 +497,16 @@ def _band_noise(rng: np.random.Generator, n: int, fs: float, rms: float,
                 band_hz) -> np.ndarray:
     """Band-limited Gaussian noise via spectral masking, scaled to rms.
     Raises ValueError if the band keeps no frequency bin above 0 Hz."""
-    f = np.fft.rfftfreq(n, 1.0 / fs)
     lo, hi = band_hz
-    drop = (f < lo) | (f > hi)
-    if np.all(drop[1:]):
-        raise ValueError(f"lateral_disturbance band_hz [{lo}, {hi}] keeps no "
-                         f"frequency bin above 0 Hz of {n} samples at {fs} Hz")
-    spec = np.fft.rfft(rng.standard_normal(n))
-    spec[drop] = 0.0
-    x = np.fft.irfft(spec, n=n)
+
+    def keep(f):
+        inside = (f >= lo) & (f <= hi)
+        if not inside[1:].any():
+            raise ValueError(f"lateral_disturbance band_hz [{lo}, {hi}] keeps no "
+                             f"frequency bin above 0 Hz of {n} samples at {fs} Hz")
+        return inside.astype(float)
+
+    x = _apply_mask(rng.standard_normal(n), fs, keep)
     std = x.std()
     return x * (rms / std) if std > 0 else x
 
@@ -517,7 +531,7 @@ def _distinct(x: np.ndarray):
 def simulate_run(profile: TrackProfile, config: SimConfig) -> SimResult:
     """Noise-free accelerations for front/back, left/right, vertical/lateral.
 
-    Channel ids follow ``{location}-{front|back}-{side}-{axis}``. The back
+    Channel ids are channel_id(location, position, side, axis). The back
     wheel trails the front one by the wheelbase, so at constant speed its
     record is the front record delayed by wheelbase/speed. A wheel on rail
     z sees v^2 z''(x) + dv/dt z'(x): one _basis_sums call evaluates z'' of
@@ -568,7 +582,7 @@ def simulate_run(profile: TrackProfile, config: SimConfig) -> SimResult:
     wheel_positions: dict[str, np.ndarray] = {}
     x_back = x_front - config.wheelbase_m
     for (pos, side, axis), acc in zip(keys, accs.reshape(-1, n)):
-        cid = f"{loc}-{pos}-{side}-{axis}"
+        cid = channel_id(loc, pos, side, axis)
         if axis == "lateral" and config.lateral_disturbance:
             d = config.lateral_disturbance
             rng = _channel_rng(config.seed, f"lateral-disturbance-{cid}")

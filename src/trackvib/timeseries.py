@@ -112,9 +112,6 @@ class TimeSeries:
         """Start time of a hypothetical next block."""
         return self.start_time_s + self.duration_s
 
-    def times(self) -> np.ndarray:
-        return self.start_time_s + np.arange(self.samples.size) / self.sample_rate_hz
-
 
 def _raised_cosine_step(f: np.ndarray, f_lo: float, f_hi: float) -> np.ndarray:
     """Smooth 0 -> 1 step: 0 below f_lo, 1 above f_hi, raised cosine between."""
@@ -305,12 +302,9 @@ def merge_records(parts: list[TimeSeries]) -> TimeSeries:
         raise ValueError("merge_records needs at least one block")
     first = parts[0]
     for p in parts[1:]:
-        if p.sample_rate_hz != first.sample_rate_hz:
-            raise ValueError("blocks disagree on sample_rate_hz")
-        if p.channel_id != first.channel_id:
-            raise ValueError("blocks disagree on channel_id")
-        if p.kind != first.kind:
-            raise ValueError("blocks disagree on kind")
+        for name in ("sample_rate_hz", "channel_id", "kind"):
+            if getattr(p, name) != getattr(first, name):
+                raise ValueError(f"blocks disagree on {name}")
     fs = first.sample_rate_hz
 
     pieces = [parts[0].samples]

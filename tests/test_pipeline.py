@@ -14,7 +14,8 @@ from trackvib.fileio import read_trc, write_trc
 from trackvib.pipeline import (ProcessOptions, chord_ground_truth,
                                column_name, compare_trc, parse_channel_id,
                                process_records)
-from trackvib.synthesizer import (AXES, POSITIONS, SIDES, SimConfig,
+from trackvib.synthesizer import (AXES, POSITIONS, SENSOR_SPECS, SIDES,
+                                  SimConfig, add_sensor_noise, channel_id,
                                   simulate_run, synth_profile)
 
 SINE_SPEC = {"type": "sines",
@@ -66,6 +67,17 @@ class TestChannelNaming:
             meta = parse_channel_id(f"bogie-{position}-{side}-{axis}")
             assert meta == {"location": "bogie", "position": position,
                             "side": side, "axis": axis}
+
+    def test_channel_id_round_trip(self):
+        for parts in product(["bogie", "axlebox"], POSITIONS, SIDES, AXES):
+            cid = channel_id(*parts)
+            assert cid == "-".join(parts)
+            assert tuple(parse_channel_id(cid).values()) == parts
+
+    def test_every_simulated_id_parses(self, noise_run):
+        _, sim = noise_run
+        parts = {tuple(parse_channel_id(cid).values()) for cid in sim.channels}
+        assert parts == set(product(["bogie"], POSITIONS, SIDES, AXES))
 
     def test_parse_rejects_malformed(self):
         for bad in ("bogie-front-left", "bogie-top-left-vertical",
@@ -164,14 +176,47 @@ class TestProcessRecords:
         _, sim = simulate(SINE_SPEC)
         res = process_records(sim.channels,
                               speed_override=true_speed_at_256(sim))
-        trc = res.to_trc(metadata={"run": "test"})
+        trc = res.to_trc()
         assert "speed_mps" in trc.columns
-        assert trc.metadata["run"] == "test"
         p = tmp_path / "est.trc"
         write_trc(p, trc)
         back = read_trc(p)
         assert np.array_equal(back.distance_m, trc.distance_m)
         assert np.allclose(back.columns["speed_mps"], 10.0, atol=1e-9)
+
+
+class TestSpeedStage:
+    def test_settle_zone_does_not_move_the_speed(self):
+        # 2 km at 25 m/s: windows in the integrator's first 1.5 / 0.3 Hz
+        # = 5 s peak just above QUALITY_THRESHOLD at a wrong lag
+        v = 25.0
+        profile = synth_profile(2000.0, NOISE_SPEC, seed=4,
+                                lateral_spec=dict(NOISE_SPEC, rms_mm=2.0))
+        sim = simulate_run(profile, SimConfig(
+            speed_plan=((0.0, v), (2000.0 / v + 5.0, v)), seed=4))
+        sensor = SENSOR_SPECS["bogie_mems"]
+        noisy = {cid: add_sensor_noise(ts, sensor, 4)[0]
+                 for cid, ts in sim.channels.items()}
+        res = process_records(noisy)
+        n = len(res.axis)
+        assert abs(res.axis.positions_m[-1] - v * (n - 1) / 256.0) <= 2.0
+        out = compare_trc(res.to_trc(), chord_ground_truth(profile, sim),
+                          max_shift_m=300.0)
+        for column in ("VA10_left_mm", "VA10_right_mm"):
+            assert out[column][0].pearson_r >= 0.95, column
+
+    @pytest.mark.parametrize("wheelbase_m, v", [(2.0, 35.0), (3.0, 1.1)])
+    def test_delay_search_follows_the_wheelbase(self, wheelbase_m, v):
+        # the search covers SPEED_BOUNDS at any wheelbase: 2 m at 35 m/s is
+        # a delay below 0.0625 s, 3 m at 1.1 m/s one above 2.5 s
+        length_m = min(1000.0, 120.0 * v)
+        profile = synth_profile(length_m, NOISE_SPEC, seed=4)
+        sim = simulate_run(profile, SimConfig(
+            speed_plan=((0.0, v), (length_m / v + 5.0, v)),
+            wheelbase_m=wheelbase_m, seed=4))
+        res = process_records(sim.channels,
+                              ProcessOptions(wheelbase_m=wheelbase_m))
+        assert np.median(res.speed.speeds_mps) == pytest.approx(v, rel=0.01)
 
 
 class TestRecordsRead:
@@ -296,6 +341,20 @@ class TestCompareTrc:
         b.columns = {"VA35_left_mm": b.columns["VA35_left_mm"]}
         with pytest.raises(MissingChannelError):
             compare_trc(a, b)
+
+    def test_too_few_windows_skipped_with_reason(self, noise_run):
+        # VA10_right_mm of the estimate keeps two usable windows, too few
+        # at any shift; VA10_left_mm is compared
+        import copy
+        profile, sim = noise_run
+        ref = chord_ground_truth(profile, sim)
+        est = copy.deepcopy(ref)
+        est.columns["VA10_right_mm"][800:] = np.nan
+        skipped = {}
+        out = compare_trc(est, ref, max_shift_m=100.0, skipped=skipped)
+        assert "VA10_left_mm" in out and "VA10_right_mm" not in out
+        assert skipped["VA10_right_mm"] == "too few comparable windows"
+        assert skipped["HA10_left_mm"] == "windows have no variance"
 
     def test_all_flat_columns_raise(self):
         from trackvib.fileio import TrcData

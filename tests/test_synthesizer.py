@@ -139,6 +139,11 @@ class TestSimulateRun:
         with pytest.raises(ValueError, match="t = -1.0 s"):
             SimConfig(speed_plan=((-1.0, 10.0), (50.0, 12.0)))
 
+    @pytest.mark.parametrize("plan", [(), ((0.0, 10.0),)], ids=["empty", "one-knot"])
+    def test_plan_needs_two_knots(self, plan):
+        with pytest.raises(ValueError, match="two knots"):
+            SimConfig(speed_plan=plan)
+
     def test_plan_too_short(self):
         p = synth_profile(200.0, SINE_SPEC)
         with pytest.raises(PlanTooShortError):
@@ -182,6 +187,20 @@ class TestSimulateRun:
         vert_q = quiet.channels["bogie-front-left-vertical"].samples
         vert_n = noisy.channels["bogie-front-left-vertical"].samples
         assert np.array_equal(vert_q, vert_n)
+
+    @pytest.mark.parametrize("band", [(1.0, 40.0), (0.5, 3.0), (100.0, 1280.0)])
+    def test_lateral_disturbance_stays_in_band(self, band):
+        # no lateral profile: the lateral records are the disturbance alone
+        p = synth_profile(150.0, SINE_SPEC)
+        sim = simulate_run(p, constant_run(
+            seed=6, lateral_disturbance={"rms_mps2": 0.2, "band_hz": band}))
+        for cid in ("bogie-front-left-lateral", "bogie-back-right-lateral"):
+            lat = sim.channels[cid].samples
+            power = np.abs(np.fft.rfft(lat)) ** 2
+            f = np.fft.rfftfreq(lat.size, 1 / 2560.0)
+            outside = (f < band[0]) | (f > band[1])
+            assert np.std(lat) == pytest.approx(0.2, rel=1e-9)
+            assert power[outside].sum() <= 1e-24 * power.sum(), cid
 
 
 def reference_acceleration(comps, xw, v, dvdt, chunk=8192):

