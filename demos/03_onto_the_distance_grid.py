@@ -4,7 +4,7 @@ Track geometry lives in the distance domain, so every time sample gets a
 position (the running integral of speed) and the signal is interpolated
 onto a fixed 0.25 m grid. A crawl below 0.5 m/s in the middle of the run
 produces no usable spatial information; grid points inside that stretch
-come back flagged invalid.
+come back NaN.
 """
 
 import numpy as np

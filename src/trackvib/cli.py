@@ -35,6 +35,14 @@ EXIT_DATA = 1
 BLOCK_S = 10.0      # length of a simulated .rec block
 
 
+def _seed(text: str) -> int:
+    """The --seed flag: an integer >= 0, as the config's seed field."""
+    seed = int(text) if text.isdecimal() else -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return seed
+
+
 def cmd_simulate(args) -> int:
     cfg = fileio.load_config(args.config)
     seed = cfg.get("seed", 0) if args.seed is None else args.seed
@@ -159,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="synthesize a run from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="override the config seed")
     p.set_defaults(func=cmd_simulate)
 

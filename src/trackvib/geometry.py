@@ -64,7 +64,8 @@ def chord_alignment(z: SpatialSeries, chord_m: float) -> SpatialSeries:
 
     Raises ValueError unless chord_m is finite, > 0 and puts d/2 on z's
     grid. The first and last half-chord of samples have no full chord
-    support and are NaN with valid=False.
+    support and are NaN, as is every offset whose centre or foot is NaN
+    in z.
     """
     half = chord_m / (2.0 * z.spacing_m)
     if not 0 < chord_m < np.inf \
@@ -79,10 +80,7 @@ def chord_alignment(z: SpatialSeries, chord_m: float) -> SpatialSeries:
     x = z.values
     out = np.full(n, np.nan)
     out[h:n - h] = x[h:n - h] - 0.5 * (x[:n - 2 * h] + x[2 * h:])
-    valid = np.zeros(n, dtype=bool)
-    valid[h:n - h] = z.valid[h:n - h] & z.valid[:n - 2 * h] & z.valid[2 * h:]
-    out[~valid] = np.nan
-    return replace(z, values=out, valid=valid)
+    return replace(z, values=out)
 
 
 def transfer_function(chord_m: float, nu):
@@ -149,7 +147,7 @@ def psd_spatial(series: SpatialSeries) -> SpatialPSD:
     approximates the series variance. Works on the longest contiguous valid
     run; raises TooShortError when that run is shorter than one segment.
     """
-    runs = _bool_runs(series.valid & np.isfinite(series.values))
+    runs = _bool_runs(series.valid)
     lo, hi = max(runs, key=lambda r: r[1] - r[0], default=(0, 0))
     if hi - lo < PSD_SEGMENT_SAMPLES:
         raise TooShortError(f"longest valid run of {hi - lo} samples shorter "

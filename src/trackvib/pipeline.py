@@ -98,23 +98,15 @@ def _prepare(blocks, cid: str) -> TimeSeries:
     return decimate(ts, int(round(factor)))
 
 
-def _settle_samples(n: int, cutoff_hz: float) -> int:
-    """Samples at each end of an n-sample record, at the working rate,
-    inside the integrator's settle zone: the first and last
-    SETTLE_PERIODS/cutoff seconds have no filter context. Capped at a
-    quarter of the record so short runs keep an interior."""
-    return min(int(round(SETTLE_PERIODS / cutoff_hz * WORKING_RATE_HZ)), n // 4)
-
-
-def _mask_settle(series, axis: DistanceAxis, cutoff_hz: float):
-    """Invalidate grid samples inside the integrator's settle zone."""
-    i = _settle_samples(len(axis), cutoff_hz)
-    if i <= 0:
-        return series
-    lo = axis.positions_m[i]
-    hi = axis.positions_m[-1 - i]
-    pos = series.positions()
-    return replace(series, valid=series.valid & (pos >= lo) & (pos <= hi))
+def _settled(n: int, cutoff_hz: float) -> np.ndarray:
+    """Mask of the n samples, at the working rate, outside the integrator's
+    settle zone: the first and last SETTLE_PERIODS/cutoff seconds have no
+    filter context. The zone is capped at a quarter of the record so short
+    runs keep an interior."""
+    i = min(int(round(SETTLE_PERIODS / cutoff_hz * WORKING_RATE_HZ)), n // 4)
+    ok = np.ones(n, dtype=bool)
+    ok[:i] = ok[n - i:] = False
+    return ok
 
 
 def _speed_from_table(times_s, speeds_mps, n: int) -> SpeedProfile:
@@ -203,9 +195,7 @@ def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
         delay = estimate_delay(front, back,
                                delay_bounds_s=delay_bounds(opts.wheelbase_m))
         # the speed is bridged over the settle zone, as the geometry is masked
-        i = _settle_samples(n, SPEED_CUTOFF_HZ)
-        valid = delay.valid.copy()
-        valid[:i] = valid[n - i:] = False
+        valid = delay.valid & _settled(n, SPEED_CUTOFF_HZ)
         speed = estimate_speed(replace(delay, valid=valid), opts.wheelbase_m)
 
     axis = build_distance_axis(speed)
@@ -226,10 +216,8 @@ def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
     result = ProcessResult(speed, axis, params=params)
 
     for d, side, axis_name, cid in plan.jobs:
-        cutoff = cutoffs[d]
-        z_time = displacement(cid, cutoff)
-        z_space = resample_to_space(z_time, axis)
-        z_space = _mask_settle(z_space, axis, cutoff)
+        z_space = resample_to_space(displacement(cid, cutoffs[d]), axis,
+                                    _settled(n, cutoffs[d]))
         z_mm = replace(z_space, values=z_space.values * 1e3)
         aligned = chord_alignment(z_mm, d)
         column = column_name(d, side, axis_name)

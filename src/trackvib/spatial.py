@@ -4,7 +4,7 @@ build_distance_axis turns a speed profile into a per-sample position along
 the track; resample_to_space interpolates any synchronous record onto the
 uniform 0.25 m distance grid, the recording-car step.
 Stretches where the vehicle is practically standing still produce no usable
-spatial information and are flagged invalid instead of being interpolated
+spatial information and are NaN on the grid instead of being interpolated
 away silently.
 """
 
@@ -47,13 +47,13 @@ class SpatialSeries:
     """Values on a uniform distance grid: value i sits at start_m + i*spacing.
 
     Displacement, ground-truth profile and chord alignment all use this
-    type. Without a mask, exactly the finite values are valid.
+    type. NaN is the one mark of an invalid value: exactly the finite
+    values are valid.
     """
 
     values: np.ndarray
     spacing_m: float
     start_m: float
-    valid: np.ndarray | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -61,18 +61,14 @@ class SpatialSeries:
             raise ValueError("values must be a non-empty 1-D array")
         if not self.spacing_m > 0:
             raise ValueError(f"spacing_m must be > 0, got {self.spacing_m}")
-        valid = self.valid
-        if valid is None:
-            valid = np.isfinite(values)
-        else:
-            valid = np.asarray(valid, dtype=bool)
-            if valid.shape != values.shape:
-                raise ValueError("valid mask must match values length")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "valid", valid)
 
     def __len__(self) -> int:
         return self.values.size
+
+    @property
+    def valid(self) -> np.ndarray:
+        return np.isfinite(self.values)
 
     def positions(self) -> np.ndarray:
         return self.start_m + self.spacing_m * np.arange(self.values.size)
@@ -106,16 +102,24 @@ def _stationary_runs(positions: np.ndarray, fs: float) -> list[tuple[int, int]]:
             if (e - s) > STATIONARY_MIN_DURATION_S * fs]
 
 
-def resample_to_space(ts: TimeSeries, axis: DistanceAxis) -> SpatialSeries:
+def resample_to_space(ts: TimeSeries, axis: DistanceAxis,
+                      valid=None) -> SpatialSeries:
     """Linear interpolation of a time series onto the TRC_SPACING_M grid.
 
     The grid runs from ceil(min/spacing)*spacing to floor(max/spacing)*spacing,
-    so sample count = floor(span/spacing) + 1 up to grid snapping. Grid points
-    bracketed by stationary samples are flagged invalid.
+    so sample count = floor(span/spacing) + 1 up to grid snapping. valid, a
+    mask of the time samples, is ANDed with the samples of stationary
+    stretches and interpolated as the values are: a grid point that leans
+    on an invalid sample is NaN, unless it sits exactly on a valid one.
     """
     dx = TRC_SPACING_M
     if len(ts) != len(axis):
         raise ValueError("time series and distance axis must have equal length")
+    # np.array copies: the caller's mask is never written to
+    ok = np.array(np.ones(len(ts)) if valid is None else valid, dtype=bool)
+    if ok.shape != (len(ts),):
+        raise ValueError(f"valid mask of shape {ok.shape} for a record of "
+                         f"{len(ts)} samples")
     pos = axis.positions_m
     span = pos[-1] - pos[0]
     if span < dx:
@@ -125,12 +129,8 @@ def resample_to_space(ts: TimeSeries, axis: DistanceAxis) -> SpatialSeries:
     stop = np.floor(pos[-1] / dx + 1e-9) * dx
     count = int(round((stop - start) / dx)) + 1
     grid = start + dx * np.arange(count)
-    values = np.interp(grid, pos, ts.samples)
-
-    valid = np.ones(count, dtype=bool)
     for s, e in _stationary_runs(pos, ts.sample_rate_hz):
-        lo = int(np.ceil((pos[s] - start) / dx - 1e-9))
-        hi = int(np.floor((pos[e - 1] - start) / dx + 1e-9))
-        if hi >= lo:
-            valid[max(lo, 0):min(hi, count - 1) + 1] = False
-    return SpatialSeries(values, dx, float(start), valid)
+        ok[s:e] = False
+    values = np.interp(grid, pos, ts.samples)
+    values[np.interp(grid, pos, ok.astype(np.float64)) < 1.0] = np.nan
+    return SpatialSeries(values, dx, float(start))

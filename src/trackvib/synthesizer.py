@@ -136,6 +136,11 @@ class ImpulseEvent:
     amplitude_g: float
     duration_ms: float
 
+    def __post_init__(self):
+        if not self.duration_ms > 0:
+            raise ValueError(f"impulse duration_ms must be > 0, got "
+                             f"{self.duration_ms}")
+
 
 @dataclass(frozen=True)
 class TrackProfile:

@@ -101,9 +101,14 @@ class TestSimulate:
          "'profile'"),
         ({"speed_plan": [[0.0, 10.0], [5.0, 10.0]]}, "speed plan"),
         ({"speed_plan": [[5.0, 10.0], [100.0, 12.0]]},
-         "first knot is at t = 5.0 s")],
+         "first knot is at t = 5.0 s"),
+        ({"impulses": [{"position_m": 100.0, "amplitude_g": 5.0,
+                        "duration_ms": 0}]}, "duration_ms"),
+        ({"impulses": [{"position_m": 100.0, "amplitude_g": 5.0,
+                        "duration_ms": -4}]}, "duration_ms")],
         ids=["misspelt-field", "inline-sensor", "noise-without-rms_mm",
-             "plan-ends-early", "plan-starts-late"])
+             "plan-ends-early", "plan-starts-late", "zero-impulse-duration",
+             "negative-impulse-duration"])
     def test_refused_config_writes_nothing(self, tmp_path, capsys, edit, named):
         cfg = write_config(tmp_path / "config.json", dict(CONFIG, **edit))
         out = tmp_path / "run"
@@ -531,3 +536,17 @@ class TestUsageErrors:
             main(["simulate"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("profile", [
+        {"type": "sines", "components": [{"nu": 0.05, "amplitude_mm": 5.0}]},
+        CONFIG["profile"]], ids=["sines", "noise"])
+    def test_negative_seed_writes_nothing(self, tmp_path, capsys, profile):
+        # a config_used.json with seed -1 would not simulate again
+        cfg = write_config(tmp_path / "config.json", dict(CONFIG, profile=profile))
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg), "--out", str(out),
+                  "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()

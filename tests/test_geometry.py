@@ -18,8 +18,11 @@ DX = 0.25
 
 
 def profile(values, start=0.0, valid=None):
-    return SpatialSeries(np.asarray(values, dtype=float), DX, start,
-                         valid=valid)
+    """A series whose values are NaN where valid is False."""
+    values = np.asarray(values, dtype=float)
+    if valid is not None:
+        values = np.where(valid, values, np.nan)
+    return SpatialSeries(values, DX, start)
 
 
 def sine_profile(nu, length_m, amp=1.0):
@@ -136,8 +139,7 @@ class TestSelectCutoff:
 
 class TestWindowedMax:
     def alignment(self, values, valid=None, start=0.0):
-        return SpatialSeries(np.asarray(values, dtype=float), DX, start,
-                             valid=valid)
+        return profile(values, start, valid)
 
     def test_equals_brute_force(self):
         rng = np.random.default_rng(8)

@@ -205,6 +205,23 @@ class TestSpeedStage:
         for column in ("VA10_left_mm", "VA10_right_mm"):
             assert out[column][0].pearson_r >= 0.95, column
 
+    def test_settle_edges_on_the_grid(self):
+        # at a constant 25 m/s sample k sits at 25 (k + 1) / 256 m; the
+        # 10 m chord settles over 1.5 / 0.3 Hz = 5 s = 1280 samples at each
+        # end, and the last settled sample sits on the 1250.0 m grid point
+        v = 25.0
+        profile = synth_profile(1375.0, NOISE_SPEC, seed=3)
+        sim = simulate_run(profile, SimConfig(speed_plan=((0.0, v), (60.0, v)),
+                                              seed=3))
+        t = np.arange(60 * 256) / 256.0
+        res = process_records(sim.channels,
+                              ProcessOptions(chords_m=(10.0,),
+                                             lateral_chords_m=()),
+                              (t, np.full(t.size, v)))
+        va = res.alignments["VA10_left_mm"]
+        valid = va.positions()[va.valid]
+        assert (valid[0], valid[-1]) == (130.25, 1245.0)
+
     @pytest.mark.parametrize("wheelbase_m, v", [(2.0, 35.0), (3.0, 1.1)])
     def test_delay_search_follows_the_wheelbase(self, wheelbase_m, v):
         # the search covers SPEED_BOUNDS at any wheelbase: 2 m at 35 m/s is

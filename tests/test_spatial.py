@@ -104,6 +104,23 @@ class TestResampleToSpace:
         out = resample_to_space(ts, axis)
         assert out.valid.all()
 
+    def test_valid_mask_interpolated_as_the_values(self):
+        # at 10 m/s sample k sits at (k + 1) * 10/256 m: grid point 10.0 m
+        # is sample 255 exactly, 10.25 m lies between samples 261 and 262
+        n = 2560
+        axis = build_distance_axis(constant_speed(10.0, n))
+        ts = TimeSeries(np.arange(n, dtype=float), FS, kind="displacement")
+        ok = np.ones(n, dtype=bool)
+        ok[[254, 256, 262]] = False
+        before = ok.copy()
+        out = resample_to_space(ts, axis, ok)
+        grid = out.positions()
+        assert grid[~out.valid].tolist() == [10.25]
+        assert np.isnan(out.values[grid == 10.25]).all()
+        # on a valid sample between two invalid ones: the sample's value
+        assert out.values[grid == 10.0].tolist() == [255.0]
+        assert np.array_equal(ok, before)
+
     def test_span_shorter_than_grid_step(self):
         prof = constant_speed(0.01, 256)   # 1 cm covered in 1 s
         axis = build_distance_axis(prof)
@@ -116,6 +133,10 @@ class TestResampleToSpace:
         ts = TimeSeries(np.zeros(100), FS, kind="displacement")
         with pytest.raises(ValueError):
             resample_to_space(ts, axis)
+        # and a valid mask one sample short of the record
+        ts = TimeSeries(np.zeros(256), FS, kind="displacement")
+        with pytest.raises(ValueError):
+            resample_to_space(ts, axis, np.ones(255, dtype=bool))
 
 
 class TestSpatialSeries:
@@ -136,5 +157,3 @@ class TestSpatialSeries:
             SpatialSeries(np.zeros(5), -1.0, 0.0)
         with pytest.raises(ValueError):
             SpatialSeries(np.zeros((2, 2)), 0.25, 0.0)
-        with pytest.raises(ValueError):
-            SpatialSeries(np.zeros(5), 0.25, 0.0, valid=np.ones(3, dtype=bool))
