@@ -17,7 +17,7 @@ DX = 0.25
 for d in (10.0, 35.0):
     print(f"--- {d:g} m chord ---")
     print(f"integration cutoff at 3 m/s survey speed: "
-          f"{select_cutoff(d, 3.0):g} Hz")
+          f"{select_cutoff(d):g} Hz")
 
     x = DX * np.arange(int(40 * d / DX))
     for label, nu in (("blind", 2.0 / d), ("doubled", 1.0 / d)):

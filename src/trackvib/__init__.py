@@ -22,7 +22,7 @@ from .geometry import (SpatialPSD, WindowedStats, chord_alignment,
 from .pipeline import (ProcessOptions, ProcessResult, chord_ground_truth,
                        compare_trc, parse_channel_id, process_records)
 from .spatial import (DistanceAxis, SpatialSeries, build_distance_axis,
-                      resample_to_space)
+                      moving, resample_to_space)
 from .speed import DelayEstimate, SpeedProfile, estimate_delay, estimate_speed
 from .synthesizer import (SENSOR_SPECS, ImpulseEvent, SensorSpec, SimConfig,
                           SimResult, TrackProfile, add_impulses,
@@ -45,7 +45,7 @@ __all__ = [
     "build_distance_axis", "chord_alignment", "chord_ground_truth",
     "column_name", "compare_trc", "coregister", "correlate", "decimate",
     "double_integrate", "estimate_delay", "estimate_speed", "export_geojson",
-    "load_config", "merge_records", "parse_channel_id",
+    "load_config", "merge_records", "moving", "parse_channel_id",
     "process_records", "profile_spatial_series", "psd_spatial", "read_record",
     "read_trc", "read_windows", "resample_to_space", "select_cutoff",
     "simulate_run", "synth_profile", "transfer_function",

@@ -43,6 +43,17 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _wheelbase(text: str) -> float:
+    """The --wheelbase flag: a finite length in m > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def cmd_simulate(args) -> int:
     cfg = fileio.load_config(args.config)
     seed = cfg.get("seed", 0) if args.seed is None else args.seed
@@ -183,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
                    f"{REFERENCE_LOW_SPEED_MPS:g} m/s / chord)")
     p.add_argument("--window", type=float, default=defaults.window_m,
                    help="maxima window in m (default %(default)g)")
-    p.add_argument("--wheelbase", type=float, default=defaults.wheelbase_m,
+    p.add_argument("--wheelbase", type=_wheelbase, default=defaults.wheelbase_m,
                    help="front-to-back sensor spacing in m (default %(default)g)")
     p.add_argument("--speed-file", default=None,
                    help="CSV with header row time_s,speed_mps[,...] bypassing "

@@ -13,7 +13,9 @@ class TrackVibError(Exception):
 
 
 class GapTooLargeError(TrackVibError):
-    """A gap between record blocks exceeds the bridgeable size."""
+    """A gap in a record exceeds the bridgeable size: between its blocks,
+    or before its first block, when it starts later than the records read
+    with it."""
 
 
 class TooShortError(TrackVibError):

@@ -88,20 +88,19 @@ def transfer_function(chord_m: float, nu):
     return 1.0 - np.cos(np.pi * chord_m * np.asarray(nu, dtype=float))
 
 
-def select_cutoff(chord_d_m: float, v_ref_mps: float = REFERENCE_LOW_SPEED_MPS) -> float:
+def select_cutoff(chord_d_m: float) -> float:
     """Integration high-pass cutoff for a chord: lowest temporal frequency of
-    the chord's first amplification maximum, f = v_ref / d.
+    the chord's first amplification maximum at the reference survey speed,
+    f = REFERENCE_LOW_SPEED_MPS / d.
 
-    The published value for the 35 m chord at the 3 m/s reference speed is
-    the rounded 0.1 Hz rather than 3/35 Hz, and is returned as-is.
+    The published value for the 35 m chord is the rounded 0.1 Hz rather
+    than 3/35 Hz, and is returned as-is.
     """
     if not chord_d_m > 0:
         raise ValueError(f"chord length must be > 0, got {chord_d_m}")
-    if not v_ref_mps > 0:
-        raise ValueError(f"reference speed must be > 0, got {v_ref_mps}")
-    if chord_d_m == 35.0 and v_ref_mps == REFERENCE_LOW_SPEED_MPS:
+    if chord_d_m == 35.0:
         return 0.1
-    return v_ref_mps / chord_d_m
+    return REFERENCE_LOW_SPEED_MPS / chord_d_m
 
 
 def windowed_max(series: SpatialSeries, window_m: float) -> WindowedStats:

@@ -3,10 +3,11 @@
 Stage order: merge -> decimate to the working rate -> double integration
 (cutoff from the chord unless overridden) -> speed from front/back cross
 correlation at SPEED_CUTOFF_HZ (or from an external time table) -> distance axis
--> spatial resampling -> chord alignment -> windowed maxima. The front
-sensor's displacement is the geometry estimate; the back one exists for the
-speed estimator. Only the records a job reads are merged and decimated,
-so a fault in any other record does not touch the run.
+-> spatial resampling, the settle zones and standstill masked -> chord
+alignment -> windowed maxima. The front sensor's displacement is the
+geometry estimate; the back one exists for the speed estimator. Only the
+records a job reads are merged and decimated, so a fault in any other
+record does not touch the run.
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import comparison
-from .errors import (InsufficientDataError, MissingChannelError,
-                     MixedLocationError, NoOverlapError, TooShortError,
-                     UndefinedCorrelationError)
+from .errors import (GapTooLargeError, InsufficientDataError,
+                     MissingChannelError, MixedLocationError, NoOverlapError,
+                     TooShortError, UndefinedCorrelationError)
 from .fileio import SPEED_COLUMN, TrcData, column_name
 from .geometry import (MODE_MAX_ABS, REFERENCE_LOW_SPEED_MPS, chord_alignment,
                        select_cutoff, windowed_max)
 from .spatial import (TRC_SPACING_M, DistanceAxis, SpatialSeries,
-                      build_distance_axis, resample_to_space)
+                      build_distance_axis, moving, resample_to_space)
 from .speed import (DEFAULT_WHEELBASE_M, SpeedProfile, delay_bounds,
                     estimate_delay, estimate_speed)
 from .synthesizer import (AXES, SIDES, channel_id, parse_channel_id,
@@ -49,9 +50,8 @@ _SKIP_REASONS = {UndefinedCorrelationError: "windows have no variance",
 @dataclass(frozen=True)
 class ProcessOptions:
     """What a caller chooses. The working rate, grid spacing and grid
-    origin are fixed: WORKING_RATE_HZ, TRC_SPACING_M and the defaults of
-    the stage functions. The delay search covers speed.SPEED_BOUNDS at
-    wheelbase_m."""
+    origin are fixed: WORKING_RATE_HZ, TRC_SPACING_M and 0 m. The delay
+    search covers speed.SPEED_BOUNDS at wheelbase_m."""
 
     chords_m: tuple = (10.0, 35.0)
     lateral_chords_m: tuple = (10.0,)
@@ -171,11 +171,17 @@ def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
     speed_mps) pair of arrays, as fileio.read_speed returns it, with time 0
     at the first record sample; it replaces the estimated speed, and must
     span every record sample after decimation, or TooShortError is raised.
+    The records read must start within half a sample of each other, or
+    GapTooLargeError is raised.
     """
     plan = plan_records(channels.keys(), opts, speed_override is not None)
     cutoffs = {d: select_cutoff(d) if opts.cutoff_hz is None else opts.cutoff_hz
                for d in (*opts.chords_m, *opts.lateral_chords_m)}
     prepared = {cid: _prepare(channels[cid], cid) for cid in plan.read}
+    starts = {cid: ts.start_time_s for cid, ts in prepared.items()}
+    if max(starts.values()) - min(starts.values()) > 0.5 / WORKING_RATE_HZ:
+        raise GapTooLargeError("records start at different times: " + ", ".join(
+            f"{cid} at {t:g} s" for cid, t in starts.items()))
     n = min(len(ts) for ts in prepared.values())
     records = {cid: replace(ts, samples=ts.samples[:n]) if len(ts) > n else ts
                for cid, ts in prepared.items()}
@@ -210,14 +216,15 @@ def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
         "wheelbase_m": opts.wheelbase_m,
         "grid_spacing_m": TRC_SPACING_M,
         "working_rate_hz": WORKING_RATE_HZ,
-        "x0_m": axis.origin_m,
+        "x0_m": 0.0,
         "speed_source": "external" if speed_override is not None else "estimated",
     }
     result = ProcessResult(speed, axis, params=params)
 
+    going = moving(speed)
     for d, side, axis_name, cid in plan.jobs:
         z_space = resample_to_space(displacement(cid, cutoffs[d]), axis,
-                                    _settled(n, cutoffs[d]))
+                                    _settled(n, cutoffs[d]) & going)
         z_mm = replace(z_space, values=z_space.values * 1e3)
         aligned = chord_alignment(z_mm, d)
         column = column_name(d, side, axis_name)

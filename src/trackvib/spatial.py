@@ -4,8 +4,8 @@ build_distance_axis turns a speed profile into a per-sample position along
 the track; resample_to_space interpolates any synchronous record onto the
 uniform 0.25 m distance grid, the recording-car step.
 Stretches where the vehicle is practically standing still produce no usable
-spatial information and are NaN on the grid instead of being interpolated
-away silently.
+spatial information: moving marks them in the speed, so that a caller can
+hand the mask to resample_to_space, which makes them NaN on the grid.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ class DistanceAxis:
     """Position along the track for every time sample."""
 
     positions_m: np.ndarray
-    origin_m: float
 
     def __post_init__(self):
         pos = np.asarray(self.positions_m, dtype=np.float64)
@@ -74,16 +73,15 @@ class SpatialSeries:
         return self.start_m + self.spacing_m * np.arange(self.values.size)
 
 
-def build_distance_axis(speed, x0_m: float = 0.0) -> DistanceAxis:
-    """Cumulative position: x[n] = x0 + sum_{k<=n} v[k] * dt.
+def build_distance_axis(speed) -> DistanceAxis:
+    """Cumulative position from 0 m: x[n] = sum_{k<=n} v[k] * dt.
 
     Rejects negative speeds; zero speed holds the position constant.
     """
     v = np.asarray(speed.speeds_mps, dtype=np.float64)
     if np.any(v < 0):
         raise ValueError("speeds must be non-negative")
-    positions = x0_m + np.cumsum(v) / speed.sample_rate_hz
-    return DistanceAxis(positions, x0_m)
+    return DistanceAxis(np.cumsum(v) / speed.sample_rate_hz)
 
 
 def _bool_runs(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -93,13 +91,15 @@ def _bool_runs(mask: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(edges[::2], edges[1::2]))
 
 
-def _stationary_runs(positions: np.ndarray, fs: float) -> list[tuple[int, int]]:
-    """Sample ranges where speed stays below 0.5 m/s for more than 1 s."""
-    v = np.empty_like(positions)
-    v[1:] = np.diff(positions) * fs
-    v[0] = v[1] if v.size > 1 else 0.0
-    return [(s, e) for s, e in _bool_runs(v < STATIONARY_SPEED_MPS)
-            if (e - s) > STATIONARY_MIN_DURATION_S * fs]
+def moving(speed) -> np.ndarray:
+    """Mask of the speed samples outside standstill: False over every run
+    below STATIONARY_SPEED_MPS that lasts longer than
+    STATIONARY_MIN_DURATION_S."""
+    ok = np.ones(len(speed.speeds_mps), dtype=bool)
+    for s, e in _bool_runs(speed.speeds_mps < STATIONARY_SPEED_MPS):
+        if e - s > STATIONARY_MIN_DURATION_S * speed.sample_rate_hz:
+            ok[s:e] = False
+    return ok
 
 
 def resample_to_space(ts: TimeSeries, axis: DistanceAxis,
@@ -108,15 +108,14 @@ def resample_to_space(ts: TimeSeries, axis: DistanceAxis,
 
     The grid runs from ceil(min/spacing)*spacing to floor(max/spacing)*spacing,
     so sample count = floor(span/spacing) + 1 up to grid snapping. valid, a
-    mask of the time samples, is ANDed with the samples of stationary
-    stretches and interpolated as the values are: a grid point that leans
-    on an invalid sample is NaN, unless it sits exactly on a valid one.
+    mask of the time samples (None: all valid), is interpolated as the
+    values are: a grid point that leans on an invalid sample is NaN, unless
+    it sits exactly on a valid one.
     """
     dx = TRC_SPACING_M
     if len(ts) != len(axis):
         raise ValueError("time series and distance axis must have equal length")
-    # np.array copies: the caller's mask is never written to
-    ok = np.array(np.ones(len(ts)) if valid is None else valid, dtype=bool)
+    ok = np.asarray(np.ones(len(ts)) if valid is None else valid, dtype=bool)
     if ok.shape != (len(ts),):
         raise ValueError(f"valid mask of shape {ok.shape} for a record of "
                          f"{len(ts)} samples")
@@ -129,8 +128,6 @@ def resample_to_space(ts: TimeSeries, axis: DistanceAxis,
     stop = np.floor(pos[-1] / dx + 1e-9) * dx
     count = int(round((stop - start) / dx)) + 1
     grid = start + dx * np.arange(count)
-    for s, e in _stationary_runs(pos, ts.sample_rate_hz):
-        ok[s:e] = False
     values = np.interp(grid, pos, ts.samples)
     values[np.interp(grid, pos, ok.astype(np.float64)) < 1.0] = np.nan
     return SpatialSeries(values, dx, float(start))

@@ -67,9 +67,9 @@ def estimate_delay(front: TimeSeries, back: TimeSeries,
     (default window/4) and the per-window delays are linearly interpolated to
     every sample. A window is invalid when its normalized correlation peak is
     below QUALITY_THRESHOLD or sits on the edge of the searched lag range
-    (the true delay then lies outside ``delay_bounds_s``). Negative bounds are
-    allowed; swapping front and back mirrors the searched interval. A sample
-    is valid when the window centers on both sides of it are.
+    (the true delay then lies outside ``delay_bounds_s``, which must satisfy
+    0 < min < max: back trails front). A sample is valid when the window
+    centers on both sides of it are.
     """
     if front.sample_rate_hz != back.sample_rate_hz:
         raise ValueError("front and back must share the sample rate")
@@ -80,8 +80,8 @@ def estimate_delay(front: TimeSeries, back: TimeSeries,
     if not 2 <= window_samples <= n:
         raise ValueError(f"window_samples {window_samples} not in [2, {n}]")
     t_min, t_max = delay_bounds_s
-    if not t_min < t_max:
-        raise ValueError("delay bounds must satisfy min < max")
+    if not 0 < t_min < t_max:
+        raise ValueError(f"delay bounds {t_min:g} .. {t_max:g} s: need 0 < min < max")
     lag_lo = int(np.ceil(t_min * fs))
     lag_hi = int(np.floor(t_max * fs))
     if lag_lo > lag_hi:
@@ -90,10 +90,10 @@ def estimate_delay(front: TimeSeries, back: TimeSeries,
     half = window_samples // 2
     if stride is None:
         stride = max(1, window_samples // 4)
-    n_lo = half + max(-lag_lo, 0)
-    n_hi = n - half - max(lag_hi, 0)   # inclusive
+    n_lo = half
+    n_hi = n - half - lag_hi   # inclusive
     if n_hi < n_lo:
-        need = window_samples + max(lag_hi, 0) + max(-lag_lo, 0)
+        need = window_samples + lag_hi
         raise ValueError(f"records of {n} samples too short for window + lag "
                          f"range (need at least {need})")
     centers = np.arange(n_lo, n_hi + 1, stride)

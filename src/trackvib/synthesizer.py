@@ -599,12 +599,11 @@ def simulate_run(profile: TrackProfile, config: SimConfig) -> SimResult:
     return SimResult(channels, wheel_positions, v, config)
 
 
-def add_impulses(ts: TimeSeries, events, wheel_positions_m: np.ndarray,
-                 amplitude_scale: float = 1.0) -> TimeSeries:
+def add_impulses(ts: TimeSeries, events, wheel_positions_m: np.ndarray) -> TimeSeries:
     """Add the bipolar raised-cosine doublet of each crossed event.
 
     Events whose position the wheel never reaches are skipped. The doublet
-    peaks at +/- amplitude_g * 9.81 * amplitude_scale and spans duration_ms
+    peaks at +/- amplitude_g * 9.81 and spans duration_ms
     centered on the crossing instant.
     """
     if wheel_positions_m.size != len(ts):
@@ -617,7 +616,7 @@ def add_impulses(ts: TimeSeries, events, wheel_positions_m: np.ndarray,
         if ev.position_m < pos[0] or ev.position_m > pos[-1]:
             continue
         t0 = float(np.interp(ev.position_m, pos, t))
-        amp = ev.amplitude_g * G * amplitude_scale
+        amp = ev.amplitude_g * G
         half = ev.duration_ms * 1e-3 / 2.0
         rel = t - t0
         lead = (rel >= -half) & (rel < 0.0)

@@ -104,13 +104,9 @@ class TimeSeries:
         return self.samples.size
 
     @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
-
-    @property
     def end_time_s(self) -> float:
         """Start time of a hypothetical next block."""
-        return self.start_time_s + self.duration_s
+        return self.start_time_s + self.samples.size / self.sample_rate_hz
 
 
 def _raised_cosine_step(f: np.ndarray, f_lo: float, f_hi: float) -> np.ndarray:

@@ -344,6 +344,20 @@ class TestProcess:
         assert str(cut[1]) in err and "'sample_rate_hz'" in err
         assert not (tmp_path / "x").exists()
 
+    def test_late_record_is_data_error(self, sim_dir, tmp_path, capsys):
+        # without its first block the record starts 10 s after the others;
+        # on their time axis its geometry would sit 100 m early
+        records = tmp_path / "records"
+        shutil.copytree(sim_dir, records)
+        (records / "bogie-front-left-lateral_b0000.rec").unlink()
+        out = tmp_path / "x"
+        rc = main(["process", "--records", str(records), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "bogie-front-left-lateral at 10 s" in err
+        assert "bogie-front-left-vertical at 0 s" in err
+        assert not out.exists()
+
     def test_infinite_window_is_data_error(self, sim_dir, tmp_path, capsys):
         out = tmp_path / "x"
         rc = main(["process", "--records", str(sim_dir), "--out", str(out),
@@ -549,4 +563,20 @@ class TestUsageErrors:
                   "--seed", "-1"])
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("speed_file", [False, True],
+                             ids=["estimated", "speed-file"])
+    @pytest.mark.parametrize("wheelbase", ["0", "-2", "nan", "inf"])
+    def test_bad_wheelbase_writes_nothing(self, sim_dir, proc_dir, tmp_path,
+                                          capsys, wheelbase, speed_file):
+        out = tmp_path / "x"
+        argv = ["process", "--records", str(sim_dir), "--out", str(out),
+                "--wheelbase", wheelbase]
+        if speed_file:
+            argv += ["--speed-file", str(proc_dir / "speed.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "argument --wheelbase" in capsys.readouterr().err
         assert not out.exists()

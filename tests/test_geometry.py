@@ -123,18 +123,15 @@ class TestTransferFunction:
 
 class TestSelectCutoff:
     def test_published_values(self):
-        assert select_cutoff(10.0, 3.0) == 0.3
-        assert select_cutoff(35.0, 3.0) == 0.1
+        assert select_cutoff(10.0) == 0.3
+        assert select_cutoff(35.0) == 0.1
 
     def test_rule_for_other_chords(self):
-        assert select_cutoff(20.0, 3.0) == pytest.approx(0.15)
-        assert select_cutoff(10.0, 6.0) == pytest.approx(0.6)
+        assert select_cutoff(20.0) == pytest.approx(0.15)
 
     def test_guards(self):
         with pytest.raises(ValueError):
-            select_cutoff(0.0, 3.0)
-        with pytest.raises(ValueError):
-            select_cutoff(10.0, 0.0)
+            select_cutoff(0.0)
 
 
 class TestWindowedMax:

@@ -172,6 +172,26 @@ class TestProcessRecords:
         with pytest.raises(TooShortError):
             process_records(sim.channels, speed_override=short)
 
+    def test_crawl_is_nan_on_the_grid(self):
+        # 200 m at 10 m/s, a 6 s crawl at 0.3 m/s over about 202.6-204.4 m,
+        # then 10 m/s again: the standstill mask comes from the speed
+        profile = synth_profile(600.0, NOISE_SPEC, seed=4)
+        sim = simulate_run(profile, SimConfig(
+            speed_plan=((0, 10), (20, 10), (20.5, 0.3), (26.5, 0.3), (27, 10),
+                        (80, 10)), seed=4))
+        v = sim.speeds_mps[::10]
+        res = process_records(sim.channels,
+                              speed_override=(np.arange(v.size) / 256.0, v))
+        for column, series in res.alignments.items():
+            x = series.positions()
+            inside = (x > 202.6 + 0.3) & (x < 204.4 - 0.3)
+            assert np.count_nonzero(inside) == 5
+            assert np.isnan(series.values[inside]).all(), column
+            if column.startswith(("VA10", "HA10")):
+                far = ((x >= 60.0) & (x <= x[-1] - 60.0)
+                       & ((x < 202.6 - 60.0) | (x > 204.4 + 60.0)))
+                assert series.valid[far].all(), column
+
     def test_to_trc_writes_and_reads(self, tmp_path):
         _, sim = simulate(SINE_SPEC)
         res = process_records(sim.channels,

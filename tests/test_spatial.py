@@ -5,7 +5,7 @@ import pytest
 
 from trackvib.errors import TooShortError
 from trackvib.spatial import (DistanceAxis, SpatialSeries, build_distance_axis,
-                              resample_to_space)
+                              moving, resample_to_space)
 from trackvib.speed import SpeedProfile
 from trackvib.timeseries import TimeSeries
 
@@ -26,11 +26,6 @@ class TestBuildDistanceAxis:
         steps = np.diff(axis.positions_m)
         assert np.allclose(steps, 10.0 / FS)
 
-    def test_origin_offset(self):
-        axis = build_distance_axis(constant_speed(10.0, 256), x0_m=120.0)
-        assert axis.origin_m == 120.0
-        assert axis.positions_m[-1] == pytest.approx(130.0)
-
     def test_zero_speed_holds_position(self):
         v = np.concatenate([np.full(256, 10.0), np.zeros(256)])
         prof = SpeedProfile(v, FS, np.ones(512, dtype=bool))
@@ -45,7 +40,7 @@ class TestBuildDistanceAxis:
 
     def test_decreasing_positions_rejected(self):
         with pytest.raises(ValueError):
-            DistanceAxis(np.array([0.0, 1.0, 0.5]), 0.0)
+            DistanceAxis(np.array([0.0, 1.0, 0.5]))
 
 
 class TestResampleToSpace:
@@ -76,33 +71,45 @@ class TestResampleToSpace:
         assert np.max(np.abs(out.values - oracle)) < 1e-4
 
     def test_stationary_stretch_flagged(self):
-        v = np.concatenate([np.full(2560, 10.0),
-                            np.zeros(512),      # 2 s standstill
-                            np.full(2560, 10.0)])
-        prof = SpeedProfile(v, FS, np.ones(v.size, dtype=bool))
-        axis = build_distance_axis(prof)
-        ts = TimeSeries(np.sin(np.arange(v.size) / 40.0), FS,
-                        kind="displacement")
-        out = resample_to_space(ts, axis)
-        # the grid point at the halt position is bracketed by stationary
-        # samples; moving stretches stay valid
-        halt_pos = axis.positions_m[2560]
-        halt_idx = int(round((halt_pos - out.start_m) / out.spacing_m))
-        halt_idx = min(max(halt_idx, 0), len(out) - 1)
-        assert not out.valid[halt_idx]
-        assert out.valid[10]
-        assert out.valid[-10]
+        # (moving, standing, moving) samples: a 2 s halt in the middle, at
+        # the first and at the last sample, and a halt one sample longer
+        # than STATIONARY_MIN_DURATION_S
+        for before, still, after in [(2560, 512, 2560), (0, 512, 2560),
+                                     (2560, 512, 0), (2560, 257, 2560)]:
+            v = np.concatenate([np.full(before, 10.0), np.zeros(still),
+                                np.full(after, 10.0)])
+            prof = SpeedProfile(v, FS, np.ones(v.size, dtype=bool))
+            ok = moving(prof)
+            assert np.flatnonzero(~ok).tolist() == list(range(before,
+                                                              before + still))
+            axis = build_distance_axis(prof)
+            ts = TimeSeries(np.sin(np.arange(v.size) / 40.0), FS,
+                            kind="displacement")
+            out = resample_to_space(ts, axis, ok)
+            # the grid point at the halt position is bracketed by stationary
+            # samples; moving stretches stay valid
+            halt_pos = axis.positions_m[before]
+            halt_idx = int(round((halt_pos - out.start_m) / out.spacing_m))
+            halt_idx = min(max(halt_idx, 0), len(out) - 1)
+            assert not out.valid[halt_idx]
+            assert out.valid[10]
+            assert out.valid[-10]
+            # the grid adds no standstill rule of its own
+            assert resample_to_space(ts, axis).valid.all()
 
     def test_brief_slowdown_not_flagged(self):
-        # 0.5 s dip below the stationary threshold is too short to flag
-        v = np.concatenate([np.full(2560, 10.0),
-                            np.full(128, 0.1),
-                            np.full(2560, 10.0)])
-        prof = SpeedProfile(v, FS, np.ones(v.size, dtype=bool))
-        axis = build_distance_axis(prof)
-        ts = TimeSeries(np.zeros(v.size), FS, kind="displacement")
-        out = resample_to_space(ts, axis)
-        assert out.valid.all()
+        # dips below the stationary threshold of 0.5 s and of exactly
+        # STATIONARY_MIN_DURATION_S are too short to flag
+        for dip in (128, 256):
+            v = np.concatenate([np.full(2560, 10.0),
+                                np.full(dip, 0.1),
+                                np.full(2560, 10.0)])
+            prof = SpeedProfile(v, FS, np.ones(v.size, dtype=bool))
+            assert moving(prof).all()
+            axis = build_distance_axis(prof)
+            ts = TimeSeries(np.zeros(v.size), FS, kind="displacement")
+            out = resample_to_space(ts, axis, moving(prof))
+            assert out.valid.all()
 
     def test_valid_mask_interpolated_as_the_values(self):
         # at 10 m/s sample k sits at (k + 1) * 10/256 m: grid point 10.0 m

@@ -1,5 +1,7 @@
 """Synthetic profiles and simulated sensor records against analytic oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -499,8 +501,9 @@ class TestAddImpulses:
         n = len(out_full)
         pos = 10.0 * np.arange(1, n + 1) / 2560.0
         ts = TimeSeries(np.zeros(n), 2560.0, kind="acceleration")
-        scaled = add_impulses(ts, [ImpulseEvent(50.0, 150.0, 5.0)], pos,
-                              amplitude_scale=1.0 / 15.0)
+        event = ImpulseEvent(50.0, 150.0, 5.0)
+        scaled = add_impulses(
+            ts, [replace(event, amplitude_g=event.amplitude_g / 15.0)], pos)
         assert np.max(scaled.samples) == pytest.approx(10.0 * G, rel=0.02)
 
     def test_length_mismatch(self):
