@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import signal as sps
 
 from .errors import TooShortError
 from .spatial import SpatialSeries, _bool_runs
@@ -145,15 +144,20 @@ def psd_spatial(series: SpatialSeries) -> SpatialPSD:
     with 50% overlap, density scaling: the integral of the density over nu
     approximates the series variance. Works on the longest contiguous valid
     run; raises TooShortError when that run is shorter than one segment.
+
+    The one caller of scipy.signal in the package, and on no command's path.
     """
     runs = _bool_runs(series.valid)
     lo, hi = max(runs, key=lambda r: r[1] - r[0], default=(0, 0))
     if hi - lo < PSD_SEGMENT_SAMPLES:
         raise TooShortError(f"longest valid run of {hi - lo} samples shorter "
                             f"than one PSD segment ({PSD_SEGMENT_SAMPLES})")
+    # imported here: scipy.signal loads about 40 MB of scipy that nothing else needs
+    from scipy.signal import welch
+
     x = series.values[lo:hi]
-    nu, density = sps.welch(x, fs=1.0 / series.spacing_m, window="hann",
-                            nperseg=PSD_SEGMENT_SAMPLES,
-                            noverlap=PSD_SEGMENT_SAMPLES // 2,
-                            detrend="constant", scaling="density")
+    nu, density = welch(x, fs=1.0 / series.spacing_m, window="hann",
+                        nperseg=PSD_SEGMENT_SAMPLES,
+                        noverlap=PSD_SEGMENT_SAMPLES // 2,
+                        detrend="constant", scaling="density")
     return SpatialPSD(nu, density)

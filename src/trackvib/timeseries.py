@@ -32,10 +32,12 @@ at the record edge into low-frequency wander across the whole record (~60%
 amplitude error on a plain 5 Hz sine). Integration therefore extends the
 record by linear prediction (Burg) so oscillations continue coherently,
 fades the extensions with a smooth taper, and only then applies the mask.
-Each extension is the all-pole filter 1 / (1 + a(z)) of the Burg
-coefficients a, run by scipy.signal.lfilter on zeros with the record's
-last samples as its initial state: the prediction recurrence in compiled
-code, not one Python step per predicted sample. Where the recurrence is
+Each extension y[i] + sum_j a[j] y[i-1-j] = 0, over the Burg coefficients
+a, is a unit lower-triangular banded system of bandwidth len(a), with the
+record's last samples moved to the right-hand side of its first rows; BLAS
+dtbsv solves it by forward substitution, which is the prediction
+recurrence in compiled code, not one Python step per predicted sample.
+scipy.linalg is the only scipy subpackage it needs. Where the recurrence is
 ill-conditioned (nearly coincident poles, as on noise-free polynomial or
 two-tone records) any two summation orders part from the first predicted
 sample on; a clamp at 4x the record's peak bounds what such an extension
@@ -47,8 +49,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import next_fast_len
-from scipy.signal import lfilter, lfiltic
+from scipy.linalg.blas import dtbsv
 
 from .errors import GapTooLargeError
 
@@ -215,18 +218,26 @@ def _burg_coefficients(x: np.ndarray, order: int) -> np.ndarray:
 def _predict_forward(x: np.ndarray, count: int, order: int, fit: int) -> np.ndarray:
     """Continue x past its last sample by `count` linear predictions.
 
-    The prediction y[i] = -sum_j a[j] y[i-1-j], started from the last
-    `order` samples of x less the mean of the fitted segment, is the
-    all-pole filter 1 / (1 + a(z)) run on zeros from that history; lfiltic
-    turns the history into the filter's state, and lfilter runs the
-    recurrence in compiled code.
+    The predictions y[i] = -sum_j a[j] y[i-1-j], started from the last
+    `order` samples of x less the mean of the fitted segment, solve the
+    unit lower-triangular banded system y[i] + sum_j a[j] y[i-1-j] = 0 in
+    which the terms that reach into the history move to the right-hand
+    side: row i < order gets -sum_m a[i+m] h[m] over the history h, newest
+    first, a Hankel view of a times h. dtbsv then solves it by forward
+    substitution, without pivoting: the same recurrence.
     """
     seg = x[-min(fit, x.size):]
     mu = seg.mean()
-    den = np.concatenate(([1.0], _burg_coefficients(seg - mu, order)))
+    a = _burg_coefficients(seg - mu, order)
     history = (x[-order:] - mu)[::-1]       # newest first
-    out, _ = lfilter([1.0], den, np.zeros(count), zi=lfiltic([1.0], den, history))
-    return out + mu
+    hankel = sliding_window_view(np.concatenate((a, np.zeros(order))), order)
+    rhs = np.zeros(count)
+    head = min(order, count)
+    rhs[:head] = -(hankel[:head] @ history)
+    # band storage of the lower triangle: row d holds the d-th subdiagonal,
+    # a[d - 1]; row 0, the unit diagonal, is never read
+    band = np.repeat(np.concatenate(([1.0], a))[:, None], count, axis=1)
+    return dtbsv(order, band, rhs, lower=1, diag=1) + mu
 
 
 def _smooth_ramp(count: int) -> np.ndarray:

@@ -1,7 +1,11 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -580,3 +584,50 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "argument --wheelbase" in capsys.readouterr().err
         assert not out.exists()
+
+
+# run in a fresh interpreter: which scipy subpackages `simulate` and
+# `process` load, then whether psd_spatial still loads scipy.signal itself
+FOOTPRINT_SCRIPT = """
+import json, sys
+from pathlib import Path
+import numpy as np
+from trackvib.cli import main
+from trackvib.geometry import psd_spatial
+from trackvib.spatial import SpatialSeries
+
+root = Path(sys.argv[1])
+(root / "config.json").write_text(json.dumps({
+    "length_m": 400.0, "sensor": "bogie_mems",
+    "profile": {"type": "noise", "band_cycles_per_m": [0.02, 0.5],
+                "rms_mm": 3.0},
+    "speed_plan": [[0.0, 10.0], [45.0, 10.0]], "seed": 2}))
+assert main(["simulate", "--config", str(root / "config.json"),
+             "--out", str(root / "run")]) == 0
+assert main(["process", "--records", str(root / "run"),
+             "--out", str(root / "proc")]) == 0
+loaded = sorted({m.split(".")[1] for m in sys.modules if m.startswith("scipy.")})
+x = np.sin(2 * np.pi * 0.05 * 0.25 * np.arange(4000))
+psd = psd_spatial(SpatialSeries(x, 0.25, 0.0))
+print(json.dumps({"loaded": loaded,
+                  "peak_nu": float(psd.nu_axis[np.argmax(psd.density)]),
+                  "signal_after_psd": "scipy.signal" in sys.modules}))
+"""
+
+
+class TestFootprint:
+    def test_process_path_leaves_scipy_signal_unloaded(self, tmp_path):
+        # scipy.signal and what it pulls in are about 40 MB of a fresh
+        # process; no command needs them
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT,
+                               str(tmp_path)], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        got = json.loads(done.stdout.splitlines()[-1])
+        assert not {"signal", "stats", "optimize", "interpolate"} & set(got["loaded"])
+        assert got["peak_nu"] == pytest.approx(0.05, abs=0.01)
+        assert got["signal_after_psd"]

@@ -382,7 +382,7 @@ def predict_forward_reference(x, count, order, fit):
 
 
 class TestPredictForward:
-    """The filter form of the extension against its recurrence."""
+    """The banded solve of the extension against its recurrence."""
 
     def assert_matches_recurrence(self, x, count, order, fit):
         got = timeseries._predict_forward(x, count, order, fit)
@@ -399,6 +399,17 @@ class TestPredictForward:
         t = np.arange(4096) / 256.0
         x = np.sin(2 * np.pi * 3.0 * t) + 0.1 * rng.normal(size=t.size)
         self.assert_matches_recurrence(x, 1024, 32, 2048)
+
+    @pytest.mark.parametrize("count", [5, 32], ids=["fewer", "equal"])
+    def test_count_up_to_order(self, count):
+        # every prediction's row reaches into the history
+        rng = np.random.default_rng(7)
+        t = np.arange(4096) / 256.0
+        x = np.sin(2 * np.pi * 3.0 * t) + 0.1 * rng.normal(size=t.size)
+        self.assert_matches_recurrence(x, count, 32, 2048)
+
+    def test_one_prediction_at_order_one(self):
+        self.assert_matches_recurrence(np.array([0.3, -0.7, 0.2]), 1, 1, 2048)
 
     def test_constant_segment(self):
         # every Burg denominator is 0, so the prediction is the mean
