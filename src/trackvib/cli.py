@@ -25,9 +25,11 @@ from pathlib import Path
 from . import fileio, pipeline
 from .errors import TrackVibError
 from .geometry import REFERENCE_LOW_SPEED_MPS
-from .pipeline import chord_ground_truth, parse_channel_id
-from .synthesizer import (SENSOR_SPECS, ImpulseEvent, SimConfig, add_impulses,
-                          add_sensor_noise, simulate_run, synth_profile)
+from .pipeline import chord_ground_truth
+from .synthesizer import (SENSOR_SPECS, ImpulseEvent, SimConfig, simulate_blocks,
+                          synth_profile)
+# bench/tracing.py traces these stages under their names here as well
+from .synthesizer import add_impulses, add_sensor_noise, simulate_run  # noqa: F401
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -55,6 +57,11 @@ def _wheelbase(text: str) -> float:
 
 
 def cmd_simulate(args) -> int:
+    """Write the run's 10 s .rec blocks one block of all channels at a time,
+    then ground_truth.trc, config_used.json and, with a geo_polyline,
+    polyline.json. Only the trajectory is held whole (simulate_blocks).
+    The summary line names each channel with samples clipped at the
+    sensor's range, and how many."""
     cfg = fileio.load_config(args.config)
     seed = cfg.get("seed", 0) if args.seed is None else args.seed
     profile = synth_profile(cfg["length_m"], cfg["profile"], seed=seed,
@@ -64,27 +71,23 @@ def cmd_simulate(args) -> int:
     sim_config = SimConfig(cfg["speed_plan"], seed=seed,
                            lateral_disturbance=cfg.get("lateral_disturbance"),
                            sensor_location=sensor.location if sensor else "bogie")
-    sim = simulate_run(profile, sim_config)
+    n_block = int(round(BLOCK_S * sim_config.sample_rate_hz))
+    run, blocks = simulate_blocks(profile, sim_config, n_block, events, sensor)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg_echo = dict(cfg, seed=seed)
-    fs = sim_config.sample_rate_hz
-    n_block = int(round(BLOCK_S * fs))
-    starts = range(0, sim.speeds_mps.size, n_block)
     sensor_meta = asdict(sensor) if sensor else None
-    for cid, ts in sorted(sim.channels.items()):
-        if events and parse_channel_id(cid)["axis"] == "vertical":
-            ts = add_impulses(ts, events, sim.wheel_positions[cid])
-        if sensor:
-            ts, _ = add_sensor_noise(ts, sensor, seed)
-        for b, k in enumerate(starts):
-            block = replace(ts, samples=ts.samples[k:k + n_block],
-                            start_time_s=k / fs)
-            fileio.write_record(out / f"{cid}_b{b:04d}.rec", block,
+    clipped: dict[str, int] = {}
+    n_blocks = 0
+    for b, block in enumerate(blocks):
+        for cid, (ts, n_clipped) in sorted(block.items()):
+            fileio.write_record(out / f"{cid}_b{b:04d}.rec", ts,
                                 sensor=sensor_meta, params={"config": cfg_echo})
+            clipped[cid] = clipped.get(cid, 0) + n_clipped
+        n_blocks = b + 1
 
-    truth = chord_ground_truth(profile, sim)
+    truth = chord_ground_truth(profile, run)
     truth.metadata["config"] = cfg_echo
     fileio.write_trc(out / "ground_truth.trc", truth)
     with open(out / "config_used.json", "w", encoding="utf-8") as fh:
@@ -92,7 +95,9 @@ def cmd_simulate(args) -> int:
         fh.write("\n")
     if "geo_polyline" in cfg:
         fileio.write_polyline(out / "polyline.json", cfg["geo_polyline"])
-    print(f"wrote {len(sim.channels)} channels x {len(starts)} blocks to {out}")
+    hit = [f"{cid} {k}" for cid, k in clipped.items() if k]
+    print(f"wrote {len(clipped)} channels x {n_blocks} blocks to {out}"
+          + (f"; clipped samples: {', '.join(hit)}" if hit else ""))
     return EXIT_OK
 
 

@@ -53,6 +53,19 @@ w g h does. Against a long double per-component sum at 0.02-0.5 cycles/m it
 measured 4.9e-13 of the peak on a direct 2 km run (2.7e-13 with a sin/cos
 per node), and 2.3e-12 (1.5e-12) on 9990-10000 m.
 
+A run is simulated a block of samples at a time (simulate_blocks, which
+`trackvib simulate` uses with 10 s blocks). Held whole is only the
+Trajectory: per sample the speed, dv/dt and front-wheel position, 24 B,
+plus, with lateral_disturbance set, the four lateral band-noise records,
+each one spectral mask over the whole record. Held per block: the
+distinct wheel positions and the node basis of simulate_run, the eight
+channels, each event's doublet (placed once from the whole run's
+positions, and split where it straddles a block bound) and the sensor
+noise (one generator per channel, carried across blocks, whose draws in
+parts are the whole draw). simulate_run(profile, config) is the one block
+that spans the run, and add_impulses and add_sensor_noise are the same
+stages on a whole record.
+
 Impulse events model wheel/rail defects: a bipolar raised-cosine doublet in
 acceleration (positive raised-cosine over the first half-duration, negative
 over the second). The doublet has zero net area - a wheel crossing a defect
@@ -460,9 +473,9 @@ def profile_spatial_series(profile: TrackProfile, side: str,
 
 
 def _trajectory(config: SimConfig, length_m: float):
-    """Sampled speed, acceleration dv/dt and front-wheel position, ending at
-    the first sample at or past length_m. Raises PlanTooShortError if the
-    plan runs out first."""
+    """Sampled time, speed, acceleration dv/dt and front-wheel position,
+    ending at the first sample at or past length_m. Raises
+    PlanTooShortError if the plan runs out first."""
     fs = config.sample_rate_hz
     kt, kv = np.array(config.speed_plan).T
     # analytic distance at the knots to size the sample arrays up front
@@ -471,31 +484,39 @@ def _trajectory(config: SimConfig, length_m: float):
         raise PlanTooShortError(
             f"speed plan ends at t={kt[-1]} s with the front wheel at "
             f"{knot_x[-1]:.1f} m of {length_m} m")
+    # dv/dt of each plan segment; a zero-length segment steps, slope 0
+    knot_dt = np.diff(kt)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        knot_slope = np.where(knot_dt > 0, np.diff(kv) / knot_dt, 0.0)
     seg = int(np.searchsorted(knot_x, length_m, side="right")) - 1
     seg = min(seg, kt.size - 2)
     need = length_m - knot_x[seg]
     v0 = kv[seg]
-    seg_dt = kt[seg + 1] - kt[seg]
-    slope = (kv[seg + 1] - kv[seg]) / seg_dt if seg_dt > 0 else 0.0
+    slope = knot_slope[seg]
     if slope != 0.0:
         tau = (np.sqrt(max(v0 * v0 + 2.0 * slope * need, 0.0)) - v0) / slope
     else:
-        tau = need / v0 if v0 > 0 else seg_dt
+        tau = need / v0 if v0 > 0 else knot_dt[seg]
     t_reach = min(kt[seg] + tau, kt[-1])
     n = int(np.ceil(t_reach * fs - 1e-9)) + 1
     n = min(n, int(np.floor(kt[-1] * fs + 1e-9)) + 1)
     t = np.arange(n) / fs
     v = np.interp(t, kt, kv)
-    dt = 1.0 / fs
-    x = np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * dt)))
+    # x is the running trapezoid sum of v, built in place
+    x = np.empty(n)
+    x[0] = 0.0
+    step = v[1:] + v[:-1]
+    step *= 0.5
+    step *= 1.0 / fs
+    np.cumsum(step, out=x[1:])
+    del step
     stop = min(int(np.searchsorted(x, length_m)) + 1, n)
     t, v, x = t[:stop], v[:stop], x[:stop]
     # dv/dt: slope of the active plan segment
-    seg = np.clip(np.searchsorted(kt, t, side="right") - 1, 0, kt.size - 2)
-    seg_dt = kt[seg + 1] - kt[seg]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slopes = np.where(seg_dt > 0, (kv[seg + 1] - kv[seg]) / seg_dt, 0.0)
-    return t, v, slopes, x
+    seg = np.searchsorted(kt, t, side="right")
+    seg -= 1
+    np.clip(seg, 0, kt.size - 2, out=seg)
+    return t, v, knot_slope[seg], x
 
 
 def _band_noise(rng: np.random.Generator, n: int, fs: float, rms: float,
@@ -533,7 +554,52 @@ def _distinct(x: np.ndarray):
     return distinct, index
 
 
-def simulate_run(profile: TrackProfile, config: SimConfig) -> SimResult:
+@dataclass(frozen=True)
+class Trajectory:
+    """What a run holds whole while simulate_run works through it a block
+    at a time: per sample the speed, dv/dt and front-wheel position
+    (24 B), and, with lateral_disturbance set, each lateral channel's band
+    noise. _band_noise is a spectral mask over the whole record, so that
+    noise cannot be drawn a block at a time. start is the run's index of
+    sample 0."""
+
+    v: np.ndarray
+    dvdt: np.ndarray
+    x_front: np.ndarray
+    disturbance: dict            # lateral channel id -> band noise
+    start: int = 0
+
+    @classmethod
+    def of(cls, profile: TrackProfile, config: SimConfig) -> Trajectory:
+        """The whole run's trajectory. Raises PlanTooShortError if the plan
+        ends before the profile, ValueError if the disturbance band keeps
+        no frequency bin."""
+        _, v, dvdt, x_front = _trajectory(config, profile.length_m)
+        disturbance = {}
+        d = config.lateral_disturbance
+        if d:
+            for pos in POSITIONS:
+                for side in SIDES:
+                    cid = channel_id(config.sensor_location, pos, side, "lateral")
+                    rng = _channel_rng(config.seed, f"lateral-disturbance-{cid}")
+                    disturbance[cid] = _band_noise(
+                        rng, x_front.size, config.sample_rate_hz,
+                        float(d["rms_mps2"]), tuple(d["band_hz"]))
+        return cls(v, dvdt, x_front, disturbance)
+
+    def __len__(self) -> int:
+        return self.x_front.size
+
+    def block(self, k0: int, k1: int) -> Trajectory:
+        """Samples k0 .. k1 of this trajectory, as views."""
+        k1 = min(k1, len(self))
+        return Trajectory(self.v[k0:k1], self.dvdt[k0:k1], self.x_front[k0:k1],
+                          {cid: d[k0:k1] for cid, d in self.disturbance.items()},
+                          self.start + k0)
+
+
+def simulate_run(profile: TrackProfile, config: SimConfig,
+                 trajectory: Trajectory | None = None) -> SimResult:
     """Noise-free accelerations for front/back, left/right, vertical/lateral.
 
     Channel ids are channel_id(location, position, side, axis). The back
@@ -545,8 +611,14 @@ def simulate_run(profile: TrackProfile, config: SimConfig) -> SimResult:
     samples from them. A rail without components gives +0.0. Impulse
     events and sensor noise are separate stages (add_impulses,
     add_sensor_noise).
+
+    trajectory, a block of Trajectory.of(profile, config), limits the run
+    to its samples: the records, positions and speeds then start at its
+    start, and only the block's samples are ever held. Without it the
+    block spans the run.
     """
-    _, v, dvdt, x_front = _trajectory(config, profile.length_m)
+    traj = Trajectory.of(profile, config) if trajectory is None else trajectory
+    v, dvdt, x_front = traj.v, traj.dvdt, traj.x_front
     n = x_front.size
     loc = config.sensor_location
     keys = [(pos, side, axis) for pos in POSITIONS for side in SIDES for axis in AXES]
@@ -586,17 +658,85 @@ def simulate_run(profile: TrackProfile, config: SimConfig) -> SimResult:
     channels: dict[str, TimeSeries] = {}
     wheel_positions: dict[str, np.ndarray] = {}
     x_back = x_front - config.wheelbase_m
+    start_s = traj.start / config.sample_rate_hz
     for (pos, side, axis), acc in zip(keys, accs.reshape(-1, n)):
         cid = channel_id(loc, pos, side, axis)
-        if axis == "lateral" and config.lateral_disturbance:
-            d = config.lateral_disturbance
-            rng = _channel_rng(config.seed, f"lateral-disturbance-{cid}")
-            acc = acc + _band_noise(rng, acc.size, config.sample_rate_hz,
-                                    float(d["rms_mps2"]), tuple(d["band_hz"]))
-        channels[cid] = TimeSeries(acc, config.sample_rate_hz, 0.0,
+        if cid in traj.disturbance:
+            acc += traj.disturbance[cid]
+        channels[cid] = TimeSeries(acc, config.sample_rate_hz, start_s,
                                    cid, KIND_ACCELERATION)
         wheel_positions[cid] = x_front if pos == "front" else x_back
     return SimResult(channels, wheel_positions, v, config)
+
+
+def simulate_blocks(profile: TrackProfile, config: SimConfig, block_samples: int,
+                    events=(), sensor: SensorSpec | None = None):
+    """The run's records with impulses and sensor noise, a block of
+    block_samples at a time.
+
+    Returns (run, blocks). run is the SimResult of the trajectory alone:
+    no channels, the front wheels' positions and the speed, whole; what
+    chord_ground_truth reads. blocks yields, per block, channel id ->
+    (TimeSeries, clipped count): simulate_run on the block, then on the
+    vertical channels the block's part of each event's doublet, then the
+    sensor's noise and clipping (add_sensor_noise, whose clipped samples
+    are counted; 0 without a sensor). Each block equals the same slice of
+    add_sensor_noise(add_impulses(simulate_run(profile, config), ...), ...):
+    each doublet is taken once, from the whole run's positions, so one that
+    straddles a block bound is split, and each channel draws its noise
+    from one generator across blocks. Only the Trajectory is held whole;
+    the plan and the disturbance band are checked before this returns.
+    """
+    traj = Trajectory.of(profile, config)
+    fs = config.sample_rate_hz
+    doublets = {}
+    for pos in POSITIONS if events else ():
+        x = traj.x_front if pos == "front" else traj.x_front - config.wheelbase_m
+        doublets[pos] = _doublets(events, x, fs)
+    front = {channel_id(config.sensor_location, "front", side, axis): traj.x_front
+             for side in SIDES for axis in AXES}
+    run = SimResult({}, front, traj.v, config)
+
+    def blocks():
+        rngs: dict = {}
+        for k0 in range(0, len(traj), block_samples):
+            sim = simulate_run(profile, config, traj.block(k0, k0 + block_samples))
+            out = {}
+            for cid, ts in sim.channels.items():
+                parts = parse_channel_id(cid)
+                if parts["axis"] == "vertical":
+                    for a, d in doublets.get(parts["position"], ()):
+                        lo, hi = max(a, k0), min(a + d.size, k0 + len(ts))
+                        if lo < hi:
+                            ts.samples[lo - k0:hi - k0] += d[lo - a:hi - a]
+                clipped = 0
+                if sensor:
+                    if cid not in rngs:
+                        rngs[cid] = _channel_rng(config.seed, cid)
+                    ts, mask = add_sensor_noise(ts, sensor, rngs[cid])
+                    clipped = int(np.count_nonzero(mask))
+                out[cid] = (ts, clipped)
+            yield out
+
+    return run, blocks()
+
+
+def _doublets(events, x: np.ndarray, fs: float) -> list:
+    """(a, d) per event that a wheel at run positions x crosses: d is its
+    doublet on run samples a .. a + d.size, as add_impulses adds it to a
+    silent record of the whole run."""
+    out = []
+    for ev in events:
+        if not x[0] <= ev.position_m <= x[-1]:
+            continue
+        # the samples that bracket the crossing, and those within half the
+        # duration of it
+        j = int(np.searchsorted(x, ev.position_m, side="right")) - 1
+        reach = int(np.ceil(ev.duration_ms * 1e-3 / 2.0 * fs)) + 1
+        a, b = max(j - reach, 0), min(j + reach + 2, x.size)
+        silent = TimeSeries(np.zeros(b - a), fs, a / fs)
+        out.append((a, add_impulses(silent, [ev], x[a:b]).samples))
+    return out
 
 
 def add_impulses(ts: TimeSeries, events, wheel_positions_m: np.ndarray) -> TimeSeries:
@@ -604,12 +744,15 @@ def add_impulses(ts: TimeSeries, events, wheel_positions_m: np.ndarray) -> TimeS
 
     Events whose position the wheel never reaches are skipped. The doublet
     peaks at +/- amplitude_g * 9.81 and spans duration_ms
-    centered on the crossing instant.
+    centered on the crossing instant. The record's sample times are
+    np.arange(k0, k0 + len(ts)) / fs, k0 = start_time_s * fs, so a stretch
+    of a run gets the doublet the whole run gets, rounding included.
     """
     if wheel_positions_m.size != len(ts):
         raise ValueError("wheel positions must match the record length")
     fs = ts.sample_rate_hz
-    t = np.arange(len(ts)) / fs
+    k0 = int(round(ts.start_time_s * fs))
+    t = np.arange(k0, k0 + len(ts)) / fs
     out = ts.samples.copy()
     for ev in events:
         pos = wheel_positions_m
@@ -626,15 +769,19 @@ def add_impulses(ts: TimeSeries, events, wheel_positions_m: np.ndarray) -> TimeS
     return replace(ts, samples=out)
 
 
-def add_sensor_noise(ts: TimeSeries, spec: SensorSpec, seed: int = 0):
+def add_sensor_noise(ts: TimeSeries, spec: SensorSpec,
+                     seed: int | np.random.Generator = 0):
     """White sensor-floor noise plus range clipping.
 
     Returns (noisy_series, clipped_mask): sigma is the noise floor scaled by
     sqrt(fs/2), the clip limit is +/- range_g * 9.81, and the mask marks every
     sample that hit it. The noise stream is derived from seed + channel id,
-    so channels never share a stream and reruns are identical.
+    so channels never share a stream and reruns are identical. A Generator
+    as seed is drawn from as it stands: one per channel, carried from block
+    to block, gives each block its slice of the whole record's noise.
     """
-    rng = _channel_rng(seed, ts.channel_id)
+    rng = (seed if isinstance(seed, np.random.Generator)
+           else _channel_rng(seed, ts.channel_id))
     sigma = spec.noise_sigma(ts.sample_rate_hz)
     limit = spec.range_g * G
     # the noisy record is built in the noise buffer: one full-length array

@@ -163,6 +163,88 @@ class TestSimulate:
             assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
 
+    def test_blocks_equal_the_whole_run(self, tmp_path):
+        # a ramp, a stop and a restart, lateral band noise, 305 m in 40.5 s
+        # (four 10 s blocks and a half), and an impulse at 79.99 m, which
+        # the front wheel crosses 1 ms before t = 10 s
+        cfg = dict(CONFIG, **{
+            "length_m": 305.0,
+            "speed_plan": [[0, 0], [4, 10], [12, 10], [16, 0], [20, 0],
+                           [24, 10], [60, 10]],
+            "impulses": [{"position_m": 79.99, "amplitude_g": 5.0,
+                          "duration_ms": 4.0}],
+            "sensor": "bogie_mems",
+            "lateral_disturbance": {"rms_mps2": 0.2, "band_hz": [0.5, 5.0]},
+            "seed": 4})
+        run = tmp_path / "run"
+        assert main(["simulate", "--config",
+                     str(write_config(tmp_path / "config.json", cfg)),
+                     "--out", str(run)]) == 0
+
+        from trackvib.fileio import read_record, write_trc
+        from trackvib.pipeline import chord_ground_truth
+        from trackvib.synthesizer import (SENSOR_SPECS, ImpulseEvent, SimConfig,
+                                          add_impulses, add_sensor_noise,
+                                          simulate_run, synth_profile)
+        profile = synth_profile(cfg["length_m"], cfg["profile"], seed=4)
+        sim = simulate_run(profile, SimConfig(
+            cfg["speed_plan"], seed=4,
+            lateral_disturbance=cfg["lateral_disturbance"]))
+        events = [ImpulseEvent(**e) for e in cfg["impulses"]]
+        n_block = 25600
+        assert len(sim.speeds_mps) % n_block != 0
+        straddles = 0
+        for cid, ts in sim.channels.items():
+            whole = ts
+            if cid.endswith("-vertical"):
+                whole = add_impulses(ts, events, sim.wheel_positions[cid])
+                hit = np.flatnonzero(whole.samples != ts.samples)
+                straddles += hit[0] < n_block <= hit[-1]
+            whole, _ = add_sensor_noise(whole, SENSOR_SPECS["bogie_mems"], 4)
+            peak = np.max(np.abs(whole.samples))
+            paths = sorted(run.glob(f"{cid}_b*.rec"))
+            assert len(paths) == -(-len(whole) // n_block)
+            for b, path in enumerate(paths):
+                block, _ = read_record(path)
+                k0 = b * n_block
+                part = whole.samples[k0:k0 + n_block]
+                assert block.start_time_s == k0 / 2560.0
+                assert len(block) == part.size
+                assert np.max(np.abs(block.samples - part)) <= 1e-15 * peak, path.name
+        assert straddles == 2       # the front wheel's two vertical channels
+
+        truth = chord_ground_truth(profile, sim)
+        truth.metadata["config"] = cfg
+        write_trc(tmp_path / "truth.trc", truth)
+        assert ((run / "ground_truth.trc").read_bytes()
+                == (tmp_path / "truth.trc").read_bytes())
+
+    def test_summary_names_clipped_channels(self, tmp_path, capsys):
+        # 40 g against bogie_mems's 16 g range: the vertical channels clip
+        cfg = dict(CONFIG, seed=5, sensor="bogie_mems", impulses=[
+            {"position_m": 300.0, "amplitude_g": 40.0, "duration_ms": 4.0}])
+        run = tmp_path / "run"
+        assert main(["simulate", "--config",
+                     str(write_config(tmp_path / "config.json", cfg)),
+                     "--out", str(run)]) == 0
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        assert "; clipped samples: " in line
+        named = dict(part.rsplit(" ", 1)
+                     for part in line.split("; clipped samples: ")[1].split(", "))
+
+        from trackvib.fileio import read_record
+        limit = 16.0 * 9.81
+        counted = {}
+        for path in run.glob("*.rec"):
+            cid = path.name.rsplit("_b", 1)[0]
+            samples = read_record(path)[0].samples
+            counted[cid] = counted.get(cid, 0) + int(np.count_nonzero(
+                np.abs(samples) >= limit))
+        assert {cid: int(k) for cid, k in named.items()} == {
+            cid: k for cid, k in counted.items() if k}
+        assert sorted(named) == sorted(c for c in counted if c.endswith("-vertical"))
+
+
 class TestProcess:
     def test_artifacts(self, proc_dir):
         assert sorted(p.name for p in proc_dir.iterdir()) == [
@@ -615,19 +697,57 @@ print(json.dumps({"loaded": loaded,
 """
 
 
+# run in a fresh interpreter: `simulate` at 10 m/s for argv[2] seconds of
+# record, then the process's peak RSS in MB
+SIMULATE_PEAK_SCRIPT = """
+import json, resource, sys
+from pathlib import Path
+from trackvib.cli import main
+
+root, seconds = Path(sys.argv[1]), float(sys.argv[2])
+root.mkdir()
+(root / "config.json").write_text(json.dumps({
+    "length_m": 10.0 * seconds, "sensor": "bogie_mems",
+    "profile": {"type": "noise", "band_cycles_per_m": [0.02, 0.5],
+                "rms_mm": 3.0},
+    "speed_plan": [[0.0, 10.0], [seconds + 5.0, 10.0]], "seed": 2}))
+assert main(["simulate", "--config", str(root / "config.json"),
+             "--out", str(root / "run")]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+"""
+
+
 class TestFootprint:
     def test_process_path_leaves_scipy_signal_unloaded(self, tmp_path):
         # scipy.signal and what it pulls in are about 40 MB of a fresh
         # process; no command needs them
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
         done = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT,
-                               str(tmp_path)], env=env, capture_output=True,
+                               str(tmp_path)], env=self.env(), capture_output=True,
                               text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         got = json.loads(done.stdout.splitlines()[-1])
         assert not {"signal", "stats", "optimize", "interpolate"} & set(got["loaded"])
         assert got["peak_nu"] == pytest.approx(0.05, abs=0.01)
         assert got["signal_after_psd"]
+
+    def test_simulate_memory_does_not_follow_the_run(self, tmp_path):
+        # only the trajectory (24 B a sample) is held whole; simulating the
+        # whole run before cutting it into blocks grew 0.33 MB per recorded
+        # second between 100 s and 400 s (ru_maxrss is in KiB on Linux)
+        def peak(seconds):
+            done = subprocess.run(
+                [sys.executable, "-c", SIMULATE_PEAK_SCRIPT,
+                 str(tmp_path / f"s{seconds}"), str(seconds)],
+                env=self.env(), capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            return float(done.stdout.splitlines()[-1])
+
+        assert (peak(400) - peak(100)) / 300.0 <= 0.15
+
+    @staticmethod
+    def env():
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+        return env

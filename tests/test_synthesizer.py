@@ -464,6 +464,61 @@ class TestKernelEdgeCases:
         assert counts[1] <= 1.05 * counts[0]
 
 
+class TestBlocks:
+    """simulate_run on blocks of Trajectory.of against the whole run."""
+
+    def test_blocks_match_whole_run(self):
+        # a stop and a restart, lateral band noise, and a block length that
+        # leaves a short last block
+        profile = synth_profile(120.0, NOISE_SPEC, seed=12, lateral_spec=THREE_SINES)
+        cfg = SimConfig(speed_plan=SHORT_STOP_PLAN, seed=3,
+                        lateral_disturbance={"rms_mps2": 0.2, "band_hz": (0.5, 5.0)})
+        whole = simulate_run(profile, cfg)
+        traj = synthesizer.Trajectory.of(profile, cfg)
+        n, step = len(traj), 7000
+        assert n % step
+        for k0 in range(0, n, step):
+            block = simulate_run(profile, cfg, traj.block(k0, k0 + step))
+            assert np.array_equal(block.speeds_mps, whole.speeds_mps[k0:k0 + step])
+            for cid, ts in block.channels.items():
+                ref = whole.channels[cid].samples
+                assert ts.start_time_s == k0 / cfg.sample_rate_hz
+                assert np.array_equal(block.wheel_positions[cid],
+                                      whole.wheel_positions[cid][k0:k0 + step])
+                assert np.max(np.abs(ts.samples - ref[k0:k0 + step])) \
+                    <= 1e-15 * np.max(np.abs(ref)), cid
+
+    @pytest.mark.parametrize("splits", [[1], [25600, 51200], [3, 4, 1000, 99999]],
+                             ids=["one-sample", "whole-blocks", "uneven"])
+    def test_noise_drawn_in_blocks_is_the_whole_draw(self, splits):
+        # add_sensor_noise carries one generator per channel across blocks:
+        # standard_normal drawn in parts must be the one whole draw
+        whole = synthesizer._channel_rng(4, "c").standard_normal(145_815)
+        rng = synthesizer._channel_rng(4, "c")
+        parts = [rng.standard_normal(b - a)
+                 for a, b in zip([0] + splits, splits + [whole.size])]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_stretch_gets_the_whole_runs_doublet(self):
+        # add_impulses times a record from its start: a stretch of the run
+        # gets the run's doublet bit for bit, and so does the noise drawn
+        # from a generator carried over from the samples before it
+        fs, n, k0 = 2560.0, 30000, 12345
+        pos = 7.0 * np.arange(n) / fs
+        ts = TimeSeries(np.sin(np.arange(n) / 50.0), fs, channel_id="c")
+        events = [ImpulseEvent(24.0, 30.0, 4.0), ImpulseEvent(40.0, 5.0, 6.0)]
+        whole = add_impulses(ts, events, pos)
+        stretch = add_impulses(replace(ts, samples=ts.samples[k0:], start_time_s=k0 / fs),
+                               events, pos[k0:])
+        assert np.array_equal(stretch.samples, whole.samples[k0:])
+        spec = SENSOR_SPECS["bogie_mems"]
+        noisy, _ = add_sensor_noise(whole, spec, seed=6)
+        rng = synthesizer._channel_rng(6, "c")
+        add_sensor_noise(replace(whole, samples=whole.samples[:k0]), spec, rng)
+        rest, _ = add_sensor_noise(stretch, spec, rng)
+        assert np.array_equal(rest.samples, noisy.samples[k0:])
+
+
 class TestAddImpulses:
     def doublet_setup(self, amp_g=150.0, dur_ms=5.0, fs=2560.0, v=10.0):
         n = int(round(10.0 * fs))
