@@ -135,9 +135,11 @@ def cmd_process(args) -> int:
     fileio.write_speed(out / "speed.csv", result.speed,
                        result.params["speed_source"])
     first = next(iter(result.alignments.values()))
+    cut = [f"{cid} {s:.2f} s" for cid, s in result.cut_s.items()]
     print(f"processed {len(plan.read)} of {len(present)} "
           f"channels -> {len(result.alignments)} geometry columns on "
-          f"{len(first)} grid points, output in {out}")
+          f"{len(first)} grid points, output in {out}"
+          + (f"; cut to the shortest record: {', '.join(cut)}" if cut else ""))
     return EXIT_OK
 
 

@@ -21,6 +21,15 @@ SPEED_COLUMN and geometry columns named by column_name, such as
 VA10_left_mm or HA7.5_right_mm. A geometry column spelled otherwise
 (VA10.0_left_mm) is refused, so that tables match column by column.
 
+Published resolution: the geometry and speed columns of a .trc are rounded
+to TRC_DECIMALS decimals (1e-6 mm, 1e-6 m/s) by published, where they are
+made, not by write_trc, so any TrcData still writes and reads back bit for
+bit. Digits below 1e-6 mm are float64 rounding noise; without them repr
+writes at most 9 significant digits below 1 m, about half the text, and
+np.loadtxt parses it about 3x faster. speed.csv keeps full precision: it
+is the speed a run's distance axis was built from, and read back with
+--speed-file it must rebuild that axis, and so the geometry, exactly.
+
 Simulate config and survey polyline: JSON checked against the shapes below;
 a misfit raises FormatError naming the path, and in a config the field.
 """
@@ -267,6 +276,15 @@ def read_table(path, leading: tuple, dtype=float) -> tuple[dict, dict, int]:
 
 
 # ---------------------------------------------------------------- trc
+
+TRC_DECIMALS = 6    # published resolution of a .trc: 1e-6 mm, 1e-6 m/s
+
+
+def published(values) -> np.ndarray:
+    """values rounded to the published resolution of a .trc column; NaN
+    stays NaN."""
+    return np.round(values, TRC_DECIMALS)
+
 
 @dataclass
 class TrcData:

@@ -4,10 +4,10 @@ Stage order: merge -> decimate to the working rate -> double integration
 (cutoff from the chord unless overridden) -> speed from front/back cross
 correlation at SPEED_CUTOFF_HZ (or from an external time table) -> distance axis
 -> spatial resampling, the settle zones and standstill masked -> chord
-alignment -> windowed maxima. The front sensor's displacement is the
-geometry estimate; the back one exists for the speed estimator. Only the
-records a job reads are merged and decimated, so a fault in any other
-record does not touch the run.
+alignment, rounded to the published .trc resolution -> windowed maxima.
+The front sensor's displacement is the geometry estimate; the back one
+exists for the speed estimator. Only the records a job reads are merged
+and decimated, so a fault in any other record does not touch the run.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from . import comparison
 from .errors import (GapTooLargeError, InsufficientDataError,
                      MissingChannelError, MixedLocationError, NoOverlapError,
                      TooShortError, UndefinedCorrelationError)
-from .fileio import SPEED_COLUMN, TrcData, column_name
+from .fileio import SPEED_COLUMN, TrcData, column_name, published
 from .geometry import (MODE_MAX_ABS, REFERENCE_LOW_SPEED_MPS, chord_alignment,
                        select_cutoff, windowed_max)
 from .spatial import (TRC_SPACING_M, DistanceAxis, SpatialSeries,
@@ -67,14 +67,17 @@ class ProcessResult:
     alignments: dict = field(default_factory=dict)   # column -> SpatialSeries (mm)
     maxima: dict = field(default_factory=dict)       # column -> WindowedStats
     params: dict = field(default_factory=dict)
+    # record id -> seconds cut from its end to the shortest record read
+    cut_s: dict = field(default_factory=dict)
 
     def to_trc(self) -> TrcData:
         if not self.alignments:
             raise MissingChannelError("nothing was processed")
         first = next(iter(self.alignments.values()))
         grid = first.positions()
-        columns = {SPEED_COLUMN: np.interp(grid, self.axis.positions_m,
-                                           self.speed.speeds_mps)}
+        # published here, not in speed.csv: see fileio.published
+        columns = {SPEED_COLUMN: published(np.interp(
+            grid, self.axis.positions_m, self.speed.speeds_mps))}
         for name, series in self.alignments.items():
             columns[name] = series.values
         return TrcData(grid, columns, dict(self.params))
@@ -172,7 +175,8 @@ def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
     at the first record sample; it replaces the estimated speed, and must
     span every record sample after decimation, or TooShortError is raised.
     The records read must start within half a sample of each other, or
-    GapTooLargeError is raised.
+    GapTooLargeError is raised. Every record is cut to the shortest one;
+    the result's cut_s names each record cut, with the seconds it lost.
     """
     plan = plan_records(channels.keys(), opts, speed_override is not None)
     cutoffs = {d: select_cutoff(d) if opts.cutoff_hz is None else opts.cutoff_hz
@@ -219,7 +223,9 @@ def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
         "x0_m": 0.0,
         "speed_source": "external" if speed_override is not None else "estimated",
     }
-    result = ProcessResult(speed, axis, params=params)
+    cut_s = {cid: (len(ts) - n) / WORKING_RATE_HZ
+             for cid, ts in prepared.items() if len(ts) > n}
+    result = ProcessResult(speed, axis, params=params, cut_s=cut_s)
 
     going = moving(speed)
     for d, side, axis_name, cid in plan.jobs:
@@ -227,6 +233,8 @@ def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
                                     _settled(n, cutoffs[d]) & going)
         z_mm = replace(z_space, values=z_space.values * 1e3)
         aligned = chord_alignment(z_mm, d)
+        # windows.csv and estimated.trc hold the published values
+        aligned = replace(aligned, values=published(aligned.values))
         column = column_name(d, side, axis_name)
         result.alignments[column] = aligned
         result.maxima[column] = windowed_max(aligned, opts.window_m)
@@ -244,11 +252,12 @@ def chord_ground_truth(profile, sim) -> TrcData:
     for d, side, axis in _column_keys(ProcessOptions.chords_m,
                                       ProcessOptions.lateral_chords_m):
         series = profile_spatial_series(profile, side, axis)
-        columns[column_name(d, side, axis)] = chord_alignment(series, d).values
+        columns[column_name(d, side, axis)] = published(
+            chord_alignment(series, d).values)
     grid = profile_spatial_series(profile, SIDES[0]).positions()
     x_front = next(pos for cid, pos in sim.wheel_positions.items()
                    if parse_channel_id(cid)["position"] == "front")
-    columns[SPEED_COLUMN] = np.interp(grid, x_front, sim.speeds_mps)
+    columns[SPEED_COLUMN] = published(np.interp(grid, x_front, sim.speeds_mps))
     return TrcData(grid, columns, {"source": "synthesizer"})
 
 

@@ -473,9 +473,10 @@ def profile_spatial_series(profile: TrackProfile, side: str,
 
 
 def _trajectory(config: SimConfig, length_m: float):
-    """Sampled time, speed, acceleration dv/dt and front-wheel position,
-    ending at the first sample at or past length_m. Raises
-    PlanTooShortError if the plan runs out first."""
+    """Sampled speed, acceleration dv/dt and front-wheel position, ending at
+    the first sample at or past length_m. Raises PlanTooShortError if the
+    plan runs out first. At most three float64 arrays of the run are held
+    at once: the time axis is dropped before the position is built."""
     fs = config.sample_rate_hz
     kt, kv = np.array(config.speed_plan).T
     # analytic distance at the knots to size the sample arrays up front
@@ -502,6 +503,12 @@ def _trajectory(config: SimConfig, length_m: float):
     n = min(n, int(np.floor(kt[-1] * fs + 1e-9)) + 1)
     t = np.arange(n) / fs
     v = np.interp(t, kt, kv)
+    # dv/dt is the slope of the active plan segment: segment j holds the
+    # samples from the first at or past knot j to the first at or past
+    # knot j + 1; samples before knot 1 are the first segment's, samples
+    # from the last knot on the last segment's
+    bounds = np.searchsorted(t, kt[1:-1])
+    del t
     # x is the running trapezoid sum of v, built in place
     x = np.empty(n)
     x[0] = 0.0
@@ -511,12 +518,8 @@ def _trajectory(config: SimConfig, length_m: float):
     np.cumsum(step, out=x[1:])
     del step
     stop = min(int(np.searchsorted(x, length_m)) + 1, n)
-    t, v, x = t[:stop], v[:stop], x[:stop]
-    # dv/dt: slope of the active plan segment
-    seg = np.searchsorted(kt, t, side="right")
-    seg -= 1
-    np.clip(seg, 0, kt.size - 2, out=seg)
-    return t, v, knot_slope[seg], x
+    counts = np.diff(np.concatenate(([0], np.minimum(bounds, stop), [stop])))
+    return v[:stop], np.repeat(knot_slope, counts), x[:stop]
 
 
 def _band_noise(rng: np.random.Generator, n: int, fs: float, rms: float,
@@ -574,7 +577,7 @@ class Trajectory:
         """The whole run's trajectory. Raises PlanTooShortError if the plan
         ends before the profile, ValueError if the disturbance band keeps
         no frequency bin."""
-        _, v, dvdt, x_front = _trajectory(config, profile.length_m)
+        v, dvdt, x_front = _trajectory(config, profile.length_m)
         disturbance = {}
         d = config.lateral_disturbance
         if d:

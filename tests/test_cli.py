@@ -430,6 +430,32 @@ class TestProcess:
         assert str(cut[1]) in err and "'sample_rate_hz'" in err
         assert not (tmp_path / "x").exists()
 
+    def test_cut_records_are_named(self, tmp_path, capsys):
+        # a record that ends 10 s early cuts the others to its length: the
+        # summary names each record cut and the seconds it lost
+        cfg = write_config(tmp_path / "config.json", dict(
+            CONFIG, length_m=400.0, sensor="bogie_mems", seed=2,
+            speed_plan=[[0.0, 10.0], [45.0, 10.0]]))
+        records = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(records)]) == 0
+        assert main(["process", "--records", str(records),
+                     "--out", str(tmp_path / "whole")]) == 0
+        assert "shortest record" not in capsys.readouterr().out
+        for b in ("b0003", "b0004"):
+            (records / f"bogie-front-left-lateral_{b}.rec").unlink()
+        assert main(["process", "--records", str(records),
+                     "--out", str(tmp_path / "short")]) == 0
+        summary = capsys.readouterr().out
+        assert "on 1200 grid points" in summary
+        lost = dict(item.rsplit(" ", 2)[:2] for item in summary.split(
+            "; cut to the shortest record: ")[1].strip().split(", "))
+        assert sorted(lost) == ["bogie-back-left-vertical",
+                                "bogie-front-left-vertical",
+                                "bogie-front-right-lateral",
+                                "bogie-front-right-vertical"]
+        assert all(10.0 <= float(s) <= 11.0 for s in lost.values()), lost
+
     def test_late_record_is_data_error(self, sim_dir, tmp_path, capsys):
         # without its first block the record starts 10 s after the others;
         # on their time axis its geometry would sit 100 m early
@@ -466,6 +492,37 @@ class TestProcess:
         rc = main(["process", "--records", str(tmp_path),
                    "--out", str(tmp_path / "x")])
         assert rc == 1
+
+
+class TestPublishedResolution:
+    """The .trc columns are published to 6 decimals, and windows.csv holds
+    the windowed maxima of the published columns."""
+
+    def test_trc_columns_are_rounded_to_six_decimals(self, sim_dir, proc_dir):
+        from trackvib.fileio import read_trc
+        for path in (proc_dir / "estimated.trc", sim_dir / "ground_truth.trc"):
+            trc = read_trc(path)
+            assert trc.geometry_columns() and "speed_mps" in trc.columns
+            for name, values in trc.columns.items():
+                assert np.isfinite(values).any(), name
+                assert np.round(values, 6).tobytes() == values.tobytes(), \
+                    f"{path.name}: {name}"
+
+    def test_windows_are_maxima_of_the_published_columns(self, proc_dir):
+        from trackvib.fileio import read_trc, read_windows
+        from trackvib.geometry import windowed_max
+        from trackvib.spatial import TRC_SPACING_M, SpatialSeries
+        trc = read_trc(proc_dir / "estimated.trc")
+        for name in trc.geometry_columns():
+            stats = read_windows(proc_dir / "windows.csv", name)
+            again = windowed_max(SpatialSeries(
+                trc.columns[name], TRC_SPACING_M, float(trc.distance_m[0])),
+                stats.window_m)
+            assert np.array_equal(again.starts_m, stats.starts_m), name
+            assert np.array_equal(again.usable, stats.usable), name
+            assert stats.usable.any(), name
+            assert (again.values[stats.usable].tobytes()
+                    == stats.values[stats.usable].tobytes()), name
 
 
 class TestCompare:

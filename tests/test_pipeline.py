@@ -204,6 +204,39 @@ class TestProcessRecords:
         assert np.array_equal(back.distance_m, trc.distance_m)
         assert np.allclose(back.columns["speed_mps"], 10.0, atol=1e-9)
 
+    def test_cut_records_are_reported(self):
+        _, sim = simulate(SINE_SPEC)
+        assert process_records(sim.channels).cut_s == {}
+        short = "bogie-front-right-lateral"
+        channels = dict(sim.channels)
+        channels[short] = replace(channels[short],
+                                  samples=channels[short].samples[:-2560 * 3])
+        res = process_records(channels)
+        assert set(res.cut_s) == set(READ) - {short}
+        assert all(s == 3.0 for s in res.cut_s.values()), res.cut_s
+
+    def test_published_columns_are_the_computed_ones_rounded(self, noise_run,
+                                                             monkeypatch):
+        # the .trc columns and the windowed maxima lie within half of the
+        # last published decimal of the values computed without rounding,
+        # and are NaN where those are
+        profile, sim = noise_run
+
+        def published_values():
+            res, truth = process_records(sim.channels), chord_ground_truth(profile, sim)
+            tables = (res.to_trc(), truth)
+            return ([list(t.columns) for t in tables], np.concatenate(
+                [v for t in tables for v in t.columns.values()]
+                + [s.values for s in res.maxima.values()]))
+
+        names, got = published_values()
+        monkeypatch.setattr(pipeline, "published", lambda values: values)
+        raw_names, want = published_values()
+        assert names == raw_names
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert not np.array_equal(got, want, equal_nan=True)
+        assert np.nanmax(np.abs(got - want)) <= 5e-7
+
 
 class TestSpeedStage:
     def test_settle_zone_does_not_move_the_speed(self):

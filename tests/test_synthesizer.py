@@ -1,5 +1,6 @@
 """Synthetic profiles and simulated sensor records against analytic oracles."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -226,7 +227,7 @@ def assert_channels_match_reference(profile, cfg):
     reference_acceleration, every channel of a rail without exactly +0.0,
     and every wheel position exact; returns the trajectory's v and dv/dt."""
     sim = simulate_run(profile, cfg)
-    _, v, dvdt, x_front = synthesizer._trajectory(cfg, profile.length_m)
+    v, dvdt, x_front = synthesizer._trajectory(cfg, profile.length_m)
     assert np.array_equal(sim.speeds_mps, v)
     for cid, ts in sim.channels.items():
         _, pos, side, axis = cid.split("-")
@@ -382,7 +383,7 @@ class TestKernelEdgeCases:
         profile = synth_profile(120.0, NOISE_SPEC, seed=12, lateral_spec=lateral)
         monkeypatch.setattr(synthesizer, "_basis_sums", recording)
         sim = simulate_run(profile, cfg)
-        _, _, dvdt, x_front = synthesizer._trajectory(cfg, profile.length_m)
+        _, dvdt, x_front = synthesizer._trajectory(cfg, profile.length_m)
         positions = np.unique(np.concatenate([x_front, x_front - cfg.wheelbase_m]))
         rails = sum(c.size > 0 for c in profile.components.values())
         assert rails == (4 if lateral else 2)
@@ -462,6 +463,48 @@ class TestKernelEdgeCases:
             assert counting.basis_elements <= 2 * k * (nodes + counting.basis_calls)
             counts.append(counting.basis_elements)
         assert counts[1] <= 1.05 * counts[0]
+
+
+class TestTrajectory:
+    """The sampled speed plan of a run."""
+
+    @pytest.mark.parametrize("plan", [
+        STOP_START_PLAN, SHORT_STOP_PLAN,
+        # a speed step: two knots at 4 s, which is a sample time
+        ((0.0, 5.0), (4.0, 5.0), (4.0, 9.0), (30.0, 9.0))],
+        ids=["stop-start", "short-stop", "speed-step"])
+    def test_samples_follow_the_plan(self, plan):
+        # dv/dt is the slope of the plan segment each sample time falls in,
+        # the later one at a knot; x is the trapezoid sum of v
+        cfg = SimConfig(speed_plan=plan)
+        v, dvdt, x = synthesizer._trajectory(cfg, 150.0)
+        fs = cfg.sample_rate_hz
+        t = np.arange(x.size) / fs
+        kt, kv = np.array(plan).T
+        assert np.array_equal(v, np.interp(t, kt, kv))
+        seg = np.clip(np.searchsorted(kt, t, side="right") - 1, 0, kt.size - 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.where(np.diff(kt) > 0, np.diff(kv) / np.diff(kt), 0.0)
+        assert np.array_equal(dvdt, slope[seg])
+        steps = 0.5 * (v[1:] + v[:-1]) / fs
+        assert np.allclose(x, np.concatenate(([0.0], np.cumsum(steps))),
+                           rtol=0, atol=1e-9)
+        assert x[-2] < 150.0 <= x[-1]
+
+    def test_peak_memory_per_sample(self):
+        # speed, dv/dt and position are returned, 24 B a sample; the time
+        # axis is gone before the position's running sum needs its own
+        # temporary
+        profile = synth_profile(2000.0, SINE_SPEC)
+        cfg = SimConfig(speed_plan=STOP_START_PLAN[:-1] + ((300.0, 8.0),))
+        tracemalloc.start()
+        try:
+            traj = synthesizer.Trajectory.of(profile, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traj) > 500_000
+        assert peak <= 32 * len(traj)
 
 
 class TestBlocks:
