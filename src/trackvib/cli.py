@@ -22,12 +22,14 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import fileio, pipeline
 from .errors import TrackVibError
 from .geometry import REFERENCE_LOW_SPEED_MPS
 from .pipeline import chord_ground_truth
-from .synthesizer import (SENSOR_SPECS, ImpulseEvent, SimConfig, simulate_blocks,
-                          synth_profile)
+from .synthesizer import (G, SENSOR_SPECS, ImpulseEvent, SimConfig,
+                          simulate_blocks, synth_profile)
 # bench/tracing.py traces these stages under their names here as well
 from .synthesizer import add_impulses, add_sensor_noise, simulate_run  # noqa: F401
 
@@ -101,7 +103,22 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _clipped(ts, header: dict) -> int:
+    """Samples of a record block at or beyond its header's sensor range,
+    +/- sensor.range_g * G, where add_sensor_noise clips; 0 if the header
+    gives no range."""
+    sensor = header.get("sensor")
+    range_g = sensor.get("range_g") if isinstance(sensor, dict) else None
+    if type(range_g) not in (int, float) or not range_g > 0:
+        return 0
+    return int(np.count_nonzero(np.abs(ts.samples) >= range_g * G))
+
+
 def cmd_process(args) -> int:
+    """Estimate the geometry of the records and write estimated.trc,
+    windows.csv and speed.csv. The summary line names each record cut to
+    the shortest one, and each record read with samples at its sensor's
+    range (_clipped), which are used as they are."""
     records = Path(args.records)
     paths = sorted(records.glob("*.rec"))
     if not paths:
@@ -120,9 +137,12 @@ def cmd_process(args) -> int:
     present = set(ids.values())
     plan = pipeline.plan_records(present, opts, speed_override is not None)
     channels: dict[str, list] = {}
+    clipped: dict[str, int] = {}
     for p, cid in ids.items():
         if cid in plan.read:
-            channels.setdefault(cid, []).append(fileio.read_record(p)[0])
+            ts, header = fileio.read_record(p)
+            channels.setdefault(cid, []).append(ts)
+            clipped[cid] = clipped.get(cid, 0) + _clipped(ts, header)
     for blocks in channels.values():
         blocks.sort(key=lambda b: b.start_time_s)
     result = pipeline.process_records(channels, opts, speed_override)
@@ -136,10 +156,12 @@ def cmd_process(args) -> int:
                        result.params["speed_source"])
     first = next(iter(result.alignments.values()))
     cut = [f"{cid} {s:.2f} s" for cid, s in result.cut_s.items()]
+    hit = [f"{cid} {k}" for cid, k in sorted(clipped.items()) if k]
     print(f"processed {len(plan.read)} of {len(present)} "
           f"channels -> {len(result.alignments)} geometry columns on "
           f"{len(first)} grid points, output in {out}"
-          + (f"; cut to the shortest record: {', '.join(cut)}" if cut else ""))
+          + (f"; cut to the shortest record: {', '.join(cut)}" if cut else "")
+          + (f"; clipped samples: {', '.join(hit)}" if hit else ""))
     return EXIT_OK
 
 

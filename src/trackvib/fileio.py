@@ -10,25 +10,30 @@ speed.csv, compare_*.csv) has one layout, written by write_table and read
 by read_table. First come '# key: <json>' comment lines in a given order,
 then one header row of column names, then one row per sample. Every float
 cell is byte-identical to repr of its value, so a write/read cycle is
-bit-exact and invalid samples read 'nan'; a column of whole multiples of
-1/256 below 2**24 (the 256 Hz clock, the 0.25 m grid, window bounds) gets
-that text from integers, the rest from repr. Flags are written as 0/1.
-Rows are formatted and written in blocks of _BLOCK_ROWS, so a write holds
-one block of text; a read takes the comments and the header row in Python
-and has np.loadtxt parse the rows straight from the file. In a .trc
+bit-exact and invalid samples read 'nan'. Flags are written as 0/1. Rows
+are formatted in blocks of _BLOCK_ROWS, each by one numpy pass into a
+byte matrix, so a write holds one block of text. A float column whose
+values in a block are all NaN or decimals of at most 8 places below 10**7
+is fixed-point: the published columns, the 256 Hz clock, the 0.25 m grid
+and the window bounds. Its cells get repr's text from the integer digits
+of the value times 10**8 (see _fixed_point); any other float block goes
+through repr. A read takes the comments and the header row in Python and
+has np.loadtxt parse the rows straight from the file. In a .trc
 table the first column is distance_m on the 0.25 m grid; the others are
 SPEED_COLUMN and geometry columns named by column_name, such as
 VA10_left_mm or HA7.5_right_mm. A geometry column spelled otherwise
 (VA10.0_left_mm) is refused, so that tables match column by column.
 
-Published resolution: the geometry and speed columns of a .trc are rounded
-to TRC_DECIMALS decimals (1e-6 mm, 1e-6 m/s) by published, where they are
-made, not by write_trc, so any TrcData still writes and reads back bit for
-bit. Digits below 1e-6 mm are float64 rounding noise; without them repr
-writes at most 9 significant digits below 1 m, about half the text, and
-np.loadtxt parses it about 3x faster. speed.csv keeps full precision: it
-is the speed a run's distance axis was built from, and read back with
---speed-file it must rebuild that axis, and so the geometry, exactly.
+Published resolution: the geometry and speed columns of a .trc, and the
+estimated speed of speed.csv, are rounded to TRC_DECIMALS decimals (1e-6
+mm, 1e-6 m/s) by spatial.published, where they are made, not by a writer,
+so any TrcData still writes and reads back bit for bit. Digits below 1e-6
+mm are float64 rounding noise; without them a cell holds at most 9
+significant digits below 1 m, about half the text, np.loadtxt parses it
+about 3x faster, and the writer takes the fixed-point path. speed.csv
+holds the very speed a run's distance axis was built from, so read back
+with --speed-file it rebuilds that axis, and so the geometry, exactly. An
+external speed table is not rounded; its cells are written through repr.
 
 Simulate config and survey polyline: JSON checked against the shapes below;
 a misfit raises FormatError naming the path, and in a config the field.
@@ -159,12 +164,104 @@ def read_record(path) -> tuple[TimeSeries, dict]:
 
 # ---------------------------------------------------------------- tables
 
-# repr of r / 256 less its leading "0", r < 256: ".0", ".00390625", ...
-_FRACTIONS = [repr(r / 256)[1:] for r in range(256)]
 # rows formatted and written at a time: the text of one block is all a
 # table write holds, whatever the length of the table
 _BLOCK_ROWS = 4096
 _BLANK_LINE = re.compile(rb"\n\r?\n")     # a line end, then an empty line
+
+# Fixed-point cells. A float v nearest k / 10**8, k an integer, with
+# |v| < 10**7 is a decimal of at most 15 significant digits, so it is its
+# own shortest round trip: repr writes those digits, positionally unless
+# 0 < |v| < 1e-4. Its cell is built from the 7 integer and 8 fraction
+# digits of k, looked up a few at a time in digit tables that hold leading
+# and trailing zeros as NUL bytes, which the write drops. The field:
+#   bytes 0-3: sign, integer digits 1-3    4-7: integer digits 4-7
+#   bytes 8-11: ".", fraction digits 1-3   12-19: fraction digits 4-8,
+#                                                 NUL, NUL, ","
+# Each of the two middle words has a table with its zeros stripped, for
+# when the digits beyond it are all zero, then one with all its digits;
+# the first word has one table per sign.
+_SCALE = 1e8
+# the largest fixed-point |v|. fmin puts NaN, inf and any larger |v| here,
+# and then rint(|v| * 10**8) / 10**8 == _FIXED_MAX < |v| fails the test
+_FIXED_MAX = (10 ** 15 - 1) / 10 ** 8
+_FIELD = 20                 # bytes of a fixed-point cell
+_JSON = json.JSONEncoder(sort_keys=True).encode     # of a comment value
+
+
+def _digits(width: int, strip: str = "", zero: bool = True) -> np.ndarray:
+    """(10**width, width) bytes: the digits of 0 .. 10**width - 1, zero
+    padded, with their leading (strip="lead") or trailing (strip="trail")
+    zeros NUL; 0 keeps one "0" if zero."""
+    digits = (np.indices((10,) * width, np.uint8).reshape(width, -1).T
+              + np.uint8(ord("0")))
+    nonzero = digits != ord("0")
+    if strip == "lead":
+        keep = np.logical_or.accumulate(nonzero, axis=1)
+        keep[0, -1] = zero
+    elif strip == "trail":
+        keep = np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]
+        keep[0, 0] = zero
+    else:
+        return digits
+    return digits * keep
+
+
+def _table(*parts, dtype=np.uint32) -> np.ndarray:
+    """Words of the rows of digit tables side by side, a str part being a
+    byte repeated on every row."""
+    n = max(len(p) for p in parts if isinstance(p, np.ndarray))
+    rows = np.hstack([np.full((n, 1), ord(p), np.uint8) if isinstance(p, str)
+                      else p for p in parts])
+    return np.ascontiguousarray(rows).view(dtype).ravel()
+
+
+_INT_HI = np.concatenate([_table("\0", _digits(3, "lead", False)),
+                          _table("-", _digits(3, "lead", False))])
+_INT_LO = np.concatenate([_table(_digits(4, "lead")), _table(_digits(4))])
+_FRAC_HI = np.concatenate([_table(".", _digits(3, "trail")),
+                           _table(".", _digits(3))])
+_FRAC_LO = _table(_digits(5, "trail", False), "\0", "\0", ",", dtype=np.uint64)
+_NAN = np.frombuffer(b"nan".ljust(_FIELD - 1, b"\0") + b",", np.uint32)
+_FLAGS = np.frombuffer(b"0,1,", np.uint8).reshape(2, 2)     # a bool cell
+
+
+def _fixed_point(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed-point fields of the columns of x (m, n), as (m, n,
+    _FIELD) bytes, and which columns are fixed-point: every value NaN or
+    rint(|v| * 10**8) / 10**8 == |v| <= _FIXED_MAX. The fields of the other
+    columns mean nothing."""
+    nan = np.isnan(x)
+    ax = np.abs(x)
+    k = np.rint(np.fmin(ax, _FIXED_MAX) * _SCALE)    # whole, < 10**15
+    q = k / _SCALE
+    fixed = ((q == ax) | nan).all(axis=1)
+    # the integer part is exact: any fraction is >= 1e-8, and the rounding
+    # of q is below 1e-9
+    w = q.astype(np.int32)
+    w_hi, w_lo = np.divmod(w, 10_000)
+    f_hi, f_lo = np.divmod((k - w * _SCALE).astype(np.int32), 100_000)
+    out = np.empty(x.shape + (5,), np.uint32)
+    out[..., 0] = _INT_HI[w_hi + 1000 * np.signbit(x)]
+    out[..., 1] = _INT_LO[w_lo + 10_000 * (w_hi > 0)]
+    out[..., 2] = _FRAC_HI[f_hi + 1000 * (f_lo > 0)]
+    out[..., 3:] = _FRAC_LO[f_lo].view(np.uint32).reshape(x.shape + (2,))
+    out[nan] = _NAN
+    # repr writes 0 < |v| < 1e-4 in exponent form
+    small = (k < 10_000) & (k > 0)
+    if small.any():
+        for i, j in zip(*np.nonzero(small & fixed[:, None])):
+            text = repr(float(x[i, j])).encode().ljust(_FIELD - 1, b"\0") + b","
+            out[i, j] = np.frombuffer(text, np.uint32)
+    return out.view(np.uint8).reshape(x.shape + (_FIELD,)), fixed
+
+
+def _padded(cells: np.ndarray) -> np.ndarray:
+    """The bytes cells (n,) as (n, itemsize + 1) bytes, the last one ","."""
+    width = cells.dtype.itemsize
+    out = np.full((cells.size, width + 1), ord(","), np.uint8)
+    out[:, :width] = cells.view(np.uint8).reshape(cells.size, width)
+    return out
 
 
 def _column(values) -> np.ndarray:
@@ -175,25 +272,32 @@ def _column(values) -> np.ndarray:
     return a.astype(float, copy=False)
 
 
-def _cells(a: np.ndarray) -> list[str]:
-    """The cell texts of a column converted by _column."""
-    if a.dtype == bool:
-        return np.where(a, "1", "0").tolist()
-    if a.dtype.kind == "U":     # text labels
-        return a.tolist()
-    # A column of whole multiples of 1/256 in [0, 2**24), none -0.0, such
-    # as a clock at 256 Hz or the 0.25 m grid, is written from integers.
-    # Each value has an exact decimal of at most 16 significant digits, and
-    # any other decimal that short lies >= 1e-8 away, more than half an ulp
-    # (<= 2**-30): so the exact decimal is repr's shortest round trip.
-    if np.all(~np.signbit(a) & (a < 2.0 ** 24)):
-        scaled = a * 256.0
-        k = scaled.astype(np.int64)
-        if np.array_equal(k, scaled):
-            whole, frac = np.divmod(k, 256)
-            return [f"{w}{_FRACTIONS[r]}"
-                    for w, r in zip(whole.tolist(), frac.tolist())]
-    return list(map(repr, a.tolist()))
+def _block(arrays: list, lo: int, hi: int) -> bytes:
+    """The text of rows lo .. hi of columns converted by _column.
+
+    Each column gives a byte matrix, per row one cell of text, NUL-padded
+    and ended by ","; the matrices side by side, the last "," of each row
+    made a line end and the NULs dropped, are the text. A bool cell is 0
+    or 1, a text cell its UTF-8, and a float cell its fixed-point field,
+    or its repr in a column whose block holds a value not fixed-point."""
+    parts = [a[lo:hi] for a in arrays]
+    floats = [j for j, a in enumerate(parts) if a.dtype.kind == "f"]
+    if floats:
+        fields, fixed = _fixed_point(np.array([parts[j] for j in floats]))
+        for j, cells, ok in zip(floats, fields, fixed.tolist()):
+            if ok:
+                parts[j] = cells
+    for j, a in enumerate(parts):
+        kind = a.dtype.kind
+        if kind == "b":
+            parts[j] = _FLAGS[a.view(np.uint8)]
+        elif kind == "U":
+            parts[j] = _padded(np.char.encode(a, "utf-8"))
+        elif kind == "f":
+            parts[j] = _padded(np.array(list(map(repr, a.tolist())), dtype=bytes))
+    rows = np.concatenate(parts, axis=1)
+    rows[:, -1] = ord("\n")
+    return rows.tobytes().translate(None, b"\0")
 
 
 def write_table(path, columns: dict, comments: dict | None = None) -> None:
@@ -203,20 +307,18 @@ def write_table(path, columns: dict, comments: dict | None = None) -> None:
     all others are written as the repr of their floats).
 
     Columns of unequal length raise ValueError before the file is opened.
-    Rows are formatted and written _BLOCK_ROWS at a time.
+    Rows are formatted and written _BLOCK_ROWS at a time (_block).
     """
     arrays = [_column(values) for values in columns.values()]
     lengths = [len(a) for a in arrays]
     if len(set(lengths)) > 1:
         raise ValueError(f"{path}: columns differ in length: " + ", ".join(
             f"{name} {n}" for name, n in zip(columns, lengths)))
-    head = [f"# {key}: {json.dumps(value, sort_keys=True)}\n"
-            for key, value in (comments or {}).items()]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(head) + ",".join(columns) + "\n")
+    head = [f"# {key}: {_JSON(value)}\n" for key, value in (comments or {}).items()]
+    with open(path, "wb") as fh:
+        fh.write(("".join(head) + ",".join(columns) + "\n").encode("utf-8"))
         for lo in range(0, max(lengths, default=0), _BLOCK_ROWS):
-            cells = [_cells(a[lo:lo + _BLOCK_ROWS]) for a in arrays]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            fh.write(_block(arrays, lo, lo + _BLOCK_ROWS))
 
 
 def read_table(path, leading: tuple, dtype=float) -> tuple[dict, dict, int]:
@@ -276,15 +378,6 @@ def read_table(path, leading: tuple, dtype=float) -> tuple[dict, dict, int]:
 
 
 # ---------------------------------------------------------------- trc
-
-TRC_DECIMALS = 6    # published resolution of a .trc: 1e-6 mm, 1e-6 m/s
-
-
-def published(values) -> np.ndarray:
-    """values rounded to the published resolution of a .trc column; NaN
-    stays NaN."""
-    return np.round(values, TRC_DECIMALS)
-
 
 @dataclass
 class TrcData:

@@ -20,11 +20,11 @@ from . import comparison
 from .errors import (GapTooLargeError, InsufficientDataError,
                      MissingChannelError, MixedLocationError, NoOverlapError,
                      TooShortError, UndefinedCorrelationError)
-from .fileio import SPEED_COLUMN, TrcData, column_name, published
+from .fileio import SPEED_COLUMN, TrcData, column_name
 from .geometry import (MODE_MAX_ABS, REFERENCE_LOW_SPEED_MPS, chord_alignment,
                        select_cutoff, windowed_max)
 from .spatial import (TRC_SPACING_M, DistanceAxis, SpatialSeries,
-                      build_distance_axis, moving, resample_to_space)
+                      build_distance_axis, moving, published, resample_to_space)
 from .speed import (DEFAULT_WHEELBASE_M, SpeedProfile, delay_bounds,
                     estimate_delay, estimate_speed)
 from .synthesizer import (AXES, SIDES, channel_id, parse_channel_id,
@@ -75,7 +75,7 @@ class ProcessResult:
             raise MissingChannelError("nothing was processed")
         first = next(iter(self.alignments.values()))
         grid = first.positions()
-        # published here, not in speed.csv: see fileio.published
+        # the grid's speed is published too: it interpolates published speeds
         columns = {SPEED_COLUMN: published(np.interp(
             grid, self.axis.positions_m, self.speed.speeds_mps))}
         for name, series in self.alignments.items():

@@ -15,6 +15,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import NoValidSpeedError
+from .spatial import published
 from .timeseries import TimeSeries
 
 DEFAULT_WHEELBASE_M = 2.5
@@ -145,7 +146,9 @@ def estimate_speed(delays: DelayEstimate, wheelbase_m: float) -> SpeedProfile:
     Samples with an invalid delay or a speed outside SPEED_BOUNDS are filled
     by linear interpolation from the nearest valid neighbors and left
     flagged (valid=False); the filled series then passes a median filter of
-    MEDIAN_WINDOW_S. Raises NoValidSpeedError when nothing is valid.
+    MEDIAN_WINDOW_S and is rounded to the published resolution of a .trc
+    (spatial.published), the speed that speed.csv holds. Raises
+    NoValidSpeedError when nothing is valid.
     """
     if not wheelbase_m > 0:
         raise ValueError(f"wheelbase_m must be > 0, got {wheelbase_m}")
@@ -161,5 +164,5 @@ def estimate_speed(delays: DelayEstimate, wheelbase_m: float) -> SpeedProfile:
     k = int(round(MEDIAN_WINDOW_S * delays.sample_rate_hz))
     if k > 1:
         speeds = ndimage.median_filter(speeds, size=k | 1, mode="nearest")
-    return SpeedProfile(speeds, delays.sample_rate_hz, valid)
+    return SpeedProfile(published(speeds), delays.sample_rate_hz, valid)
 

@@ -244,6 +244,17 @@ class TestSimulate:
             cid: k for cid, k in counted.items() if k}
         assert sorted(named) == sorted(c for c in counted if c.endswith("-vertical"))
 
+        # process names the clipped records it reads, with the same counts:
+        # all but the back right vertical, which the speed pair leaves out
+        assert main(["process", "--records", str(run),
+                     "--out", str(tmp_path / "out")]) == 0
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        assert "; clipped samples: " in line
+        read = dict(part.rsplit(" ", 1) for part in line.split(
+            "; clipped samples: ")[1].split(";")[0].split(", "))
+        assert read == {cid: k for cid, k in named.items()
+                        if cid != "bogie-back-right-vertical"}
+
 
 class TestProcess:
     def test_artifacts(self, proc_dir):

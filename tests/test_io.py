@@ -7,11 +7,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trackvib.comparison import ComparisonReport
 from trackvib.errors import FormatError
-from trackvib.fileio import (_BLOCK_ROWS, TRC_SPACING_M, TrcData, _cells,
-                             _check_trc, column_name, export_geojson,
+from trackvib import fileio
+from trackvib.fileio import (_BLOCK_ROWS, TRC_SPACING_M, TrcData, _block,
+                             _check_trc, _fixed_point, column_name,
+                             export_geojson,
                              load_config, read_polyline, read_record,
                              read_record_header,
                              read_speed, read_table, read_trc, read_windows,
@@ -310,29 +314,48 @@ class TestTableBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # each cell of a block costs under 300 B while it is held: its str
-        # and its float from tolist, a list slot, and its share of the row
-        # text and of the block's joined and encoded text
-        assert peak <= self.B * ncol * 300
+        # 110 B a cell of a block with numpy 2.4, these columns being
+        # repr's: the float copies and int32 digit groups of the
+        # fixed-point test, the 20-byte fields, one column's repr strs at a
+        # time, and the block's byte matrix and text
+        assert peak <= self.B * ncol * 128
+
+
+def cells(v) -> list[str]:
+    """The cell texts write_table writes for the float column v."""
+    return _block([np.asarray(v, dtype=float)], 0, len(v)).decode().splitlines()
+
+
+def no_repr(monkeypatch):
+    """Make any repr call in fileio fail the test."""
+    def fail(value):
+        raise AssertionError(f"repr({value!r}) called")
+    monkeypatch.setattr(fileio, "repr", fail, raising=False)
 
 
 class TestDyadicCells:
-    """A column of whole multiples of 1/256 is written from integers; its
-    text must be repr's, byte for byte."""
+    """Whole multiples of 1/256 (the 256 Hz clock, the 0.25 m grid, the
+    window bounds) are fixed-point cells below 10**7; their text must be
+    repr's, byte for byte."""
 
-    def test_every_multiple_below_4096(self):
+    def test_every_multiple_below_4096(self, monkeypatch):
         v = np.arange(2 ** 20) / 256.0
-        assert _cells(v) == list(map(repr, v.tolist()))
+        expected = list(map(repr, v.tolist()))
+        no_repr(monkeypatch)
+        assert cells(v) == expected
 
     def test_random_multiples_below_2_24(self):
+        # about 40 % of them are >= 10**7, so most blocks fall back to repr
         v = np.random.default_rng(7).integers(0, 2 ** 32, 100_000) / 256.0
-        assert _cells(v) == list(map(repr, v.tolist()))
+        assert cells(v) == list(map(repr, v.tolist()))
 
     @pytest.mark.parametrize("odd", [-0.0, -0.25, np.nan, np.inf, 2.0 ** 24,
                                      0.1])
     def test_other_columns_fall_back_to_repr(self, odd):
+        # of these six, only inf and 2**24 are not fixed-point
         v = np.append(np.arange(600) / 256.0, odd)
-        assert _cells(v) == list(map(repr, v.tolist()))
+        assert _fixed_point(v[None])[1][0] == (odd not in (np.inf, 2.0 ** 24))
+        assert cells(v) == list(map(repr, v.tolist()))
 
     def test_round_trip_bit_exact(self, tmp_path):
         clock = np.random.default_rng(8).integers(0, 2 ** 32, 100_000) / 256.0
@@ -344,6 +367,58 @@ class TestDyadicCells:
         for name, v in (("time_s", clock), ("mixed", mixed)):
             assert np.array_equal(columns[name].view(np.int64),
                                   v.view(np.int64))
+
+
+def decimal(digits: int, places: int) -> st.SearchStrategy:
+    """The double nearest a decimal of up to `digits` digits in all, with
+    `places` of them after the point, and any sign."""
+    return st.integers(-10 ** digits + 1, 10 ** digits - 1).map(
+        lambda k: k / 10 ** places)
+
+
+# k / 10**d, d <= 8 and |v| < 10**7; below 1e-4; and the special values
+FIXED_POINT = st.one_of(
+    st.integers(0, 8).flatmap(lambda d: decimal(7 + d, d)),
+    st.integers(5, 8).flatmap(lambda d: decimal(d - 4, d)),
+    st.sampled_from([0.0, -0.0, np.nan, 9999999.99999999, -1e-8, 1e-4]))
+
+
+class TestFixedPointCells:
+    """A float column whose block holds only k / 10**8 below 10**7 and NaN
+    is written from the digits of k; any other block through repr."""
+
+    @settings(deadline=None)
+    @given(st.lists(FIXED_POINT, min_size=1, max_size=40))
+    def test_cell_is_repr(self, values):
+        v = np.array(values)
+        assert _fixed_point(v[None])[1][0]
+        assert cells(v) == list(map(repr, values))
+
+    @pytest.mark.parametrize("odd", [np.inf, -np.inf, 1e7, -1e7, -12345678.5,
+                                     0.1 + 1e-12, 1 / 3, 2.5e-9, 1e300])
+    def test_other_blocks_go_through_repr(self, odd):
+        v = np.append(np.round(np.linspace(-5, 5, 300), 6), odd)
+        assert not _fixed_point(v[None])[1][0]
+        assert cells(v) == list(map(repr, v.tolist()))
+
+    def test_each_block_and_column_takes_its_own_path(self, tmp_path,
+                                                      monkeypatch):
+        n = 2 * _BLOCK_ROWS
+        grid = TRC_SPACING_M * np.arange(n)
+        thirds = np.round(grid / 3, 6)
+        thirds[n - 1] = 1 / 3       # the second block falls back to repr
+        cut = np.full(n, 7.5)
+        cut[0] = np.nan
+        flags = np.arange(n) % 3 == 0
+        calls = []
+        monkeypatch.setattr(fileio, "repr", lambda v: calls.append(v) or repr(v),
+                            raising=False)
+        p = tmp_path / "paths.csv"
+        write_table(p, {"d": grid, "t": thirds, "c": cut, "ok": flags})
+        assert calls == thirds[_BLOCK_ROWS:].tolist()
+        rows = [f"{a!r},{b!r},{c!r},{int(f)}" for a, b, c, f in zip(
+            grid.tolist(), thirds.tolist(), cut.tolist(), flags.tolist())]
+        assert p.read_text() == "d,t,c,ok\n" + "\n".join(rows) + "\n"
 
 
 class TestTrcFormat:
