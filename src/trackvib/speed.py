@@ -5,6 +5,13 @@ wheelbase / speed. The delay is found per evaluation window as the argmax of
 the windowed cross correlation between the two displacement records, refined
 to sub-sample resolution with a parabolic fit, converted to speed and cleaned
 with a median filter.
+
+The windows are correlated in batches: one real FFT of each window's back
+segment and front window, zero-padded to a 5-smooth length that no product
+wraps around, one inverse of their cross spectra, and the argmax, quality,
+edge test and parabola for the whole batch at once. A batch holds as many
+windows as keep its float64 working set near _BATCH_FLOATS, so memory does
+not grow with the record beyond the per-sample outputs.
 """
 
 from __future__ import annotations
@@ -12,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
+from scipy.fft import next_fast_len
 
 from .errors import NoValidSpeedError
 from .spatial import published
@@ -23,6 +32,9 @@ DEFAULT_WINDOW_SAMPLES = 960          # 3.75 s at 256 Hz
 QUALITY_THRESHOLD = 0.3               # normalized correlation peak
 SPEED_BOUNDS = (1.0, 40.0)            # m/s kept as valid speed
 MEDIAN_WINDOW_S = 1.0
+# float64 working set of one batch of delay windows (1 MB): 16 windows at
+# the default window and lag range, which fit a core's L2 cache
+_BATCH_FLOATS = 1 << 17
 
 
 def delay_bounds(wheelbase_m: float) -> tuple[float, float]:
@@ -71,6 +83,12 @@ def estimate_delay(front: TimeSeries, back: TimeSeries,
     (the true delay then lies outside ``delay_bounds_s``, which must satisfy
     0 < min < max: back trails front). A sample is valid when the window
     centers on both sides of it are.
+
+    Each window's correlation over the searched lags is
+    irfft(rfft(back segment) conj(rfft(front window))) at
+    next_fast_len(window + lag range), for a batch of windows at a time
+    (see module docstring); the batch is bounded by _BATCH_FLOATS, not by
+    the record.
     """
     if front.sample_rate_hz != back.sample_rate_hz:
         raise ValueError("front and back must share the sample rate")
@@ -92,37 +110,49 @@ def estimate_delay(front: TimeSeries, back: TimeSeries,
     if stride is None:
         stride = max(1, window_samples // 4)
     n_lo = half
-    n_hi = n - half - lag_hi   # inclusive
+    # inclusive: the last center whose back window at lag_hi fits the record
+    n_hi = n - (window_samples - half) - lag_hi
     if n_hi < n_lo:
         need = window_samples + lag_hi
         raise ValueError(f"records of {n} samples too short for window + lag "
                          f"range (need at least {need})")
     centers = np.arange(n_lo, n_hi + 1, stride)
 
-    x = front.samples
-    y = back.samples
+    span = lag_hi - lag_lo + 1                  # lags searched
+    nfft = next_fast_len(window_samples + span - 1, real=True)
+    # a window holds its back segment, its front window, two spectra of
+    # nfft + 2 floats and its correlation: about 5 nfft floats
+    batch = max(1, _BATCH_FLOATS // (5 * nfft))
+    fronts = sliding_window_view(front.samples, window_samples)
+    backs = sliding_window_view(back.samples, window_samples + span - 1)
     c_delay = np.zeros(centers.size)
     c_quality = np.zeros(centers.size)
     c_valid = np.zeros(centers.size, dtype=bool)
-    for i, c in enumerate(centers):
-        fw = x[c - half:c - half + window_samples]
-        bs = y[c - half + lag_lo:c - half + window_samples + lag_hi]
-        corr = np.correlate(bs, fw, mode="valid")
-        j = int(np.argmax(corr))
-        lag = lag_lo + j
-        bw = y[c - half + lag:c - half + lag + window_samples]
-        denom = np.linalg.norm(fw) * np.linalg.norm(bw)
-        quality = float(corr[j] / denom) if denom > 0 else 0.0
-        quality = min(max(quality, 0.0), 1.0)
-        c_quality[i] = quality
-        on_edge = j == 0 or j == corr.size - 1
-        if on_edge or quality < QUALITY_THRESHOLD:
-            continue
-        cm, c0, cp = corr[j - 1], corr[j], corr[j + 1]
+    for lo in range(0, centers.size, batch):
+        start = centers[lo:lo + batch] - half
+        fw = fronts[start]
+        bs = backs[start + lag_lo]
+        # corr[:, j] = sum_i bs[:, i + j] fw[:, i]: no product wraps, as
+        # nfft >= bs's length
+        corr = np.fft.irfft(np.fft.rfft(bs, nfft) * np.fft.rfft(fw, nfft).conj(),
+                            nfft)[:, :span]
+        rows = np.arange(start.size)
+        j = np.argmax(corr, axis=1)
+        c0 = corr[rows, j]
+        bw = sliding_window_view(bs, window_samples, axis=1)[rows, j]
+        denom = (np.sqrt(np.einsum("ij,ij->i", fw, fw))
+                 * np.sqrt(np.einsum("ij,ij->i", bw, bw)))
+        quality = np.divide(c0, denom, out=np.zeros(rows.size), where=denom > 0)
+        np.clip(quality, 0.0, 1.0, out=quality)
+        ok = (j > 0) & (j < span - 1) & (quality >= QUALITY_THRESHOLD)
+        cm = corr[rows, np.maximum(j - 1, 0)]
+        cp = corr[rows, np.minimum(j + 1, span - 1)]
         curv = cm - 2.0 * c0 + cp
-        offset = 0.5 * (cm - cp) / curv if curv != 0.0 else 0.0
-        c_delay[i] = float(np.clip((lag + offset) / fs, t_min, t_max))
-        c_valid[i] = True
+        offset = np.divide(0.5 * (cm - cp), curv, out=np.zeros(rows.size),
+                           where=curv != 0.0)
+        c_delay[lo:lo + batch] = np.clip((lag_lo + j + offset) / fs, t_min, t_max)
+        c_quality[lo:lo + batch] = quality
+        c_valid[lo:lo + batch] = ok
 
     sample_idx = np.arange(n)
     quality_s = np.interp(sample_idx, centers, c_quality)

@@ -2,7 +2,7 @@
 
 All heavy filtering is done by masking the DFT of the record. Each filter
 pads the record its own way, then hands it to one helper, _apply_mask, which
-transforms it with a real FFT, multiplies it by a real zero-phase mask and
+takes the record's real DFT, multiplies it by a real zero-phase mask and
 transforms it back; the filter trims the padding off the result. Transition
 bands are raised cosines one octave wide, geometrically centered on the
 cutoff, so the passband gain is exactly 1 and the stopband exactly 0.
@@ -16,15 +16,20 @@ factor (522 241 = 367 x 1423) and an FFT ~15x slower. The padding stays a
 reflection, not zeros: zeros would pull a constant record toward 0 at both
 ends.
 
-Decimation inverts only the band it keeps. Its mask is 0 at and above the
-new Nyquist, so the full-length spectrum is zero outside the first
-L/(2 factor) + 1 bins and their mirror images. Samples 0, factor, 2 factor,
-... of the full-length inverse then equal 1/factor times the inverse, at
-length L/factor, of those first bins alone: keeping every factor-th sample
-folds the spectrum onto L/factor bins, and every bin that would fold onto
-another is zero. The record is rotated so that its first sample sits at
-index 0 of the transform; the filter is circular, so the rotation moves
-nothing but the samples' indices.
+Decimation transforms and inverts only the band it keeps. Its mask is 0 at
+and above the new Nyquist, so the full-length spectrum is zero outside the
+first L/(2 factor) + 1 bins and their mirror images. Samples 0, factor,
+2 factor, ... of the full-length inverse then equal 1/factor times the
+inverse, at length L/factor, of those first bins alone: keeping every
+factor-th sample folds the spectrum onto L/factor bins, and every bin that
+would fold onto another is zero. Those first bins come from the factor
+polyphase components x[p::factor], each a real FFT of length L/factor:
+bin k is sum_p exp(-2 pi i k p / L) X_p[k] (decimation in time, pruned to
+the kept band), summed by Horner's rule one component at a time. Each
+component's transform fits in cache where the full-length one streams
+through memory, and no spectrum of length L is ever held. The record is
+rotated so that its first sample sits at index 0 of the transform; the
+filter is circular, so the rotation moves nothing but the samples' indices.
 
 The double integration mask amplifies the transition band by up to
 ~0.15/cutoff_hz^2, which turns the slope discontinuity a reflection leaves
@@ -37,11 +42,12 @@ a, is a unit lower-triangular banded system of bandwidth len(a), with the
 record's last samples moved to the right-hand side of its first rows; BLAS
 dtbsv solves it by forward substitution, which is the prediction
 recurrence in compiled code, not one Python step per predicted sample.
-scipy.linalg is the only scipy subpackage it needs. Where the recurrence is
-ill-conditioned (nearly coincident poles, as on noise-free polynomial or
-two-tone records) any two summation orders part from the first predicted
-sample on; a clamp at 4x the record's peak bounds what such an extension
-can do to the integral.
+scipy.linalg is the only scipy subpackage it needs. On a noise-free record
+the Burg stages past the rounding level would put poles on the unit circle,
+and any two summation orders would part from the first predicted sample on;
+the fit therefore stops once its prediction error power falls to a floor
+(_burg_coefficients). A clamp at 4x the record's peak still bounds what a
+diverging extension (nearly coincident poles) can do to the integral.
 """
 
 from __future__ import annotations
@@ -65,6 +71,9 @@ EDGE_PAD_S = 2.0
 INTEGRATION_PAD_S = 4.0
 _AR_FIT_S = 8.0
 _AR_ORDER = 32
+# Burg stops at an even order once its prediction error power is at most
+# this share of the segment's: the stages past it fit rounding, not signal
+_BURG_ERROR_FLOOR = 1e-16
 
 
 @dataclass(frozen=True)
@@ -132,15 +141,23 @@ def _apply_mask(padded: np.ndarray, sample_rate_hz: float, mask_of_f,
 
     The one spectral filter of the module; callers pad before and trim after.
     step must divide the padded length, and mask_of_f must be 0 at and above
-    sample_rate_hz / (2 step): only the bins below that frequency are masked
-    and inverted, at length padded.size // step (see module docstring). With
-    step 1 that is every bin, at the padded length.
+    sample_rate_hz / (2 step): only the bins below that frequency are
+    computed, masked and inverted, at length padded.size // step. They are
+    built from the rffts of the step polyphase components padded[p::step],
+    combined by Horner's rule in w = exp(-2 pi i k / padded.size) (see
+    module docstring). With step 1 that is the one rfft of every bin, and
+    the inverse at the padded length.
     """
     if step < 1 or padded.size % step:
         raise ValueError(f"step {step} does not divide the padded length "
                          f"{padded.size}")
     size = padded.size // step
-    bins = np.fft.rfft(padded)[:size // 2 + 1]
+    bins = np.fft.rfft(padded[step - 1::step])
+    if step > 1:
+        w = np.exp(np.arange(bins.size) * (-2j * np.pi / padded.size))
+        for p in range(step - 2, -1, -1):
+            bins *= w
+            bins += np.fft.rfft(padded[p::step])
     # the first bins.size values of np.fft.rfftfreq(padded.size, 1 / sample_rate_hz)
     f = np.arange(bins.size) * (1.0 / (padded.size * (1.0 / sample_rate_hz)))
     bins *= mask_of_f(f)
@@ -198,14 +215,26 @@ def _burg_coefficients(x: np.ndarray, order: int) -> np.ndarray:
 
     Burg's recursion keeps every reflection coefficient in [-1, 1], so the
     resulting predictor is stable even on short or nearly constant segments.
+    It stops, leaving the higher coefficients 0, at the first even order
+    whose mean forward and backward prediction error power is at most
+    _BURG_ERROR_FLOOR of the segment's power (order 0 on a constant
+    segment). On a noise-free record the stages past that point fit
+    rounding: their poles crowd the unit circle and the extension grows
+    with the summation order. The order is even because a record of tones
+    has its poles in conjugate pairs; an odd order leaves one real pole,
+    which on a noise-free record extends as a drift that the integration
+    amplifies. Sensor noise holds a measured record far above the floor.
     """
     f = x.astype(np.float64).copy()
     b = f.copy()
     a = np.zeros(order)
+    floor = _BURG_ERROR_FLOOR * np.dot(f, f) / f.size
     for m in range(order):
         ff = f[1:]
         bb = b[:-1]
         den = np.dot(ff, ff) + np.dot(bb, bb)
+        if m % 2 == 0 and den <= 2 * ff.size * floor:
+            break
         k = -2.0 * np.dot(ff, bb) / den if den > 0.0 else 0.0
         prev = a[:m].copy()
         a[m] = k

@@ -4,6 +4,7 @@ Expected values are closed-form sinusoid oracles evaluated here, never
 copied from the implementation.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -235,8 +236,22 @@ class TestDecimate:
         monkeypatch.setattr(np.fft, "irfft", irfft_spy)
         n = 30001
         decimate(TimeSeries(np.random.default_rng(1).normal(size=n), FS), factor)
-        assert forward == [padded_length(n, factor)]
+        # the forward transform comes from the factor polyphase components
+        assert forward == [padded_length(n, factor) // factor] * factor
         assert inverse == [padded_length(n, factor) // factor]
+
+    def test_memory_of_a_mainline_record(self):
+        # 1 024 001 samples pad to 1 034 240: the padded record (8.3 MB) and
+        # one polyphase spectrum at a time. A full-length rfft of it peaks at
+        # 18.0 MB (tracemalloc)
+        ts = TimeSeries(np.random.default_rng(2).normal(size=1_024_001), FS)
+        tracemalloc.start()
+        try:
+            decimate(ts, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6
 
     @pytest.mark.parametrize("size", [1000, 1001])
     def test_apply_mask_step_one_is_full_length_filter(self, size):
@@ -415,6 +430,29 @@ class TestPredictForward:
         # every Burg denominator is 0, so the prediction is the mean
         ref = self.assert_matches_recurrence(np.full(3000, 5.0), 1024, 32, 2048)
         assert np.all(ref == 5.0)
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "backward"])
+    def test_clean_two_tone_record_stays_within_the_clamp(self, reverse):
+        # 5 Hz and 5.5 Hz at 256 Hz, cancelling at the centre of a noise-free
+        # 0.5 s record: order 32 past the Burg error floor fits rounding, its
+        # extension grew to thousands of times the record's peak, and the
+        # loop and the banded solve parted by hundreds of times it
+        t = np.arange(128) / 256.0
+        x = np.sin(2 * np.pi * 5.0 * t) + np.sin(2 * np.pi * 5.5 * t + 0.75 * np.pi)
+        x = (x - x.mean())[::-1 if reverse else 1]
+        ext = timeseries._predict_forward(x, 1024, 32, 2048)
+        peak = np.max(np.abs(x))
+        assert np.max(np.abs(ext)) <= 4.0 * peak
+        ref = predict_forward_reference(x, 1024, 32, 2048)
+        assert np.max(np.abs(ext - ref)) <= 1e-3 * peak
+
+    def test_error_floor_leaves_noisy_records_alone(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        t = np.arange(2048) / 256.0
+        x = np.sin(2 * np.pi * 3.0 * t) + 1e-3 * rng.normal(size=t.size)
+        a = timeseries._burg_coefficients(x, 32)
+        monkeypatch.setattr(timeseries, "_BURG_ERROR_FLOOR", 0.0)
+        assert np.array_equal(a, timeseries._burg_coefficients(x, 32))
 
     def test_predictor_the_clamp_catches(self, monkeypatch):
         # Burg keeps every reflection coefficient in [-1, 1]: a predictor
