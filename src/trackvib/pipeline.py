@@ -21,8 +21,7 @@ from .errors import (GapTooLargeError, InsufficientDataError,
                      MissingChannelError, MixedLocationError, NoOverlapError,
                      TooShortError, UndefinedCorrelationError)
 from .fileio import SPEED_COLUMN, TrcData, column_name
-from .geometry import (MODE_MAX_ABS, REFERENCE_LOW_SPEED_MPS, chord_alignment,
-                       select_cutoff, windowed_max)
+from .geometry import MODE_MAX_ABS, chord_alignment, select_cutoff, windowed_max
 from .spatial import (TRC_SPACING_M, DistanceAxis, SpatialSeries,
                       build_distance_axis, moving, published, resample_to_space)
 from .speed import (DEFAULT_WHEELBASE_M, SpeedProfile, delay_bounds,
@@ -215,12 +214,10 @@ def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
         "chords_m": list(opts.chords_m),
         "lateral_chords_m": list(opts.lateral_chords_m),
         "cutoff_hz": opts.cutoff_hz,
-        "v_ref_mps": REFERENCE_LOW_SPEED_MPS,
         "window_m": opts.window_m,
         "wheelbase_m": opts.wheelbase_m,
         "grid_spacing_m": TRC_SPACING_M,
         "working_rate_hz": WORKING_RATE_HZ,
-        "x0_m": 0.0,
         "speed_source": "external" if speed_override is not None else "estimated",
     }
     cut_s = {cid: (len(ts) - n) / WORKING_RATE_HZ

@@ -12,6 +12,9 @@ wraps around, one inverse of their cross spectra, and the argmax, quality,
 edge test and parabola for the whole batch at once. A batch holds as many
 windows as keep its float64 working set near _BATCH_FLOATS, so memory does
 not grow with the record beyond the per-sample outputs.
+
+scipy.fft and scipy.ndimage are imported inside estimate_delay and
+estimate_speed, so that `import trackvib` loads no scipy (as timeseries).
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import ndimage
-from scipy.fft import next_fast_len
 
 from .errors import NoValidSpeedError
 from .spatial import published
@@ -118,6 +119,8 @@ def estimate_delay(front: TimeSeries, back: TimeSeries,
                          f"range (need at least {need})")
     centers = np.arange(n_lo, n_hi + 1, stride)
 
+    from scipy.fft import next_fast_len
+
     span = lag_hi - lag_lo + 1                  # lags searched
     nfft = next_fast_len(window_samples + span - 1, real=True)
     # a window holds its back segment, its front window, two spectra of
@@ -193,6 +196,8 @@ def estimate_speed(delays: DelayEstimate, wheelbase_m: float) -> SpeedProfile:
     speeds = np.interp(np.arange(d.size), idx, raw[idx])
     k = int(round(MEDIAN_WINDOW_S * delays.sample_rate_hz))
     if k > 1:
+        from scipy import ndimage
+
         speeds = ndimage.median_filter(speeds, size=k | 1, mode="nearest")
     return SpeedProfile(published(speeds), delays.sample_rate_hz, valid)
 

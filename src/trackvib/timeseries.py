@@ -42,12 +42,17 @@ a, is a unit lower-triangular banded system of bandwidth len(a), with the
 record's last samples moved to the right-hand side of its first rows; BLAS
 dtbsv solves it by forward substitution, which is the prediction
 recurrence in compiled code, not one Python step per predicted sample.
-scipy.linalg is the only scipy subpackage it needs. On a noise-free record
-the Burg stages past the rounding level would put poles on the unit circle,
-and any two summation orders would part from the first predicted sample on;
-the fit therefore stops once its prediction error power falls to a floor
-(_burg_coefficients). A clamp at 4x the record's peak still bounds what a
-diverging extension (nearly coincident poles) can do to the integral.
+On a noise-free record the Burg stages past the rounding level would put
+poles on the unit circle, and any two summation orders would part from the
+first predicted sample on; the fit therefore stops once its prediction
+error power falls to a floor (_burg_coefficients). A clamp at 4x the
+record's peak still bounds what a diverging extension (nearly coincident
+poles) can do to the integral.
+
+scipy is imported inside the two functions that call it (next_fast_len in
+decimate, dtbsv in _predict_forward), so that `import trackvib` loads no
+scipy module: simulate, compare and export-geojson never filter, and start
+without it.
 """
 
 from __future__ import annotations
@@ -56,8 +61,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import next_fast_len
-from scipy.linalg.blas import dtbsv
 
 from .errors import GapTooLargeError
 
@@ -199,6 +202,8 @@ def decimate(ts: TimeSeries, factor: int) -> TimeSeries:
     n = ts.samples.size
     nyq_new = ts.sample_rate_hz / (2.0 * factor)
     pad = min(int(round(EDGE_PAD_S * ts.sample_rate_hz)), n - 1)
+    from scipy.fft import next_fast_len
+
     length = factor * next_fast_len(-(-(n + 2 * pad) // factor), real=True)
     # indices n, n + 1, ... into the even reflection, whose period is 2 (n - 1)
     k = np.arange(n, length - pad) % (2 * n - 2)
@@ -255,6 +260,8 @@ def _predict_forward(x: np.ndarray, count: int, order: int, fit: int) -> np.ndar
     first, a Hankel view of a times h. dtbsv then solves it by forward
     substitution, without pivoting: the same recurrence.
     """
+    from scipy.linalg.blas import dtbsv
+
     seg = x[-min(fit, x.size):]
     mu = seg.mean()
     a = _burg_coefficients(seg - mu, order)

@@ -271,6 +271,14 @@ class TestProcess:
                                     dtype=str)
         assert comments["params"]["channels"] == read
 
+    def test_params_hold_no_constants_of_removed_options(self, proc_dir):
+        # --vref and the x0_m offset are gone; their constants stay out of
+        # the published params
+        from trackvib.fileio import read_trc
+        params = read_trc(proc_dir / "estimated.trc").metadata
+        assert not {"v_ref_mps", "x0_m"} & set(params)
+        assert params["speed_source"] == "estimated"
+
     def test_estimated_trc_loads(self, proc_dir):
         from trackvib.fileio import read_trc
         trc = read_trc(proc_dir / "estimated.trc")
@@ -736,8 +744,10 @@ class TestUsageErrors:
         assert not out.exists()
 
 
-# run in a fresh interpreter: which scipy subpackages `simulate` and
-# `process` load, then whether psd_spatial still loads scipy.signal itself
+# run in a fresh interpreter: which scipy modules are loaded after importing
+# the CLI, after `simulate`, `compare` and `export-geojson` (on argv[2]'s run
+# and argv[3]'s processed output), and which subpackages after `process`;
+# then whether psd_spatial still loads scipy.signal itself
 FOOTPRINT_SCRIPT = """
 import json, sys
 from pathlib import Path
@@ -746,7 +756,11 @@ from trackvib.cli import main
 from trackvib.geometry import psd_spatial
 from trackvib.spatial import SpatialSeries
 
-root = Path(sys.argv[1])
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+root, sim, proc = (Path(a) for a in sys.argv[1:4])
+before = {"import": scipy_modules()}
 (root / "config.json").write_text(json.dumps({
     "length_m": 400.0, "sensor": "bogie_mems",
     "profile": {"type": "noise", "band_cycles_per_m": [0.02, 0.5],
@@ -754,14 +768,32 @@ root = Path(sys.argv[1])
     "speed_plan": [[0.0, 10.0], [45.0, 10.0]], "seed": 2}))
 assert main(["simulate", "--config", str(root / "config.json"),
              "--out", str(root / "run")]) == 0
+before["simulate"] = scipy_modules()
+assert main(["compare", "--estimated", str(proc / "estimated.trc"),
+             "--reference", str(sim / "ground_truth.trc"),
+             "--out", str(root / "cmp")]) == 0
+before["compare"] = scipy_modules()
+assert main(["export-geojson", "--windows", str(proc / "windows.csv"),
+             "--column", "VA10_left_mm", "--polyline", str(sim / "polyline.json"),
+             "--out", str(root / "map.geojson")]) == 0
+before["export-geojson"] = scipy_modules()
 assert main(["process", "--records", str(root / "run"),
              "--out", str(root / "proc")]) == 0
 loaded = sorted({m.split(".")[1] for m in sys.modules if m.startswith("scipy.")})
 x = np.sin(2 * np.pi * 0.05 * 0.25 * np.arange(4000))
 psd = psd_spatial(SpatialSeries(x, 0.25, 0.0))
-print(json.dumps({"loaded": loaded,
+print(json.dumps({"before_process": before, "loaded": loaded,
                   "peak_nu": float(psd.nu_axis[np.argmax(psd.density)]),
                   "signal_after_psd": "scipy.signal" in sys.modules}))
+"""
+
+# run in a fresh interpreter: the scipy subpackages that importing the three
+# that `process` computes with loads by itself
+SUBPACKAGES_SCRIPT = """
+import json, sys
+import scipy.fft, scipy.linalg.blas, scipy.ndimage
+print(json.dumps(sorted({m.split(".")[1] for m in sys.modules
+                         if m.startswith("scipy.")})))
 """
 
 
@@ -786,17 +818,38 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
 
 
 class TestFootprint:
-    def test_process_path_leaves_scipy_signal_unloaded(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def footprint(self, sim_dir, proc_dir, tmp_path_factory):
+        root = tmp_path_factory.mktemp("footprint")
+        done = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT, str(root),
+                               str(sim_dir), str(proc_dir)], env=self.env(),
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def test_process_path_leaves_scipy_signal_unloaded(self, footprint):
         # scipy.signal and what it pulls in are about 40 MB of a fresh
         # process; no command needs them
-        done = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT,
-                               str(tmp_path)], env=self.env(), capture_output=True,
-                              text=True, timeout=300)
+        assert not ({"signal", "stats", "optimize", "interpolate"}
+                    & set(footprint["loaded"]))
+        assert footprint["peak_nu"] == pytest.approx(0.05, abs=0.01)
+        assert footprint["signal_after_psd"]
+
+    def test_only_process_loads_scipy(self, footprint):
+        # scipy.fft, scipy.linalg and scipy.ndimage loaded at package import
+        # made every command start 0.4-0.5 s later and 33 MB larger (2-vCPU
+        # Xeon)
+        assert footprint["before_process"] == {
+            "import": [], "simulate": [], "compare": [], "export-geojson": []}
+        done = subprocess.run([sys.executable, "-c", SUBPACKAGES_SCRIPT],
+                              env=self.env(), capture_output=True, text=True,
+                              timeout=300)
         assert done.returncode == 0, done.stderr
-        got = json.loads(done.stdout.splitlines()[-1])
-        assert not {"signal", "stats", "optimize", "interpolate"} & set(got["loaded"])
-        assert got["peak_nu"] == pytest.approx(0.05, abs=0.01)
-        assert got["signal_after_psd"]
+        # what those three import differs by scipy version; on 1.17 it is
+        # special and scipy's own base modules
+        allowed = set(json.loads(done.stdout.splitlines()[-1]))
+        loaded = set(footprint["loaded"])
+        assert {"fft", "linalg", "ndimage"} <= loaded <= allowed
 
     def test_simulate_memory_does_not_follow_the_run(self, tmp_path):
         # only the trajectory (24 B a sample) is held whole; simulating the

@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trackvib import pipeline
 from trackvib.errors import (GapTooLargeError, MissingChannelError,
@@ -14,6 +16,7 @@ from trackvib.fileio import read_trc, write_trc
 from trackvib.pipeline import (ProcessOptions, chord_ground_truth,
                                column_name, compare_trc, parse_channel_id,
                                process_records)
+from trackvib.spatial import TRC_DECIMALS
 from trackvib.synthesizer import (AXES, POSITIONS, SENSOR_SPECS, SIDES,
                                   SimConfig, add_sensor_noise, channel_id,
                                   simulate_run, synth_profile)
@@ -432,3 +435,40 @@ class TestCompareTrc:
         flat = TrcData(0.25 * np.arange(n), {"HA10_left_mm": np.zeros(n)})
         with pytest.raises(UndefinedCorrelationError):
             compare_trc(flat, flat)
+
+
+class TestChainInvariance:
+    """Properties of the whole chain under a transform of its input, on
+    noise-free records: they need no ground truth."""
+
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**16), v0=st.floats(8.0, 16.0),
+           v1=st.floats(8.0, 16.0), c=st.floats(0.05, 20.0))
+    def test_scaled_records_scale_the_geometry(self, seed, v0, v1, c):
+        # records x c: the chain is linear up to the speed, and the delay
+        # estimator is normalised, so the speed is unchanged and every
+        # geometry column is c times the unscaled one. Bounds, from the
+        # published resolution q: the speeds, unrounded, part by ~1e-13 m/s,
+        # so a rounding may flip by one q; the geometry columns are both
+        # rounded, so they may part by q/2 + c q/2, with 1e-9 mm left for
+        # the chain's float rounding
+        length_m = 300.0
+        profile = synth_profile(length_m, NOISE_SPEC, seed=seed,
+                                lateral_spec=NOISE_SPEC)
+        t_end = length_m / min(v0, v1) + 5.0
+        sim = simulate_run(profile, SimConfig(speed_plan=((0.0, v0), (t_end, v1)),
+                                              seed=seed))
+        scaled = {cid: replace(ts, samples=ts.samples * c)
+                  for cid, ts in sim.channels.items()}
+        base = process_records(sim.channels).to_trc()
+        got = process_records(scaled).to_trc()
+
+        np.testing.assert_array_equal(got.distance_m, base.distance_m)
+        q = 10.0 ** -TRC_DECIMALS
+        np.testing.assert_allclose(got.columns["speed_mps"],
+                                   base.columns["speed_mps"], rtol=0, atol=q + 1e-12)
+        for name in base.geometry_columns():
+            # NaN where the unscaled column is NaN, and nowhere else
+            np.testing.assert_allclose(got.columns[name], c * base.columns[name],
+                                       rtol=0, atol=(1 + c) * q / 2 + 1e-9,
+                                       err_msg=name)
