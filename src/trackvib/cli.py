@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Mapping
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -114,15 +115,54 @@ def _clipped(ts, header: dict) -> int:
     return int(np.count_nonzero(np.abs(ts.samples) >= range_g * G))
 
 
+class _RecordFiles(Mapping):
+    """Record id -> its blocks, read from their files only when looked up.
+
+    Built from every block's checked header; a lookup reads the record's
+    blocks in header start-time order and sets `clipped[id]` to their
+    samples at the sensor's range (_clipped). process_records looks up each
+    record it reads once and drops its blocks when decimate returns, so one
+    raw record is held at a time, and a record no job reads is never loaded.
+    """
+
+    def __init__(self, paths):
+        self._paths: dict[str, list] = {}
+        headers = {p: fileio.read_record_header(p) for p in paths}
+        # stable: blocks that start together stay in the order of paths
+        for p in sorted(headers, key=lambda p: headers[p]["start_time_s"]):
+            self._paths.setdefault(headers[p]["channel_id"], []).append(p)
+        self.clipped: dict[str, int] = {}
+
+    def __getitem__(self, cid: str) -> list:
+        blocks, clipped = [], 0
+        for p in self._paths[cid]:
+            ts, header = fileio.read_record(p)
+            blocks.append(ts)
+            clipped += _clipped(ts, header)
+        self.clipped[cid] = clipped
+        return blocks
+
+    def __contains__(self, cid) -> bool:
+        return cid in self._paths          # without reading the record
+
+    def __iter__(self):
+        return iter(self._paths)
+
+    def __len__(self) -> int:
+        return len(self._paths)
+
+
 def cmd_process(args) -> int:
     """Estimate the geometry of the records and write estimated.trc,
-    windows.csv and speed.csv. The summary line names each record cut to
-    the shortest one, and each record read with samples at its sensor's
-    range (_clipped), which are used as they are."""
-    records = Path(args.records)
-    paths = sorted(records.glob("*.rec"))
+    windows.csv and speed.csv. Every block's header is checked first; the
+    records the run reads are then loaded one at a time (_RecordFiles). The
+    summary line names each record cut to the shortest one, and each record
+    read with samples at its sensor's range (_clipped), which are used as
+    they are."""
+    root = Path(args.records)
+    paths = sorted(root.glob("*.rec"))
     if not paths:
-        raise TrackVibError(f"no .rec files in {records}")
+        raise TrackVibError(f"no .rec files in {root}")
     opts = pipeline.ProcessOptions(cutoff_hz=args.cutoff, window_m=args.window,
                                    wheelbase_m=args.wheelbase)
     if args.chord is not None:
@@ -130,22 +170,8 @@ def cmd_process(args) -> int:
                        lateral_chords_m=(args.chord,))
     speed_override = (fileio.read_speed(args.speed_file)
                       if args.speed_file else None)
-
-    # every block's header is checked; only the records the run reads load
-    # their samples
-    ids = {p: fileio.read_record_header(p)["channel_id"] for p in paths}
-    present = set(ids.values())
-    plan = pipeline.plan_records(present, opts, speed_override is not None)
-    channels: dict[str, list] = {}
-    clipped: dict[str, int] = {}
-    for p, cid in ids.items():
-        if cid in plan.read:
-            ts, header = fileio.read_record(p)
-            channels.setdefault(cid, []).append(ts)
-            clipped[cid] = clipped.get(cid, 0) + _clipped(ts, header)
-    for blocks in channels.values():
-        blocks.sort(key=lambda b: b.start_time_s)
-    result = pipeline.process_records(channels, opts, speed_override)
+    records = _RecordFiles(paths)
+    result = pipeline.process_records(records, opts, speed_override)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -156,8 +182,8 @@ def cmd_process(args) -> int:
                        result.params["speed_source"])
     first = next(iter(result.alignments.values()))
     cut = [f"{cid} {s:.2f} s" for cid, s in result.cut_s.items()]
-    hit = [f"{cid} {k}" for cid, k in sorted(clipped.items()) if k]
-    print(f"processed {len(plan.read)} of {len(present)} "
+    hit = [f"{cid} {k}" for cid, k in sorted(records.clipped.items()) if k]
+    print(f"processed {len(result.params['channels'])} of {len(records)} "
           f"channels -> {len(result.alignments)} geometry columns on "
           f"{len(first)} grid points, output in {out}"
           + (f"; cut to the shortest record: {', '.join(cut)}" if cut else "")

@@ -147,15 +147,17 @@ def read_record_header(path) -> dict:
 
 
 def read_record(path) -> tuple[TimeSeries, dict]:
+    """A record block and its checked header. The block's samples are a
+    read-only view of the payload bytes, not a copy of them."""
     with open(path, "rb") as fh:
         header = _record_header(fh.readline(), path)
         payload = fh.read()
     if len(payload) != 8 * header["n_samples"]:
         raise FormatError(f"{path}: header claims {header['n_samples']} samples "
                           f"but payload holds {len(payload) // 8}")
-    samples = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     try:
-        ts = TimeSeries(samples, header["sample_rate_hz"], header["start_time_s"],
+        ts = TimeSeries(np.frombuffer(payload, dtype="<f8"),
+                        header["sample_rate_hz"], header["start_time_s"],
                         header["channel_id"], header["kind"])
     except ValueError as exc:     # no samples, or a sample not finite
         raise FormatError(f"{path}: {exc}") from exc

@@ -7,11 +7,13 @@ correlation at SPEED_CUTOFF_HZ (or from an external time table) -> distance axis
 alignment, rounded to the published .trc resolution -> windowed maxima.
 The front sensor's displacement is the geometry estimate; the back one
 exists for the speed estimator. Only the records a job reads are merged
-and decimated, so a fault in any other record does not touch the run.
+and decimated, so a fault in any other record does not touch the run; they
+are merged and decimated one at a time, so only one raw record need be held.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -164,15 +166,19 @@ def plan_records(channel_ids, opts: ProcessOptions = ProcessOptions(),
     return RecordPlan(jobs, pair, sorted({cid for *_, cid in jobs} | set(pair)))
 
 
-def process_records(channels: dict, opts: ProcessOptions = ProcessOptions(),
+def process_records(channels: Mapping, opts: ProcessOptions = ProcessOptions(),
                     speed_override: tuple | None = None) -> ProcessResult:
     """Run the full chain on merged or block-listed channel records.
 
-    channels: channel_id -> TimeSeries or list of block TimeSeries; the run
-    reads the records plan_records names. speed_override is a (time_s,
-    speed_mps) pair of arrays, as fileio.read_speed returns it, with time 0
-    at the first record sample; it replaces the estimated speed, and must
-    span every record sample after decimation, or TooShortError is raised.
+    channels: a mapping of channel_id -> TimeSeries or list of block
+    TimeSeries; the run reads the records plan_records names. It looks each
+    of them up once, merges and decimates it, and drops the blocks when
+    decimate returns, so with a mapping that reads a record when it is
+    looked up (as cmd_process's does) one raw record is held at a time.
+    speed_override is a (time_s, speed_mps) pair of arrays, as
+    fileio.read_speed returns it, with time 0 at the first record sample;
+    it replaces the estimated speed, and must span every record sample
+    after decimation, or TooShortError is raised.
     The records read must start within half a sample of each other, or
     GapTooLargeError is raised. Every record is cut to the shortest one;
     the result's cut_s names each record cut, with the seconds it lost.

@@ -3,9 +3,12 @@
 All heavy filtering is done by masking the DFT of the record. Each filter
 pads the record its own way, then hands it to one helper, _apply_mask, which
 takes the record's real DFT, multiplies it by a real zero-phase mask and
-transforms it back; the filter trims the padding off the result. Transition
-bands are raised cosines one octave wide, geometrically centered on the
-cutoff, so the passband gain is exactly 1 and the stopband exactly 0.
+transforms it back; the filter trims the padding off the result. The padded
+record reaches _apply_mask as two arrays, the record and a tail to follow
+it, so that a filter whose padding is short next to the record need not
+copy the record to pad it. Transition bands are raised cosines one octave
+wide, geometrically centered on the cutoff, so the passband gain is exactly
+1 and the stopband exactly 0.
 
 Padding differs by operation. The decimation low-pass has gain <= 1, so a
 2 s even-symmetric reflection is enough. Its padded length L is the factor
@@ -14,7 +17,10 @@ the reflection on the right goes on until the record reaches L, because a
 record of arbitrary length padded by exactly 2 s can have a large prime
 factor (522 241 = 367 x 1423) and an FFT ~15x slower. The padding stays a
 reflection, not zeros: zeros would pull a constant record toward 0 at both
-ends.
+ends. The padded record is rotated so that its first sample sits at index
+0 of the transform: the record itself, then a tail of the right extension
+and the reversed left 2 s. The filter is circular, so the rotation moves
+nothing but the samples' indices, and the record is never copied.
 
 Decimation transforms and inverts only the band it keeps. Its mask is 0 at
 and above the new Nyquist, so the full-length spectrum is zero outside the
@@ -25,11 +31,11 @@ factor-th sample folds the spectrum onto L/factor bins, and every bin that
 would fold onto another is zero. Those first bins come from the factor
 polyphase components x[p::factor], each a real FFT of length L/factor:
 bin k is sum_p exp(-2 pi i k p / L) X_p[k] (decimation in time, pruned to
-the kept band), summed by Horner's rule one component at a time. Each
-component's transform fits in cache where the full-length one streams
-through memory, and no spectrum of length L is ever held. The record is
-rotated so that its first sample sits at index 0 of the transform; the
-filter is circular, so the rotation moves nothing but the samples' indices.
+the kept band), summed by Horner's rule one component at a time. The
+components are gathered from the record and the tail a group of rows at a
+time, as many as hold, with their spectra, no more floats than the record
+(4 of 10 on a 400 s record at 2560 Hz), and each group is transformed by
+one 2-D rfft. No spectrum of length L, and no padded record, is ever held.
 
 The double integration mask amplifies the transition band by up to
 ~0.15/cutoff_hz^2, which turns the slope discontinuity a reflection leaves
@@ -138,31 +144,54 @@ def _highpass_mask(f: np.ndarray, cutoff_hz: float) -> np.ndarray:
     return _raised_cosine_step(f, cutoff_hz / np.sqrt(2.0), cutoff_hz * np.sqrt(2.0))
 
 
-def _apply_mask(padded: np.ndarray, sample_rate_hz: float, mask_of_f,
-                step: int = 1) -> np.ndarray:
+def _apply_mask(record: np.ndarray, sample_rate_hz: float, mask_of_f,
+                step: int = 1, tail: np.ndarray | None = None) -> np.ndarray:
     """rfft, multiply by mask(f), irfft; every step-th sample of the result.
 
     The one spectral filter of the module; callers pad before and trim after.
-    step must divide the padded length, and mask_of_f must be 0 at and above
+    The padded signal is the record followed by the tail, of length L; it
+    is never built. step must divide L, and mask_of_f must be 0 at and above
     sample_rate_hz / (2 step): only the bins below that frequency are
-    computed, masked and inverted, at length padded.size // step. They are
-    built from the rffts of the step polyphase components padded[p::step],
-    combined by Horner's rule in w = exp(-2 pi i k / padded.size) (see
-    module docstring). With step 1 that is the one rfft of every bin, and
-    the inverse at the padded length.
+    computed, masked and inverted, at length L // step. They are built from
+    the rffts of the step polyphase components, padded[p::step], each
+    gathered from the record and the tail, combined by Horner's rule in
+    w = exp(-2 pi i k / L) (see module docstring). The components are
+    transformed a group at a time, one 2-D rfft per group: the group's rows
+    and their spectra hold no more floats than the record. With step 1 the
+    one component is the padded signal, transformed whole, and the inverse
+    runs at length L.
     """
-    if step < 1 or padded.size % step:
+    tail = np.empty(0) if tail is None else tail
+    n = record.size
+    length = n + tail.size
+    if step < 1 or length % step:
         raise ValueError(f"step {step} does not divide the padded length "
-                         f"{padded.size}")
-    size = padded.size // step
-    bins = np.fft.rfft(padded[step - 1::step])
-    if step > 1:
-        w = np.exp(np.arange(bins.size) * (-2j * np.pi / padded.size))
-        for p in range(step - 2, -1, -1):
-            bins *= w
-            bins += np.fft.rfft(padded[p::step])
-    # the first bins.size values of np.fft.rfftfreq(padded.size, 1 / sample_rate_hz)
-    f = np.arange(bins.size) * (1.0 / (padded.size * (1.0 / sample_rate_hz)))
+                         f"{length}")
+    size = length // step
+    if step == 1:           # the one component is the padded record itself
+        bins = np.fft.rfft(np.concatenate((record, tail)) if tail.size
+                           else record)
+    else:
+        w = np.exp(np.arange(size // 2 + 1) * (-2j * np.pi / length))
+        group = max(1, n // (2 * size + 2))
+        bins = None
+        for top in range(step, 0, -group):
+            rows = np.empty((min(group, top), size))
+            for i, p in enumerate(range(top - len(rows), top)):
+                head = max(0, -(-(n - p) // step))   # from the record
+                rows[i, :head] = record[p::step]
+                rows[i, head:] = tail[p + head * step - n::step]
+            spectra = np.fft.rfft(rows)
+            del rows            # neither outlives its group
+            for i in range(len(spectra) - 1, -1, -1):
+                if bins is None:
+                    bins = spectra[i].copy()
+                else:
+                    bins *= w
+                    bins += spectra[i]
+            del spectra
+    # the first bins.size values of np.fft.rfftfreq(length, 1 / sample_rate_hz)
+    f = np.arange(bins.size) * (1.0 / (length * (1.0 / sample_rate_hz)))
     bins *= mask_of_f(f)
     out = np.fft.irfft(bins, n=size)
     out /= step
@@ -184,12 +213,14 @@ def decimate(ts: TimeSeries, factor: int) -> TimeSeries:
     lies beyond the 2 s reaches the kept samples only through the tail of
     the filter's impulse response, a few 1e-7 of the peak at most.
 
-    Only the kept samples are computed. The padded record is built rotated
-    left by the 2 s (the record, its right extension, then the reversed
-    left 2 s), so that its first sample is index 0 of the transform, and
-    the first L/(2 factor) + 1 bins are inverted at length L/factor. The
-    mask is 0 from the new Nyquist up, so that short inverse, divided by
-    the factor, is exactly every factor-th sample of the full-length one.
+    Only the kept samples are computed, and the padded record is never
+    copied. It is taken rotated left by the 2 s, so that the record's first
+    sample is index 0 of the transform: the record itself, then a short
+    tail of its right extension and its reversed left 2 s. _apply_mask
+    gathers the polyphase components from the two, and inverts the first
+    L/(2 factor) + 1 bins at length L/factor. The mask is 0 from the new
+    Nyquist up, so that short inverse, divided by the factor, is exactly
+    every factor-th sample of the full-length one.
     """
     if not isinstance(factor, (int, np.integer)) or factor < 1:
         raise ValueError(f"decimation factor must be a positive integer, got {factor!r}")
@@ -208,10 +239,11 @@ def decimate(ts: TimeSeries, factor: int) -> TimeSeries:
     # indices n, n + 1, ... into the even reflection, whose period is 2 (n - 1)
     k = np.arange(n, length - pad) % (2 * n - 2)
     right = ts.samples[np.minimum(k, 2 * n - 2 - k)]
-    padded = np.concatenate((ts.samples, right, ts.samples[pad:0:-1]))
+    tail = np.concatenate((right, ts.samples[pad:0:-1]))
     filtered = _apply_mask(
-        padded, ts.sample_rate_hz,
-        lambda f: 1.0 - _raised_cosine_step(f, 0.8 * nyq_new, nyq_new), factor)
+        ts.samples, ts.sample_rate_hz,
+        lambda f: 1.0 - _raised_cosine_step(f, 0.8 * nyq_new, nyq_new), factor,
+        tail)
     return replace(ts, samples=filtered[:count], sample_rate_hz=ts.sample_rate_hz / factor)
 
 

@@ -513,6 +513,120 @@ class TestProcess:
         assert rc == 1
 
 
+READ = "bogie-front-left-vertical"      # a record every default run reads
+
+
+def rewrite_block(path, keep=slice(None), shift=0):
+    """Rewrite a record block with its samples[keep], moved `shift` samples
+    later in time."""
+    from dataclasses import replace
+    from trackvib.fileio import read_record, write_record
+    ts, header = read_record(path)
+    write_record(path, replace(ts, samples=ts.samples[keep],
+                               start_time_s=ts.start_time_s
+                               + shift / ts.sample_rate_hz),
+                 sensor=header.get("sensor"), params=header.get("params"))
+
+
+class TestRecordLoading:
+    """`process` reads each record's blocks when the chain reaches that
+    record, in header start-time order, and merges them by merge_records'
+    rules."""
+
+    @pytest.mark.parametrize("gap", [1, 2])
+    def test_small_gap_is_bridged_as_merge_records_does(self, sim_dir,
+                                                        tmp_path, gap):
+        from trackvib.fileio import read_record, write_trc
+        from trackvib.pipeline import process_records
+        from trackvib.timeseries import merge_records
+        records = shutil.copytree(sim_dir, tmp_path / "records")
+        rewrite_block(records / f"{READ}_b0002.rec", slice(None, -gap))
+        out = tmp_path / "out"
+        assert main(["process", "--records", str(records),
+                     "--out", str(out)]) == 0
+        channels = {}
+        for path in sorted(records.glob("*.rec")):
+            ts, _ = read_record(path)
+            channels.setdefault(ts.channel_id, []).append(ts)
+        merged = {cid: merge_records(blocks) for cid, blocks in channels.items()}
+        write_trc(tmp_path / "merged.trc", process_records(merged).to_trc())
+        assert ((out / "estimated.trc").read_bytes()
+                == (tmp_path / "merged.trc").read_bytes())
+
+    def test_three_sample_gap_is_data_error(self, sim_dir, tmp_path, capsys):
+        records = shutil.copytree(sim_dir, tmp_path / "records")
+        rewrite_block(records / f"{READ}_b0002.rec", slice(None, -3))
+        out = tmp_path / "out"
+        assert main(["process", "--records", str(records),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "3-sample gap (max 2) at t=29.998828 s" in err
+        assert READ in err
+        assert not out.exists()
+
+    def test_overlapping_blocks_are_data_error(self, sim_dir, tmp_path,
+                                               capsys):
+        records = shutil.copytree(sim_dir, tmp_path / "records")
+        rewrite_block(records / f"{READ}_b0003.rec", shift=-1)
+        out = tmp_path / "out"
+        assert main(["process", "--records", str(records),
+                     "--out", str(out)]) == 1
+        assert "blocks overlap at t=29.999609 s" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_blocks_merge_in_start_order_not_name_order(self, sim_dir,
+                                                        proc_dir, tmp_path):
+        records = shutil.copytree(sim_dir, tmp_path / "records")
+        first, last = (records / f"{READ}_b0000.rec",
+                       max(records.glob(f"{READ}_b*.rec")))
+        first.rename(tmp_path / "swap.rec")
+        last.rename(first)
+        (tmp_path / "swap.rec").rename(last)
+        out = tmp_path / "out"
+        assert main(["process", "--records", str(records),
+                     "--out", str(out)]) == 0
+        for name in ("estimated.trc", "windows.csv", "speed.csv"):
+            assert (out / name).read_bytes() == (proc_dir / name).read_bytes()
+
+    def test_short_payload_of_a_read_record_is_data_error(self, sim_dir,
+                                                          tmp_path, capsys):
+        records = shutil.copytree(sim_dir, tmp_path / "records")
+        path = records / f"{READ}_b0001.rec"
+        path.write_bytes(path.read_bytes()[:-8])
+        out = tmp_path / "out"
+        assert main(["process", "--records", str(records),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: header claims 25600 samples but payload holds 25599" \
+            in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_non_finite_sample_of_an_unread_record_leaves_the_run(
+            self, sim_dir, proc_dir, tmp_path, capsys):
+        # no job reads a back lateral record; a read record with the same
+        # fault stops the run, naming its path
+        records = shutil.copytree(sim_dir, tmp_path / "records")
+
+        def corrupt(path):
+            data = path.read_bytes()
+            path.write_bytes(data[:-8] + np.array([np.nan], "<f8").tobytes())
+
+        corrupt(records / "bogie-back-right-lateral_b0001.rec")
+        out = tmp_path / "out"
+        assert main(["process", "--records", str(records),
+                     "--out", str(out)]) == 0
+        for name in ("estimated.trc", "windows.csv", "speed.csv"):
+            assert (out / name).read_bytes() == (proc_dir / name).read_bytes()
+        capsys.readouterr()
+        corrupt(records / f"{READ}_b0001.rec")
+        assert main(["process", "--records", str(records),
+                     "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert f"{records / f'{READ}_b0001.rec'}: samples must be finite" in err
+        assert not (tmp_path / "x").exists()
+
+
 class TestPublishedResolution:
     """The .trc columns are published to 6 decimals, and windows.csv holds
     the windowed maxima of the published columns."""
@@ -797,10 +911,19 @@ print(json.dumps(sorted({m.split(".")[1] for m in sys.modules
 """
 
 
+# the peak RSS in MB of the interpreter that runs it, its own VmHWM: on
+# Linux an exec'd child's ru_maxrss starts at the peak of the process that
+# spawned it, here the test run's, and would hide the child's own
+PEAK_MB = """
+with open("/proc/self/status", encoding="ascii") as fh:
+    print(next(int(line.split()[1]) for line in fh
+               if line.startswith("VmHWM:")) / 1024.0)
+"""
+
 # run in a fresh interpreter: `simulate` at 10 m/s for argv[2] seconds of
 # record, then the process's peak RSS in MB
 SIMULATE_PEAK_SCRIPT = """
-import json, resource, sys
+import json, sys
 from pathlib import Path
 from trackvib.cli import main
 
@@ -813,8 +936,17 @@ root.mkdir()
     "speed_plan": [[0.0, 10.0], [seconds + 5.0, 10.0]], "seed": 2}))
 assert main(["simulate", "--config", str(root / "config.json"),
              "--out", str(root / "run")]) == 0
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
-"""
+""" + PEAK_MB
+
+
+# run in a fresh interpreter: `process` of the run in argv[1] into argv[2],
+# then the process's peak RSS in MB
+PROCESS_PEAK_SCRIPT = """
+import sys
+from trackvib.cli import main
+
+assert main(["process", "--records", sys.argv[1], "--out", sys.argv[2]]) == 0
+""" + PEAK_MB
 
 
 class TestFootprint:
@@ -854,7 +986,7 @@ class TestFootprint:
     def test_simulate_memory_does_not_follow_the_run(self, tmp_path):
         # only the trajectory (24 B a sample) is held whole; simulating the
         # whole run before cutting it into blocks grew 0.33 MB per recorded
-        # second between 100 s and 400 s (ru_maxrss is in KiB on Linux)
+        # second between 100 s and 400 s
         def peak(seconds):
             done = subprocess.run(
                 [sys.executable, "-c", SIMULATE_PEAK_SCRIPT,
@@ -864,6 +996,24 @@ class TestFootprint:
             return float(done.stdout.splitlines()[-1])
 
         assert (peak(400) - peak(100)) / 300.0 <= 0.15
+
+    def test_process_memory_holds_one_raw_record(self, tmp_path):
+        # a record is read when the chain reaches it and dropped once
+        # decimated, and decimation builds no padded copy of it; holding
+        # every block read until the run ended, and the padded record, grew
+        # 0.157 MB per recorded second between 100 s and 400 s
+        def peak(seconds):
+            root = tmp_path / f"s{seconds}"
+            for script, args in [(SIMULATE_PEAK_SCRIPT, [root, seconds]),
+                                 (PROCESS_PEAK_SCRIPT,
+                                  [root / "run", root / "out"])]:
+                done = subprocess.run(
+                    [sys.executable, "-c", script, *map(str, args)],
+                    env=self.env(), capture_output=True, text=True, timeout=300)
+                assert done.returncode == 0, done.stderr
+            return float(done.stdout.splitlines()[-1])
+
+        assert (peak(400) - peak(100)) / 300.0 <= 0.10
 
     @staticmethod
     def env():

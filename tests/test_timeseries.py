@@ -167,9 +167,9 @@ class TestDecimate:
         lengths = []
         apply_mask = timeseries._apply_mask
 
-        def spy(padded, *args):
-            lengths.append(padded.size)
-            return apply_mask(padded, *args)
+        def spy(record, rate, mask, step=1, tail=None):
+            lengths.append(record.size + tail.size)
+            return apply_mask(record, rate, mask, step, tail)
 
         monkeypatch.setattr(timeseries, "_apply_mask", spy)
         out = decimate(TimeSeries(np.random.default_rng(n).normal(size=n), FS), 10)
@@ -181,23 +181,25 @@ class TestDecimate:
     @pytest.mark.parametrize("factor", [2, 10])
     def test_padded_record_is_the_rotated_reflection(self, monkeypatch, n,
                                                      factor):
-        # the record, its right extension and its reversed left 2 s, bit for
-        # bit the rotated np.pad reflection; below n = 2 s + 1 the right
-        # extension is longer than n - 1 and reflects more than once
+        # the record itself, then a tail of its right extension and its
+        # reversed left 2 s: together bit for bit the rotated np.pad
+        # reflection; below n = 2 s + 1 the right extension is longer than
+        # n - 1 and reflects more than once
         seen = []
         apply_mask = timeseries._apply_mask
 
-        def spy(padded, *args):
-            seen.append(padded.copy())
-            return apply_mask(padded, *args)
+        def spy(record, rate, mask, step=1, tail=None):
+            seen.append((record, np.concatenate((record, tail))))
+            return apply_mask(record, rate, mask, step, tail)
 
         monkeypatch.setattr(timeseries, "_apply_mask", spy)
-        x = np.random.default_rng(n).normal(size=n)
-        decimate(TimeSeries(x, FS), factor)
+        ts = TimeSeries(np.random.default_rng(n).normal(size=n), FS)
+        decimate(ts, factor)
         pad, length = edge_pad(n), padded_length(n, factor)
-        expected = np.roll(np.pad(x, (pad, length - n - pad), mode="reflect"),
-                           -pad)
-        assert [p.tobytes() for p in seen] == [expected.tobytes()]
+        expected = np.roll(np.pad(ts.samples, (pad, length - n - pad),
+                                  mode="reflect"), -pad)
+        assert [p.tobytes() for _, p in seen] == [expected.tobytes()]
+        assert seen[0][0] is ts.samples          # the record is not copied
 
     @pytest.mark.parametrize("n", [11, 15, 19, 30001])
     def test_constant_record_exact_at_fast_length(self, n):
@@ -225,7 +227,7 @@ class TestDecimate:
         rfft, irfft = np.fft.rfft, np.fft.irfft
 
         def rfft_spy(a, *args, **kwargs):
-            forward.append(np.size(a))
+            forward.append(np.shape(a))
             return rfft(a, *args, **kwargs)
 
         def irfft_spy(a, n=None, *args, **kwargs):
@@ -236,14 +238,18 @@ class TestDecimate:
         monkeypatch.setattr(np.fft, "irfft", irfft_spy)
         n = 30001
         decimate(TimeSeries(np.random.default_rng(1).normal(size=n), FS), factor)
-        # the forward transform comes from the factor polyphase components
-        assert forward == [padded_length(n, factor) // factor] * factor
-        assert inverse == [padded_length(n, factor) // factor]
+        # the forward transforms, of groups of rows, cover the factor
+        # polyphase components, each along an axis of length L / factor
+        size = padded_length(n, factor) // factor
+        assert forward and all(shape[-1] == size for shape in forward)
+        assert sum(int(np.prod(shape[:-1])) for shape in forward) == factor
+        assert inverse == [size]
 
     def test_memory_of_a_mainline_record(self):
-        # 1 024 001 samples pad to 1 034 240: the padded record (8.3 MB) and
-        # one polyphase spectrum at a time. A full-length rfft of it peaks at
-        # 18.0 MB (tracemalloc)
+        # 1 024 001 samples pad to 1 036 800, which is never built: 4 of the
+        # 10 polyphase rows (3.3 MB) and their spectra (3.3 MB) at a time,
+        # 8.5 MB in all. The padded record and one spectrum at a time peaked
+        # at 11.3 MB, a full-length rfft of it at 18.0 MB (tracemalloc)
         ts = TimeSeries(np.random.default_rng(2).normal(size=1_024_001), FS)
         tracemalloc.start()
         try:
@@ -251,7 +257,7 @@ class TestDecimate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12e6
+        assert peak <= 10e6
 
     @pytest.mark.parametrize("size", [1000, 1001])
     def test_apply_mask_step_one_is_full_length_filter(self, size):
@@ -264,10 +270,16 @@ class TestDecimate:
                            n=size)
         assert np.array_equal(timeseries._apply_mask(x, FS, mask), ref)
         assert np.array_equal(timeseries._apply_mask(x, FS, mask, 1), ref)
+        # a record and its tail filter as the one signal they make up
+        assert np.array_equal(
+            timeseries._apply_mask(x[:900], FS, mask, 1, x[900:]), ref)
 
     def test_apply_mask_step_must_divide_length(self):
         with pytest.raises(ValueError, match="does not divide"):
             timeseries._apply_mask(np.zeros(1001), FS, np.ones_like, 10)
+        with pytest.raises(ValueError, match="padded length 1001"):
+            timeseries._apply_mask(np.zeros(1000), FS, np.ones_like, 10,
+                                   np.zeros(1))
 
     def test_bad_factor(self):
         ts = sine(5.0, 1.0)
