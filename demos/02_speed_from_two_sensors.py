@@ -8,8 +8,8 @@ speed, sample by sample.
 
 import numpy as np
 
-from trackvib.speed import (DEFAULT_WHEELBASE_M, delay_bounds, estimate_delay,
-                            estimate_speed)
+from trackvib.layout import DEFAULT_WHEELBASE_M
+from trackvib.speed import delay_bounds, estimate_delay, estimate_speed
 from trackvib.synthesizer import SimConfig, simulate_run, synth_profile
 from trackvib.timeseries import decimate, double_integrate
 

@@ -9,10 +9,11 @@ acceptance suite runs at 2 km.
 
 import numpy as np
 
+from trackvib.layout import SENSOR_SPECS
 from trackvib.pipeline import chord_ground_truth, compare_trc, \
     process_records
-from trackvib.synthesizer import SENSOR_SPECS, SimConfig, add_sensor_noise, \
-    simulate_run, synth_profile
+from trackvib.synthesizer import SimConfig, add_sensor_noise, simulate_run, \
+    synth_profile
 
 profile = synth_profile(
     800.0, {"type": "noise", "band_cycles_per_m": (0.02, 0.5), "rms_mm": 3.0},

@@ -28,9 +28,9 @@ import numpy as np
 from . import fileio, pipeline
 from .errors import TrackVibError
 from .geometry import REFERENCE_LOW_SPEED_MPS
+from .layout import G, SENSOR_SPECS
 from .pipeline import chord_ground_truth
-from .synthesizer import (G, SENSOR_SPECS, ImpulseEvent, SimConfig,
-                          simulate_blocks, synth_profile)
+from .synthesizer import ImpulseEvent, SimConfig, simulate_blocks, synth_profile
 # bench/tracing.py traces these stages under their names here as well
 from .synthesizer import add_impulses, add_sensor_noise, simulate_run  # noqa: F401
 

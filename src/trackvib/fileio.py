@@ -18,15 +18,12 @@ is fixed-point: the published columns, the 256 Hz clock, the 0.25 m grid
 and the window bounds. Its cells get repr's text from the integer digits
 of the value times 10**8 (see _fixed_point); any other float block goes
 through repr. A read takes the comments and the header row in Python and
-has np.loadtxt parse the rows straight from the file. In a .trc
-table the first column is distance_m on the 0.25 m grid; the others are
-SPEED_COLUMN and geometry columns named by column_name, such as
-VA10_left_mm or HA7.5_right_mm. A geometry column spelled otherwise
-(VA10.0_left_mm) is refused, so that tables match column by column.
+has np.loadtxt parse the rows straight from the file. The columns of a
+.trc table, and how they are named, are set in layout.
 
 Published resolution: the geometry and speed columns of a .trc, and the
 estimated speed of speed.csv, are rounded to TRC_DECIMALS decimals (1e-6
-mm, 1e-6 m/s) by spatial.published, where they are made, not by a writer,
+mm, 1e-6 m/s) by layout.published, where they are made, not by a writer,
 so any TrcData still writes and reads back bit for bit. Digits below 1e-6
 mm are float64 rounding noise; without them a cell holds at most 9
 significant digits below 1 m, about half the text, np.loadtxt parses it
@@ -51,14 +48,11 @@ import numpy as np
 
 from .errors import FormatError
 from .geometry import WindowedStats
-from .spatial import TRC_SPACING_M
-from .synthesizer import AXES, SENSOR_SPECS, SIDES
+from .layout import (AXES, COLUMN_PREFIXES, GEOMETRY_COLUMN, SENSOR_SPECS,
+                     SPEED_COLUMN, TRC_SPACING_M, column_name)
 from .timeseries import KIND_ACCELERATION, KIND_DISPLACEMENT, TimeSeries
 
 _UNITS = {KIND_ACCELERATION: "m/s^2", KIND_DISPLACEMENT: "m"}
-SPEED_COLUMN = "speed_mps"          # of a .trc table and of speed.csv
-_PREFIXES = ("VA", "HA")            # of a geometry column, per axis in AXES
-_GEOM_COLUMN = re.compile(rf"^({'|'.join(_PREFIXES)})(\d+(?:\.\d+)?)_({'|'.join(SIDES)})_mm$")
 EARTH_RADIUS_M = 6371000.0
 
 
@@ -390,13 +384,7 @@ class TrcData:
     metadata: dict = field(default_factory=dict)
 
     def geometry_columns(self) -> list[str]:
-        return [c for c in self.columns if _GEOM_COLUMN.match(c)]
-
-
-def column_name(chord_d_m: float, side: str, axis: str) -> str:
-    """The .trc geometry column of a chord on one rail and axis, such as
-    VA10_left_mm; _check_trc refuses any other spelling of it."""
-    return f"{_PREFIXES[AXES.index(axis)]}{chord_d_m:g}_{side}_mm"
+        return [c for c in self.columns if GEOMETRY_COLUMN.match(c)]
 
 
 def _check_trc(trc: TrcData, origin: str) -> None:
@@ -414,11 +402,11 @@ def _check_trc(trc: TrcData, origin: str) -> None:
                               f"distance_m")
         if name == SPEED_COLUMN:
             continue
-        m = _GEOM_COLUMN.match(name)
+        m = GEOMETRY_COLUMN.match(name)
         if not m:
             raise FormatError(f"{origin}: unrecognized column {name!r}")
         prefix, chord, side = m.groups()
-        canonical = column_name(float(chord), side, AXES[_PREFIXES.index(prefix)])
+        canonical = column_name(float(chord), side, AXES[COLUMN_PREFIXES.index(prefix)])
         if name != canonical:
             raise FormatError(f"{origin}: column {name!r} must be spelled "
                               f"{canonical!r}")

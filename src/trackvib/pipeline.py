@@ -22,14 +22,14 @@ from . import comparison
 from .errors import (GapTooLargeError, InsufficientDataError,
                      MissingChannelError, MixedLocationError, NoOverlapError,
                      TooShortError, UndefinedCorrelationError)
-from .fileio import SPEED_COLUMN, TrcData, column_name
+from .fileio import TrcData
 from .geometry import MODE_MAX_ABS, chord_alignment, select_cutoff, windowed_max
-from .spatial import (TRC_SPACING_M, DistanceAxis, SpatialSeries,
-                      build_distance_axis, moving, published, resample_to_space)
-from .speed import (DEFAULT_WHEELBASE_M, SpeedProfile, delay_bounds,
-                    estimate_delay, estimate_speed)
-from .synthesizer import (AXES, SIDES, channel_id, parse_channel_id,
-                          profile_spatial_series)
+from .layout import (AXES, DEFAULT_WHEELBASE_M, SIDES, SPEED_COLUMN,
+                     TRC_SPACING_M, channel_id, column_name, parse_channel_id,
+                     published)
+from .spatial import (DistanceAxis, SpatialSeries, build_distance_axis, moving,
+                      resample_to_space)
+from .speed import SpeedProfile, delay_bounds, estimate_delay, estimate_speed
 from .timeseries import TimeSeries, decimate, double_integrate, merge_records
 
 WORKING_RATE_HZ = 256.0
@@ -254,10 +254,10 @@ def chord_ground_truth(profile, sim) -> TrcData:
     columns = {}
     for d, side, axis in _column_keys(ProcessOptions.chords_m,
                                       ProcessOptions.lateral_chords_m):
-        series = profile_spatial_series(profile, side, axis)
+        series = profile.spatial_series(side, axis)
         columns[column_name(d, side, axis)] = published(
             chord_alignment(series, d).values)
-    grid = profile_spatial_series(profile, SIDES[0]).positions()
+    grid = profile.spatial_series(SIDES[0]).positions()
     x_front = next(pos for cid, pos in sim.wheel_positions.items()
                    if parse_channel_id(cid)["position"] == "front")
     columns[SPEED_COLUMN] = published(np.interp(grid, x_front, sim.speeds_mps))

@@ -15,19 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooShortError
+from .layout import TRC_SPACING_M
 from .timeseries import TimeSeries
 
-# The recording-car grid step: every distance grid and .trc table uses it.
-TRC_SPACING_M = 0.25
-TRC_DECIMALS = 6    # published resolution of a .trc: 1e-6 mm, 1e-6 m/s
 STATIONARY_SPEED_MPS = 0.5
 STATIONARY_MIN_DURATION_S = 1.0
-
-
-def published(values) -> np.ndarray:
-    """values rounded to the published resolution of a .trc column, as
-    the speed and the geometry are made; NaN stays NaN."""
-    return np.round(values, TRC_DECIMALS)
 
 
 @dataclass(frozen=True)

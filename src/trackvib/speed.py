@@ -25,10 +25,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NoValidSpeedError
-from .spatial import published
+from .layout import DEFAULT_WHEELBASE_M, published
 from .timeseries import TimeSeries
 
-DEFAULT_WHEELBASE_M = 2.5
 DEFAULT_WINDOW_SAMPLES = 960          # 3.75 s at 256 Hz
 QUALITY_THRESHOLD = 0.3               # normalized correlation peak
 SPEED_BOUNDS = (1.0, 40.0)            # m/s kept as valid speed
@@ -180,7 +179,7 @@ def estimate_speed(delays: DelayEstimate, wheelbase_m: float) -> SpeedProfile:
     by linear interpolation from the nearest valid neighbors and left
     flagged (valid=False); the filled series then passes a median filter of
     MEDIAN_WINDOW_S and is rounded to the published resolution of a .trc
-    (spatial.published), the speed that speed.csv holds. Raises
+    (layout.published), the speed that speed.csv holds. Raises
     NoValidSpeedError when nothing is valid.
     """
     if not wheelbase_m > 0:

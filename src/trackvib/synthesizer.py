@@ -82,12 +82,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import MissingChannelError, PlanTooShortError
-from .spatial import TRC_SPACING_M, SpatialSeries
-from .speed import DEFAULT_WHEELBASE_M
-from .timeseries import KIND_ACCELERATION, TimeSeries, _apply_mask
+from .errors import PlanTooShortError
+from .layout import (AXES, DEFAULT_WHEELBASE_M, G, POSITIONS, SIDES,
+                     TRC_SPACING_M, SensorSpec, channel_id, parse_channel_id)
+# bench/workloads.py reads SENSOR_SPECS here
+from .layout import SENSOR_SPECS  # noqa: F401
+from .spatial import SpatialSeries
+from .timeseries import KIND_ACCELERATION, TimeSeries, apply_mask
 
-G = 9.81
 DEFAULT_SAMPLE_RATE_HZ = 2560.0
 PROFILE_SPACING_M = 0.05        # half a wavelength at MAX_NU_CYCLES_PER_M
 LR_CORRELATION = 0.7            # of a noise profile's left and right rails
@@ -97,50 +99,6 @@ MAX_NOISE_COMPONENTS = 384
 CHUNK_FLOATS = 1 << 20          # float64 working set of one basis chunk (8 MB)
 TAYLOR_REMAINDER = 1e-17        # bound on a node polynomial's relative remainder
 ANGLE_BLOCK = 64                # nodes per anchor of the angle-addition tables
-
-SIDES = ("left", "right")
-POSITIONS = ("front", "back")
-AXES = ("vertical", "lateral")
-
-
-def channel_id(location: str, position: str, side: str, axis: str) -> str:
-    """The id location-position-side-axis of a record."""
-    return "-".join((location, position, side, axis))
-
-
-def parse_channel_id(cid: str) -> dict:
-    """The parts of a channel id location-position-side-axis, whose last
-    three come from POSITIONS, SIDES and AXES."""
-    parts = cid.split("-")
-    if len(parts) != 4 or parts[1] not in POSITIONS or parts[2] not in SIDES \
-            or parts[3] not in AXES:
-        raise MissingChannelError(f"channel id {cid!r} does not follow "
-                                  f"location-position-side-axis")
-    return dict(zip(("location", "position", "side", "axis"), parts))
-
-
-@dataclass(frozen=True)
-class SensorSpec:
-    """Accelerometer model: clipping range and white noise floor."""
-
-    name: str
-    location: str            # carbody | bogie | axlebox
-    range_g: float
-    noise_floor_ug_sqrthz: float
-
-    def noise_sigma(self, sample_rate_hz: float) -> float:
-        """Std dev in m/s^2 of the noise floor sampled at the given rate."""
-        return self.noise_floor_ug_sqrthz * 1e-6 * G * np.sqrt(sample_rate_hz / 2.0)
-
-
-SENSOR_SPECS = {
-    "carbody_mems": SensorSpec("carbody_mems", "carbody", 3.0, 150.0),
-    "bogie_mems": SensorSpec("bogie_mems", "bogie", 16.0, 300.0),
-    "axlebox_mems": SensorSpec("axlebox_mems", "axlebox", 200.0, 2700.0),
-    "carbody_iepe": SensorSpec("carbody_iepe", "carbody", 50.0, 3.0),
-    "bogie_iepe": SensorSpec("bogie_iepe", "bogie", 50.0, 3.0),
-    "axlebox_iepe": SensorSpec("axlebox_iepe", "axlebox", 500.0, 16.0),
-}
 
 
 @dataclass(frozen=True)
@@ -174,6 +132,15 @@ class TrackProfile:
 
     def channel(self, side: str, axis: str) -> np.ndarray:
         return getattr(self, ("z_" if axis == "vertical" else "y_") + side)
+
+    def spatial_series(self, side: str, axis: str = "vertical") -> SpatialSeries:
+        """Ground-truth profile as a SpatialSeries in mm on the TRC_SPACING_M grid."""
+        step = TRC_SPACING_M / self.spacing_m
+        if abs(step - round(step)) > 1e-9:
+            raise ValueError(f"grid step {TRC_SPACING_M} m is not a multiple of "
+                             f"the profile grid {self.spacing_m} m")
+        values = self.channel(side, axis)[::int(round(step))]
+        return SpatialSeries(values, TRC_SPACING_M, 0.0)
 
 
 @dataclass(frozen=True)
@@ -461,17 +428,6 @@ def synth_profile(length_m: float, spec: dict, seed: int = 0,
                         components)
 
 
-def profile_spatial_series(profile: TrackProfile, side: str,
-                           axis: str = "vertical") -> SpatialSeries:
-    """Ground-truth profile as a SpatialSeries in mm on the TRC_SPACING_M grid."""
-    step = TRC_SPACING_M / profile.spacing_m
-    if abs(step - round(step)) > 1e-9:
-        raise ValueError(f"grid step {TRC_SPACING_M} m is not a multiple of "
-                         f"the profile grid {profile.spacing_m} m")
-    values = profile.channel(side, axis)[::int(round(step))]
-    return SpatialSeries(values, TRC_SPACING_M, 0.0)
-
-
 def _trajectory(config: SimConfig, length_m: float):
     """Sampled speed, acceleration dv/dt and front-wheel position, ending at
     the first sample at or past length_m. Raises PlanTooShortError if the
@@ -535,7 +491,7 @@ def _band_noise(rng: np.random.Generator, n: int, fs: float, rms: float,
                              f"frequency bin above 0 Hz of {n} samples at {fs} Hz")
         return inside.astype(float)
 
-    x = _apply_mask(rng.standard_normal(n), fs, keep)
+    x = apply_mask(rng.standard_normal(n), fs, keep)
     std = x.std()
     return x * (rms / std) if std > 0 else x
 

@@ -1,10 +1,10 @@
 """Time-domain containers and the sampled-signal operations of the chain.
 
 All heavy filtering is done by masking the DFT of the record. Each filter
-pads the record its own way, then hands it to one helper, _apply_mask, which
+pads the record its own way, then hands it to one helper, apply_mask, which
 takes the record's real DFT, multiplies it by a real zero-phase mask and
 transforms it back; the filter trims the padding off the result. The padded
-record reaches _apply_mask as two arrays, the record and a tail to follow
+record reaches apply_mask as two arrays, the record and a tail to follow
 it, so that a filter whose padding is short next to the record need not
 copy the record to pad it. Transition bands are raised cosines one octave
 wide, geometrically centered on the cutoff, so the passband gain is exactly
@@ -144,11 +144,11 @@ def _highpass_mask(f: np.ndarray, cutoff_hz: float) -> np.ndarray:
     return _raised_cosine_step(f, cutoff_hz / np.sqrt(2.0), cutoff_hz * np.sqrt(2.0))
 
 
-def _apply_mask(record: np.ndarray, sample_rate_hz: float, mask_of_f,
-                step: int = 1, tail: np.ndarray | None = None) -> np.ndarray:
+def apply_mask(record: np.ndarray, sample_rate_hz: float, mask_of_f,
+               step: int = 1, tail: np.ndarray | None = None) -> np.ndarray:
     """rfft, multiply by mask(f), irfft; every step-th sample of the result.
 
-    The one spectral filter of the module; callers pad before and trim after.
+    The one spectral filter of the package; callers pad before and trim after.
     The padded signal is the record followed by the tail, of length L; it
     is never built. step must divide L, and mask_of_f must be 0 at and above
     sample_rate_hz / (2 step): only the bins below that frequency are
@@ -216,7 +216,7 @@ def decimate(ts: TimeSeries, factor: int) -> TimeSeries:
     Only the kept samples are computed, and the padded record is never
     copied. It is taken rotated left by the 2 s, so that the record's first
     sample is index 0 of the transform: the record itself, then a short
-    tail of its right extension and its reversed left 2 s. _apply_mask
+    tail of its right extension and its reversed left 2 s. apply_mask
     gathers the polyphase components from the two, and inverts the first
     L/(2 factor) + 1 bins at length L/factor. The mask is 0 from the new
     Nyquist up, so that short inverse, divided by the factor, is exactly
@@ -240,7 +240,7 @@ def decimate(ts: TimeSeries, factor: int) -> TimeSeries:
     k = np.arange(n, length - pad) % (2 * n - 2)
     right = ts.samples[np.minimum(k, 2 * n - 2 - k)]
     tail = np.concatenate((right, ts.samples[pad:0:-1]))
-    filtered = _apply_mask(
+    filtered = apply_mask(
         ts.samples, ts.sample_rate_hz,
         lambda f: 1.0 - _raised_cosine_step(f, 0.8 * nyq_new, nyq_new), factor,
         tail)
@@ -361,7 +361,7 @@ def double_integrate(ts: TimeSeries, cutoff_hz: float) -> TimeSeries:
             # division by (j 2 pi f)^2 = -(2 pi f)^2
             return np.where(f > 0.0, -m / (2.0 * np.pi * f) ** 2, 0.0)
 
-    out = _apply_mask(padded, fs, mask)[pad:pad + n]
+    out = apply_mask(padded, fs, mask)[pad:pad + n]
     return replace(ts, samples=out, kind=KIND_DISPLACEMENT)
 
 

@@ -24,12 +24,13 @@ from trackvib.fileio import TrcData, read_record, read_trc, write_record, \
     write_trc
 from trackvib.geometry import WindowedStats, chord_alignment, psd_spatial, \
     select_cutoff, windowed_max
+from trackvib.layout import G, SENSOR_SPECS
 from trackvib.pipeline import ProcessOptions, chord_ground_truth, \
     compare_trc, process_records
 from trackvib.spatial import SpatialSeries
 from trackvib.speed import estimate_delay, estimate_speed
-from trackvib.synthesizer import G, SENSOR_SPECS, ImpulseEvent, SimConfig, \
-    add_impulses, add_sensor_noise, simulate_run, synth_profile
+from trackvib.synthesizer import ImpulseEvent, SimConfig, add_impulses, \
+    add_sensor_noise, simulate_run, synth_profile
 from trackvib.timeseries import TimeSeries, decimate, double_integrate
 
 DX = 0.25

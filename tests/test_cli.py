@@ -182,10 +182,11 @@ class TestSimulate:
                      "--out", str(run)]) == 0
 
         from trackvib.fileio import read_record, write_trc
+        from trackvib.layout import SENSOR_SPECS
         from trackvib.pipeline import chord_ground_truth
-        from trackvib.synthesizer import (SENSOR_SPECS, ImpulseEvent, SimConfig,
-                                          add_impulses, add_sensor_noise,
-                                          simulate_run, synth_profile)
+        from trackvib.synthesizer import (ImpulseEvent, SimConfig, add_impulses,
+                                          add_sensor_noise, simulate_run,
+                                          synth_profile)
         profile = synth_profile(cfg["length_m"], cfg["profile"], seed=4)
         sim = simulate_run(profile, SimConfig(
             cfg["speed_plan"], seed=4,
@@ -644,7 +645,8 @@ class TestPublishedResolution:
     def test_windows_are_maxima_of_the_published_columns(self, proc_dir):
         from trackvib.fileio import read_trc, read_windows
         from trackvib.geometry import windowed_max
-        from trackvib.spatial import TRC_SPACING_M, SpatialSeries
+        from trackvib.layout import TRC_SPACING_M
+        from trackvib.spatial import SpatialSeries
         trc = read_trc(proc_dir / "estimated.trc")
         for name in trc.geometry_columns():
             stats = read_windows(proc_dir / "windows.csv", name)

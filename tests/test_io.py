@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 from trackvib.comparison import ComparisonReport
 from trackvib.errors import FormatError
 from trackvib import fileio
-from trackvib.fileio import (_BLOCK_ROWS, TRC_SPACING_M, TrcData, _block,
-                             _check_trc, _fixed_point, column_name,
-                             export_geojson,
+from trackvib.fileio import (_BLOCK_ROWS, TrcData, _block, _check_trc,
+                             _fixed_point, export_geojson,
                              load_config, read_polyline, read_record,
                              read_record_header,
                              read_speed, read_table, read_trc, read_windows,
@@ -24,8 +23,8 @@ from trackvib.fileio import (_BLOCK_ROWS, TRC_SPACING_M, TrcData, _block,
                              write_speed, write_table, write_trc,
                              write_windows)
 from trackvib.geometry import WindowedStats
+from trackvib.layout import AXES, SIDES, TRC_SPACING_M, column_name
 from trackvib.speed import SpeedProfile
-from trackvib.synthesizer import AXES, SIDES
 from trackvib.timeseries import TimeSeries
 
 EARTH_RADIUS_M = 6371000.0

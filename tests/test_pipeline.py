@@ -13,13 +13,13 @@ from trackvib.errors import (GapTooLargeError, MissingChannelError,
                              MixedLocationError, TooShortError,
                              UndefinedCorrelationError)
 from trackvib.fileio import read_trc, write_trc
-from trackvib.pipeline import (ProcessOptions, chord_ground_truth,
-                               column_name, compare_trc, parse_channel_id,
+from trackvib.layout import (AXES, POSITIONS, SENSOR_SPECS, SIDES,
+                             TRC_DECIMALS, channel_id, column_name,
+                             parse_channel_id)
+from trackvib.pipeline import (ProcessOptions, chord_ground_truth, compare_trc,
                                process_records)
-from trackvib.spatial import TRC_DECIMALS
-from trackvib.synthesizer import (AXES, POSITIONS, SENSOR_SPECS, SIDES,
-                                  SimConfig, add_sensor_noise, channel_id,
-                                  simulate_run, synth_profile)
+from trackvib.synthesizer import (SimConfig, add_sensor_noise, simulate_run,
+                                  synth_profile)
 
 SINE_SPEC = {"type": "sines",
              "components": [{"nu": 0.05, "amplitude_mm": 5.0}]}

@@ -8,10 +8,10 @@ import pytest
 
 from trackvib import synthesizer
 from trackvib.errors import PlanTooShortError
-from trackvib.synthesizer import (SENSOR_SPECS, G, ImpulseEvent, SensorSpec,
-                                  SimConfig, TrackProfile, add_impulses,
-                                  add_sensor_noise, profile_spatial_series,
-                                  simulate_run, synth_profile)
+from trackvib.layout import SENSOR_SPECS, G, SensorSpec
+from trackvib.synthesizer import (ImpulseEvent, SimConfig, TrackProfile,
+                                  add_impulses, add_sensor_noise, simulate_run,
+                                  synth_profile)
 from trackvib.timeseries import TimeSeries
 
 SINE_SPEC = {"type": "sines",
@@ -84,7 +84,7 @@ class TestSynthProfile:
 
     def test_spatial_series_export(self):
         p = synth_profile(100.0, SINE_SPEC)
-        s = profile_spatial_series(p, "left", "vertical")
+        s = p.spatial_series("left", "vertical")
         assert s.spacing_m == 0.25
         assert s.start_m == 0.0
         oracle = 5.0 * np.sin(2 * np.pi * 0.05 * s.positions() + 0.3)

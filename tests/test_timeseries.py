@@ -165,13 +165,13 @@ class TestDecimate:
         # 11, 15 and 19 are a little above the factor: the right extension
         # is longer than the n - 1 samples one reflection gives
         lengths = []
-        apply_mask = timeseries._apply_mask
+        apply_mask = timeseries.apply_mask
 
         def spy(record, rate, mask, step=1, tail=None):
             lengths.append(record.size + tail.size)
             return apply_mask(record, rate, mask, step, tail)
 
-        monkeypatch.setattr(timeseries, "_apply_mask", spy)
+        monkeypatch.setattr(timeseries, "apply_mask", spy)
         out = decimate(TimeSeries(np.random.default_rng(n).normal(size=n), FS), 10)
         assert len(out) == n // 10
         assert lengths and all(m >= n + 2 * edge_pad(n) for m in lengths)
@@ -186,13 +186,13 @@ class TestDecimate:
         # reflection; below n = 2 s + 1 the right extension is longer than
         # n - 1 and reflects more than once
         seen = []
-        apply_mask = timeseries._apply_mask
+        apply_mask = timeseries.apply_mask
 
         def spy(record, rate, mask, step=1, tail=None):
             seen.append((record, np.concatenate((record, tail))))
             return apply_mask(record, rate, mask, step, tail)
 
-        monkeypatch.setattr(timeseries, "_apply_mask", spy)
+        monkeypatch.setattr(timeseries, "apply_mask", spy)
         ts = TimeSeries(np.random.default_rng(n).normal(size=n), FS)
         decimate(ts, factor)
         pad, length = edge_pad(n), padded_length(n, factor)
@@ -268,17 +268,17 @@ class TestDecimate:
 
         ref = np.fft.irfft(np.fft.rfft(x) * mask(np.fft.rfftfreq(size, 1.0 / FS)),
                            n=size)
-        assert np.array_equal(timeseries._apply_mask(x, FS, mask), ref)
-        assert np.array_equal(timeseries._apply_mask(x, FS, mask, 1), ref)
+        assert np.array_equal(timeseries.apply_mask(x, FS, mask), ref)
+        assert np.array_equal(timeseries.apply_mask(x, FS, mask, 1), ref)
         # a record and its tail filter as the one signal they make up
         assert np.array_equal(
-            timeseries._apply_mask(x[:900], FS, mask, 1, x[900:]), ref)
+            timeseries.apply_mask(x[:900], FS, mask, 1, x[900:]), ref)
 
     def test_apply_mask_step_must_divide_length(self):
         with pytest.raises(ValueError, match="does not divide"):
-            timeseries._apply_mask(np.zeros(1001), FS, np.ones_like, 10)
+            timeseries.apply_mask(np.zeros(1001), FS, np.ones_like, 10)
         with pytest.raises(ValueError, match="padded length 1001"):
-            timeseries._apply_mask(np.zeros(1000), FS, np.ones_like, 10,
+            timeseries.apply_mask(np.zeros(1000), FS, np.ones_like, 10,
                                    np.zeros(1))
 
     def test_bad_factor(self):
