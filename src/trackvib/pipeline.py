@@ -30,7 +30,8 @@ from .layout import (AXES, DEFAULT_WHEELBASE_M, SIDES, SPEED_COLUMN,
 from .spatial import (DistanceAxis, SpatialSeries, build_distance_axis, moving,
                       resample_to_space)
 from .speed import SpeedProfile, delay_bounds, estimate_delay, estimate_speed
-from .timeseries import TimeSeries, decimate, double_integrate, merge_records
+from .timeseries import (TimeSeries, burg_extensions, decimate,
+                         double_integrate, merge_records)
 
 WORKING_RATE_HZ = 256.0
 # The speed estimator integrates at the 10 m chord's cutoff, whatever the
@@ -195,12 +196,16 @@ def process_records(channels: Mapping, opts: ProcessOptions = ProcessOptions(),
     records = {cid: replace(ts, samples=ts.samples[:n]) if len(ts) > n else ts
                for cid, ts in prepared.items()}
 
+    # each record's Burg extensions serve every cutoff it is integrated at,
+    # and all records' are predicted in one stack
+    extensions = dict(zip(records, burg_extensions(list(records.values()))))
     # the speed estimator and the geometry jobs share each integration
     integrated: dict = {}
 
     def displacement(cid: str, cutoff: float) -> TimeSeries:
         if (cid, cutoff) not in integrated:
-            integrated[(cid, cutoff)] = double_integrate(records[cid], cutoff)
+            integrated[(cid, cutoff)] = double_integrate(records[cid], cutoff,
+                                                         extensions[cid])
         return integrated[(cid, cutoff)]
 
     if speed_override is not None:

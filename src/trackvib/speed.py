@@ -13,8 +13,10 @@ edge test and parabola for the whole batch at once. A batch holds as many
 windows as keep its float64 working set near _BATCH_FLOATS, so memory does
 not grow with the record beyond the per-sample outputs.
 
-scipy.fft and scipy.ndimage are imported inside estimate_delay and
-estimate_speed, so that `import trackvib` loads no scipy (as timeseries).
+The 5-smooth length is timeseries.next_fast_len. scipy.ndimage, for the
+median filter, is imported inside estimate_speed, the one function of the
+package on `process`'s path that computes with scipy, so that `import
+trackvib` loads no scipy.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NoValidSpeedError
 from .layout import DEFAULT_WHEELBASE_M, published
-from .timeseries import TimeSeries
+from .timeseries import TimeSeries, next_fast_len
 
 DEFAULT_WINDOW_SAMPLES = 960          # 3.75 s at 256 Hz
 QUALITY_THRESHOLD = 0.3               # normalized correlation peak
@@ -118,10 +120,8 @@ def estimate_delay(front: TimeSeries, back: TimeSeries,
                          f"range (need at least {need})")
     centers = np.arange(n_lo, n_hi + 1, stride)
 
-    from scipy.fft import next_fast_len
-
     span = lag_hi - lag_lo + 1                  # lags searched
-    nfft = next_fast_len(window_samples + span - 1, real=True)
+    nfft = next_fast_len(window_samples + span - 1)
     # a window holds its back segment, its front window, two spectra of
     # nfft + 2 floats and its correlation: about 5 nfft floats
     batch = max(1, _BATCH_FLOATS // (5 * nfft))

@@ -12,7 +12,7 @@ wide, geometrically centered on the cutoff, so the passband gain is exactly
 
 Padding differs by operation. The decimation low-pass has gain <= 1, so a
 2 s even-symmetric reflection is enough. Its padded length L is the factor
-times a 5-smooth length (scipy.fft.next_fast_len of ceil((n + 4 s)/factor)):
+times a 5-smooth length (next_fast_len of ceil((n + 4 s)/factor)):
 the reflection on the right goes on until the record reaches L, because a
 record of arbitrary length padded by exactly 2 s can have a large prime
 factor (522 241 = 367 x 1423) and an FFT ~15x slower. The padding stays a
@@ -43,30 +43,30 @@ at the record edge into low-frequency wander across the whole record (~60%
 amplitude error on a plain 5 Hz sine). Integration therefore extends the
 record by linear prediction (Burg) so oscillations continue coherently,
 fades the extensions with a smooth taper, and only then applies the mask.
-Each extension y[i] + sum_j a[j] y[i-1-j] = 0, over the Burg coefficients
-a, is a unit lower-triangular banded system of bandwidth len(a), with the
-record's last samples moved to the right-hand side of its first rows; BLAS
-dtbsv solves it by forward substitution, which is the prediction
-recurrence in compiled code, not one Python step per predicted sample.
-On a noise-free record the Burg stages past the rounding level would put
-poles on the unit circle, and any two summation orders would part from the
-first predicted sample on; the fit therefore stops once its prediction
-error power falls to a floor (_burg_coefficients). A clamp at 4x the
-record's peak still bounds what a diverging extension (nearly coincident
-poles) can do to the integral.
+Each extension is its recurrence y[i] = -sum_j a[j] y[i-1-j], one dot
+product per predicted sample. Its Python steps are paid once for a whole
+stack of extensions: burg_extensions fits each of a run's records at both
+ends and steps all those rows together, one matmul per predicted sample,
+each row's dot product the one it would be alone. On a noise-free record
+the Burg stages past the rounding level would put poles on the unit
+circle, and any two summation orders would part from the first predicted
+sample on; the fit therefore stops once its prediction error power falls
+to a floor (_burg_coefficients). A clamp at 4x the record's peak still
+bounds what a diverging extension (nearly coincident poles) can do to the
+integral.
 
-scipy is imported inside the two functions that call it (next_fast_len in
-decimate, dtbsv in _predict_forward), so that `import trackvib` loads no
-scipy module: simulate, compare and export-geojson never filter, and start
-without it.
+The package computes its 5-smooth lengths itself (next_fast_len), so this
+module imports no scipy: `import trackvib` loads none, and of scipy
+`process` needs only the median filter of speed.estimate_speed.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GapTooLargeError
 
@@ -142,6 +142,29 @@ def _raised_cosine_step(f: np.ndarray, f_lo: float, f_hi: float) -> np.ndarray:
 def _highpass_mask(f: np.ndarray, cutoff_hz: float) -> np.ndarray:
     # one octave transition, geometrically centered: [c/sqrt2, c*sqrt2]
     return _raised_cosine_step(f, cutoff_hz / np.sqrt(2.0), cutoff_hz * np.sqrt(2.0))
+
+
+@functools.cache
+def _fast_lengths(bits: int) -> tuple[int, ...]:
+    """Every 2^a 3^b 5^c <= 2^bits, ascending."""
+    top = 1 << bits
+    out = []
+    p5 = 1
+    while p5 <= top:
+        p35 = p5
+        while p35 <= top:
+            out.extend(p35 << a for a in range((top // p35).bit_length()))
+            p35 *= 3
+        p5 *= 5
+    return tuple(sorted(out))
+
+
+def next_fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, for n >= 1: a length whose real FFT
+    has no prime factor above 5, as scipy.fft.next_fast_len(n, real=True).
+    It is looked up among the 5-smooth numbers up to the power of 2 >= n."""
+    lengths = _fast_lengths((n - 1).bit_length())
+    return lengths[bisect.bisect_left(lengths, n)]
 
 
 def apply_mask(record: np.ndarray, sample_rate_hz: float, mask_of_f,
@@ -233,9 +256,7 @@ def decimate(ts: TimeSeries, factor: int) -> TimeSeries:
     n = ts.samples.size
     nyq_new = ts.sample_rate_hz / (2.0 * factor)
     pad = min(int(round(EDGE_PAD_S * ts.sample_rate_hz)), n - 1)
-    from scipy.fft import next_fast_len
-
-    length = factor * next_fast_len(-(-(n + 2 * pad) // factor), real=True)
+    length = factor * next_fast_len(-(-(n + 2 * pad) // factor))
     # indices n, n + 1, ... into the even reflection, whose period is 2 (n - 1)
     k = np.arange(n, length - pad) % (2 * n - 2)
     right = ts.samples[np.minimum(k, 2 * n - 2 - k)]
@@ -281,31 +302,61 @@ def _burg_coefficients(x: np.ndarray, order: int) -> np.ndarray:
     return a
 
 
-def _predict_forward(x: np.ndarray, count: int, order: int, fit: int) -> np.ndarray:
-    """Continue x past its last sample by `count` linear predictions.
+def _predict_forward(rows: np.ndarray, count: int, order: int,
+                     fit: int) -> np.ndarray:
+    """Continue each row of a 2-D stack past its last sample by `count`
+    linear predictions.
 
-    The predictions y[i] = -sum_j a[j] y[i-1-j], started from the last
-    `order` samples of x less the mean of the fitted segment, solve the
-    unit lower-triangular banded system y[i] + sum_j a[j] y[i-1-j] = 0 in
-    which the terms that reach into the history move to the right-hand
-    side: row i < order gets -sum_m a[i+m] h[m] over the history h, newest
-    first, a Hankel view of a times h. dtbsv then solves it by forward
-    substitution, without pivoting: the same recurrence.
+    Each row gets its own Burg fit, on its last `fit` samples less their
+    mean mu, and its own recurrence y[i] = -sum_j a[j] y[i-1-j], started
+    from its last `order` samples less mu; mu is added back. All rows step
+    together. The predictions are written right to left after each row's
+    history, newest first, so the `order` values a step reads are the
+    contiguous slice to its right, and one matmul per step takes every
+    row's dot product with its own coefficients: a dot product per row, the
+    one that row would get alone.
     """
-    from scipy.linalg.blas import dtbsv
+    neg = np.empty((len(rows), order, 1))      # -a of each row
+    y = np.empty((len(rows), count + order))
+    mus = np.empty((len(rows), 1))
+    for r, row in enumerate(rows):
+        seg = row[-min(fit, row.size):]
+        mus[r] = mu = seg.mean()
+        neg[r, :, 0] = -_burg_coefficients(seg - mu, order)
+        y[r, count:] = (row[-order:] - mu)[::-1]
+    for i in range(count - 1, -1, -1):
+        np.matmul(y[:, None, i + 1:i + 1 + order], neg, out=y[:, i:i + 1, None])
+    return y[:, count - 1::-1] + mus
 
-    seg = x[-min(fit, x.size):]
-    mu = seg.mean()
-    a = _burg_coefficients(seg - mu, order)
-    history = (x[-order:] - mu)[::-1]       # newest first
-    hankel = sliding_window_view(np.concatenate((a, np.zeros(order))), order)
-    rhs = np.zeros(count)
-    head = min(order, count)
-    rhs[:head] = -(hankel[:head] @ history)
-    # band storage of the lower triangle: row d holds the d-th subdiagonal,
-    # a[d - 1]; row 0, the unit diagonal, is never read
-    band = np.repeat(np.concatenate(([1.0], a))[:, None], count, axis=1)
-    return dtbsv(order, band, rhs, lower=1, diag=1) + mu
+
+def burg_extensions(records: list[TimeSeries]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (backward, forward) extensions that double_integrate fades in,
+    for each record: INTEGRATION_PAD_S of Burg prediction past either end
+    of the record less its mean, the backward one in time order, not yet
+    clamped.
+
+    The records must share their length and sample rate. All of them are
+    predicted in one stack of two rows per record, so the Python steps of
+    the recurrence are paid once; a row holds only the end samples that
+    its fit (_AR_FIT_S) and its history read, the first ones reversed.
+    """
+    if not records:
+        return []
+    n, fs = len(records[0]), records[0].sample_rate_hz
+    if any(len(ts) != n or ts.sample_rate_hz != fs for ts in records):
+        raise ValueError("burg_extensions needs records of one length and "
+                         "sample rate")
+    pad = max(int(round(INTEGRATION_PAD_S * fs)), 1)
+    order = max(1, min(_AR_ORDER, n - 1))
+    fit = int(round(_AR_FIT_S * fs))
+    width = min(n, max(fit, order))
+    rows = np.empty((2 * len(records), width))
+    for r, ts in enumerate(records):
+        mean = ts.samples.mean()
+        rows[2 * r] = ts.samples[-width:] - mean
+        rows[2 * r + 1] = ts.samples[width - 1::-1] - mean
+    ext = _predict_forward(rows, pad, order, fit)
+    return [(ext[2 * r + 1, ::-1], ext[2 * r]) for r in range(len(records))]
 
 
 def _smooth_ramp(count: int) -> np.ndarray:
@@ -319,7 +370,8 @@ def _smooth_ramp(count: int) -> np.ndarray:
     return out
 
 
-def double_integrate(ts: TimeSeries, cutoff_hz: float) -> TimeSeries:
+def double_integrate(ts: TimeSeries, cutoff_hz: float,
+                     extension: tuple | None = None) -> TimeSeries:
     """Acceleration -> displacement via division of the DFT by (j 2 pi f)^2.
 
     A one-octave raised-cosine high-pass is applied inside the same DFT,
@@ -330,7 +382,9 @@ def double_integrate(ts: TimeSeries, cutoff_hz: float) -> TimeSeries:
     The record is extended on both sides by Burg linear prediction and the
     extensions faded to zero before the DFT (see module docstring); output
     samples within a few seconds of either end still carry elevated error,
-    since no method can know the motion outside the record.
+    since no method can know the motion outside the record. extension is
+    ts's (backward, forward) pair from burg_extensions, for a caller that
+    predicts many records' at once; without it they are predicted here.
     """
     if ts.kind != KIND_ACCELERATION:
         raise ValueError(f"double_integrate expects acceleration input, got kind={ts.kind!r}")
@@ -341,16 +395,13 @@ def double_integrate(ts: TimeSeries, cutoff_hz: float) -> TimeSeries:
     fs = ts.sample_rate_hz
     x = ts.samples - ts.samples.mean()    # DC is masked out regardless
     n = x.size
-    pad = max(int(round(INTEGRATION_PAD_S * fs)), 1)
-    order = max(1, min(_AR_ORDER, n - 1))
-    fit = int(round(_AR_FIT_S * fs))
-    fwd = _predict_forward(x, pad, order, fit)
-    bwd = _predict_forward(x[::-1], pad, order, fit)[::-1]
-    # a diverging predictor would dominate the masked spectrum; clamp it
-    lim = 4.0 * max(float(np.max(np.abs(x))), np.finfo(float).tiny)
-    np.clip(fwd, -lim, lim, out=fwd)
-    np.clip(bwd, -lim, lim, out=bwd)
+    bwd, fwd = burg_extensions([ts])[0] if extension is None else extension
+    pad = fwd.size
     padded = np.concatenate([bwd, x, fwd])
+    # a diverging predictor would dominate the masked spectrum; clamp it
+    # (the record itself lies within the clamp)
+    lim = 4.0 * max(float(np.max(np.abs(x))), np.finfo(float).tiny)
+    np.clip(padded, -lim, lim, out=padded)
     ramp = _smooth_ramp(pad)
     padded[:pad] *= ramp
     padded[-pad:] *= ramp[::-1]

@@ -903,11 +903,11 @@ print(json.dumps({"before_process": before, "loaded": loaded,
                   "signal_after_psd": "scipy.signal" in sys.modules}))
 """
 
-# run in a fresh interpreter: the scipy subpackages that importing the three
+# run in a fresh interpreter: the scipy subpackages that importing the one
 # that `process` computes with loads by itself
 SUBPACKAGES_SCRIPT = """
 import json, sys
-import scipy.fft, scipy.linalg.blas, scipy.ndimage
+import scipy.ndimage
 print(json.dumps(sorted({m.split(".")[1] for m in sys.modules
                          if m.startswith("scipy.")})))
 """
@@ -972,18 +972,21 @@ class TestFootprint:
     def test_only_process_loads_scipy(self, footprint):
         # scipy.fft, scipy.linalg and scipy.ndimage loaded at package import
         # made every command start 0.4-0.5 s later and 33 MB larger (2-vCPU
-        # Xeon)
+        # Xeon). process needs only ndimage's median filter: scipy.fft and
+        # scipy.linalg, loaded on top of it for next_fast_len and dtbsv,
+        # cost 7.5 MB of RSS and 55-60 ms of import (scipy 1.17)
         assert footprint["before_process"] == {
             "import": [], "simulate": [], "compare": [], "export-geojson": []}
         done = subprocess.run([sys.executable, "-c", SUBPACKAGES_SCRIPT],
                               env=self.env(), capture_output=True, text=True,
                               timeout=300)
         assert done.returncode == 0, done.stderr
-        # what those three import differs by scipy version; on 1.17 it is
+        # what ndimage imports differs by scipy version; on 1.17 it is
         # special and scipy's own base modules
         allowed = set(json.loads(done.stdout.splitlines()[-1]))
         loaded = set(footprint["loaded"])
-        assert {"fft", "linalg", "ndimage"} <= loaded <= allowed
+        assert {"ndimage"} <= loaded <= allowed
+        assert not {"fft", "linalg"} & loaded
 
     def test_simulate_memory_does_not_follow_the_run(self, tmp_path):
         # only the trajectory (24 B a sample) is held whole; simulating the

@@ -409,10 +409,10 @@ def predict_forward_reference(x, count, order, fit):
 
 
 class TestPredictForward:
-    """The banded solve of the extension against its recurrence."""
+    """The stacked recurrence of the extension against the one-row loop."""
 
     def assert_matches_recurrence(self, x, count, order, fit):
-        got = timeseries._predict_forward(x, count, order, fit)
+        got = timeseries._predict_forward(x[None], count, order, fit)[0]
         ref = predict_forward_reference(x, count, order, fit)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(x))
         return ref
@@ -448,15 +448,33 @@ class TestPredictForward:
         # 5 Hz and 5.5 Hz at 256 Hz, cancelling at the centre of a noise-free
         # 0.5 s record: order 32 past the Burg error floor fits rounding, its
         # extension grew to thousands of times the record's peak, and the
-        # loop and the banded solve parted by hundreds of times it
+        # loop and a banded solve parted by hundreds of times it; the
+        # stacked recurrence sums each prediction as the loop does
         t = np.arange(128) / 256.0
         x = np.sin(2 * np.pi * 5.0 * t) + np.sin(2 * np.pi * 5.5 * t + 0.75 * np.pi)
         x = (x - x.mean())[::-1 if reverse else 1]
-        ext = timeseries._predict_forward(x, 1024, 32, 2048)
+        ext = timeseries._predict_forward(x[None], 1024, 32, 2048)[0]
         peak = np.max(np.abs(x))
         assert np.max(np.abs(ext)) <= 4.0 * peak
         ref = predict_forward_reference(x, 1024, 32, 2048)
-        assert np.max(np.abs(ext - ref)) <= 1e-3 * peak
+        assert np.max(np.abs(ext - ref)) <= 1e-12 * peak
+
+    def test_each_stacked_row_is_that_row_alone(self):
+        # one matmul a step takes each row's dot product by itself, so the
+        # rows stacked with it cannot move a row's extension by one bit
+        rng = np.random.default_rng(11)
+        t = np.arange(2048) / 256.0
+        rows = np.stack([
+            np.sin(2 * np.pi * 3.0 * t) + 0.1 * rng.normal(size=t.size),
+            np.sin(2 * np.pi * 5.0 * t) + np.sin(2 * np.pi * 5.5 * t + 2.0),
+            np.full(t.size, 5.0),
+            rng.normal(size=t.size),
+            1e-3 * np.cumsum(rng.normal(size=t.size)),
+        ])
+        stacked = timeseries._predict_forward(rows, 1024, 32, 2048)
+        for row, got in zip(rows, stacked):
+            alone = timeseries._predict_forward(row[None], 1024, 32, 2048)[0]
+            assert np.array_equal(got, alone)
 
     def test_error_floor_leaves_noisy_records_alone(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -481,6 +499,51 @@ class TestPredictForward:
         ref = self.assert_matches_recurrence(x, 64, 32, 128)
         assert np.max(np.abs(ref)) > 4.0 * np.max(np.abs(x))
         assert np.array_equal(ref, 20.5 + np.arange(64))
+
+
+class TestBurgExtensions:
+    """Every record's extensions in one stack, as double_integrate uses them."""
+
+    def records(self, n=3000, fs=256.0):
+        rng = np.random.default_rng(13)
+        t = np.arange(n) / fs
+        return [TimeSeries(np.sin(2 * np.pi * f0 * t) + 0.2 * rng.normal(size=n)
+                           + 0.5, fs)
+                for f0 in (1.0, 4.5, 9.0)]
+
+    @pytest.mark.parametrize("n", [3000, 40, 2], ids=["long", "short", "two"])
+    def test_extensions_are_the_recurrence_at_both_ends(self, n):
+        # each end's row holds only the samples its fit and history read
+        for ts, (bwd, fwd) in zip(self.records(n),
+                                  timeseries.burg_extensions(self.records(n))):
+            x = ts.samples - ts.samples.mean()
+            order = max(1, min(timeseries._AR_ORDER, n - 1))
+            pad, fit = 1024, 2048
+            assert np.array_equal(fwd, predict_forward_reference(x, pad, order, fit))
+            assert np.array_equal(
+                bwd, predict_forward_reference(x[::-1], pad, order, fit)[::-1])
+
+    def test_precomputed_extension_is_bit_identical(self):
+        recs = self.records()
+        for ts, ext in zip(recs, timeseries.burg_extensions(recs)):
+            for cutoff in (0.3, 1.2):
+                alone = double_integrate(ts, cutoff).samples
+                given = double_integrate(ts, cutoff, ext).samples
+                assert np.array_equal(alone, given)
+
+    def test_records_must_share_length_and_rate(self):
+        a, b, _ = self.records()
+        with pytest.raises(ValueError):
+            timeseries.burg_extensions([a, replace(b, samples=b.samples[:-1])])
+        with pytest.raises(ValueError):
+            timeseries.burg_extensions([a, replace(b, sample_rate_hz=512.0)])
+        assert timeseries.burg_extensions([]) == []
+
+
+def test_next_fast_len_is_scipys_real_length():
+    # scipy is the reference here only; the package computes it alone
+    ours = [timeseries.next_fast_len(n) for n in range(1, (1 << 18) + 1)]
+    assert ours == [next_fast_len(n, real=True) for n in range(1, (1 << 18) + 1)]
 
 
 class TestMergeRecords:
