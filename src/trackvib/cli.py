@@ -72,7 +72,6 @@ def cmd_simulate(args) -> int:
     sensor = SENSOR_SPECS.get(cfg.get("sensor"))
     events = [ImpulseEvent(**e) for e in cfg.get("impulses", [])]
     sim_config = SimConfig(cfg["speed_plan"], seed=seed,
-                           lateral_disturbance=cfg.get("lateral_disturbance"),
                            sensor_location=sensor.location if sensor else "bogie")
     n_block = int(round(BLOCK_S * sim_config.sample_rate_hz))
     run, blocks = simulate_blocks(profile, sim_config, n_block, events, sensor)

@@ -52,13 +52,11 @@ class ComparisonReport:
         }
 
 
-def _common_windows(est: WindowedStats, ref: WindowedStats):
+def _usable_pairs(est: WindowedStats, ref: WindowedStats):
     """Indices into est and ref of the windows both cover and both can use.
 
     Both sequences step by window_m, so window i of est is window i + k of
-    ref. Raises ValueError unless window length and grid phase agree, and
-    NoOverlapError, InsufficientDataError or UndefinedCorrelationError for
-    none, too few or flat (FLAT_REL_TOL) common windows.
+    ref. Raises ValueError unless window length and grid phase agree.
     """
     if est.window_m != ref.window_m:
         raise ValueError(f"window lengths differ: {est.window_m} vs {ref.window_m}")
@@ -68,15 +66,23 @@ def _common_windows(est: WindowedStats, ref: WindowedStats):
     k = int(round(phase))
     ei = np.arange(max(0, -k), min(len(est), len(ref) - k))
     ei = ei[est.usable[ei] & ref.usable[ei + k]]
+    return ei, ei + k
+
+
+def _common_windows(est: WindowedStats, ref: WindowedStats):
+    """_usable_pairs, or NoOverlapError, InsufficientDataError or
+    UndefinedCorrelationError for none, too few or flat (FLAT_REL_TOL)
+    common windows."""
+    ei, ri = _usable_pairs(est, ref)
     if ei.size == 0:
         raise NoOverlapError("window sequences do not overlap")
     if ei.size < MIN_COMMON_WINDOWS:
         raise InsufficientDataError(f"only {ei.size} common valid windows, "
                                     f"need {MIN_COMMON_WINDOWS}")
-    if _flat(est.values[ei]) or _flat(ref.values[ei + k]):
+    if _flat(est.values[ei]) or _flat(ref.values[ri]):
         raise UndefinedCorrelationError("no variance beyond rounding on one "
                                         "side, correlation undefined")
-    return ei, ei + k
+    return ei, ri
 
 
 def _flat(values: np.ndarray) -> bool:
@@ -110,14 +116,17 @@ def coregister(est: WindowedStats, ref: WindowedStats,
     maximizing the Pearson r of the matched pairs (ties go to the smallest
     |shift|), and returns (est_shifted, ref, applied_shift_m). k = 0 is always
     a candidate, so co-registration never worsens an already valid alignment.
+    If no shift leaves MIN_COMMON_WINDOWS usable pairs, NoOverlapError says
+    how many the best-covered shift leaves.
     """
     if not 0 <= max_shift_m < np.inf:
         raise ValueError(f"max_shift_m of {max_shift_m} m must be finite "
                          f"and >= 0")
     k_max = int(np.floor(max_shift_m / est.window_m + 1e-9))
-    best = undefined = None
+    best, undefined, most = None, None, 0    # most: usable pairs at any shift
     for k in sorted(range(-k_max, k_max + 1), key=lambda k: (abs(k), k)):
         shifted = replace(est, starts_m=est.starts_m + k * est.window_m)
+        most = max(most, _usable_pairs(shifted, ref)[0].size)
         try:
             ei, ri = _common_windows(shifted, ref)
         except UndefinedCorrelationError as exc:
@@ -131,7 +140,8 @@ def coregister(est: WindowedStats, ref: WindowedStats,
             best = (score, k, shifted)
     if best is None:
         raise undefined or NoOverlapError(
-            f"no shift within +/-{max_shift_m} m leaves {MIN_COMMON_WINDOWS} "
-            f"comparable windows")
+            f"the tables share at most {most} usable windows of {est.window_m:g} "
+            f"m at any shift within +/-{max_shift_m:g} m; compare needs "
+            f"{MIN_COMMON_WINDOWS}, and a shorter --window gives more")
     _, k, shifted = best
     return shifted, ref, k * est.window_m

@@ -535,8 +535,6 @@ _SIMULATE_CONFIG = {
                f"one of {', '.join(SENSOR_SPECS)}"),
     "seed": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
     "geo_polyline": (_POLYLINE, "two or more [lat, lon] pairs"),
-    "lateral_disturbance": (_object({"rms_mps2": _number, "band_hz": _pair}),
-                            "{rms_mps2, band_hz: [lo, hi]}"),
 }
 _REQUIRED = ("length_m", "profile", "speed_plan")
 

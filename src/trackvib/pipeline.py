@@ -92,10 +92,12 @@ def _column_keys(chords_m, lateral_chords_m) -> list:
             for d in chords for side in SIDES]
 
 
-def _prepare(blocks, cid: str) -> TimeSeries:
-    """Merge a record's blocks and decimate it to the working rate."""
-    ts = merge_records(list(blocks)) if isinstance(blocks, (list, tuple)) \
-        else blocks
+def _prepare(channels: Mapping, cid: str) -> TimeSeries:
+    """Look a record up, merge its blocks and decimate it to the working
+    rate. The blocks are dropped once merged, so decimate runs beside one
+    raw copy of the record."""
+    ts = channels[cid]
+    ts = merge_records(list(ts)) if isinstance(ts, (list, tuple)) else ts
     factor = ts.sample_rate_hz / WORKING_RATE_HZ
     if abs(factor - round(factor)) > 1e-9:
         raise ValueError(f"rate {ts.sample_rate_hz} Hz of {cid!r} is no "
@@ -187,7 +189,7 @@ def process_records(channels: Mapping, opts: ProcessOptions = ProcessOptions(),
     plan = plan_records(channels.keys(), opts, speed_override is not None)
     cutoffs = {d: select_cutoff(d) if opts.cutoff_hz is None else opts.cutoff_hz
                for d in (*opts.chords_m, *opts.lateral_chords_m)}
-    prepared = {cid: _prepare(channels[cid], cid) for cid in plan.read}
+    prepared = {cid: _prepare(channels, cid) for cid in plan.read}
     starts = {cid: ts.start_time_s for cid, ts in prepared.items()}
     if max(starts.values()) - min(starts.values()) > 0.5 / WORKING_RATE_HZ:
         raise GapTooLargeError("records start at different times: " + ", ".join(

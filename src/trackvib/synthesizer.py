@@ -55,16 +55,14 @@ per node), and 2.3e-12 (1.5e-12) on 9990-10000 m.
 
 A run is simulated a block of samples at a time (simulate_blocks, which
 `trackvib simulate` uses with 10 s blocks). Held whole is only the
-Trajectory: per sample the speed, dv/dt and front-wheel position, 24 B,
-plus, with lateral_disturbance set, the four lateral band-noise records,
-each one spectral mask over the whole record. Held per block: the
-distinct wheel positions and the node basis of simulate_run, the eight
-channels, each event's doublet (placed once from the whole run's
-positions, and split where it straddles a block bound) and the sensor
-noise (one generator per channel, carried across blocks, whose draws in
-parts are the whole draw). simulate_run(profile, config) is the one block
-that spans the run, and add_impulses and add_sensor_noise are the same
-stages on a whole record.
+Trajectory: per sample the speed, dv/dt and front-wheel position, 24 B.
+Held per block: the distinct wheel positions and the node basis of
+simulate_run, the eight channels, each event's doublet (placed once from
+the whole run's positions, and split where it straddles a block bound)
+and the sensor noise (one generator per channel, carried across blocks,
+whose draws in parts are the whole draw). simulate_run(profile, config)
+is the one block that spans the run, and add_impulses and
+add_sensor_noise are the same stages on a whole record.
 
 Impulse events model wheel/rail defects: a bipolar raised-cosine doublet in
 acceleration (positive raised-cosine over the first half-duration, negative
@@ -88,7 +86,7 @@ from .layout import (AXES, DEFAULT_WHEELBASE_M, G, POSITIONS, SIDES,
 # bench/workloads.py reads SENSOR_SPECS here
 from .layout import SENSOR_SPECS  # noqa: F401
 from .spatial import SpatialSeries
-from .timeseries import KIND_ACCELERATION, TimeSeries, apply_mask
+from .timeseries import KIND_ACCELERATION, TimeSeries
 
 DEFAULT_SAMPLE_RATE_HZ = 2560.0
 PROFILE_SPACING_M = 0.05        # half a wavelength at MAX_NU_CYCLES_PER_M
@@ -117,13 +115,12 @@ class ImpulseEvent:
 class TrackProfile:
     """Left/right vertical (z) and lateral (y) deviations in mm.
 
-    Channel arrays are sampled every spacing_m over [0, length_m]; components
-    maps each channel to an (n, 3) array of rows (nu, amplitude_mm, phase)
-    whose sum reproduces the sampled array exactly.
+    Channel arrays are sampled every PROFILE_SPACING_M over [0, length_m];
+    components maps each channel to an (n, 3) array of rows (nu,
+    amplitude_mm, phase) whose sum reproduces the sampled array exactly.
     """
 
     length_m: float
-    spacing_m: float
     z_left: np.ndarray
     z_right: np.ndarray
     y_left: np.ndarray
@@ -135,11 +132,7 @@ class TrackProfile:
 
     def spatial_series(self, side: str, axis: str = "vertical") -> SpatialSeries:
         """Ground-truth profile as a SpatialSeries in mm on the TRC_SPACING_M grid."""
-        step = TRC_SPACING_M / self.spacing_m
-        if abs(step - round(step)) > 1e-9:
-            raise ValueError(f"grid step {TRC_SPACING_M} m is not a multiple of "
-                             f"the profile grid {self.spacing_m} m")
-        values = self.channel(side, axis)[::int(round(step))]
+        values = self.channel(side, axis)[::round(TRC_SPACING_M / PROFILE_SPACING_M)]
         return SpatialSeries(values, TRC_SPACING_M, 0.0)
 
 
@@ -150,7 +143,6 @@ class SimConfig:
     speed_plan: tuple            # ((time_s, speed_mps), ...) from t = 0, linear
     sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ
     wheelbase_m: float = DEFAULT_WHEELBASE_M
-    lateral_disturbance: dict | None = None   # {"rms_mps2":…, "band_hz": (lo,hi)}
     seed: int = 0
     sensor_location: str = "bogie"
 
@@ -170,16 +162,6 @@ class SimConfig:
             raise ValueError("sample_rate_hz must be > 0")
         if not self.wheelbase_m > 0:
             raise ValueError("wheelbase_m must be > 0")
-        d = self.lateral_disturbance
-        if d:
-            rms = float(d["rms_mps2"])
-            lo, hi = (float(b) for b in d["band_hz"])
-            if not 0.0 <= rms < np.inf:
-                raise ValueError(f"lateral_disturbance rms_mps2 must be finite and "
-                                 f">= 0, got {rms}")
-            if not lo < hi:
-                raise ValueError(f"lateral_disturbance band_hz must be [lo, hi] "
-                                 f"with lo < hi, got [{lo}, {hi}]")
         object.__setattr__(self, "speed_plan", plan)
 
 
@@ -422,7 +404,7 @@ def synth_profile(length_m: float, spec: dict, seed: int = 0,
     if worst > DEVIATION_BOUND_MM:
         raise ValueError(f"profile deviation {worst:.1f} mm exceeds bound "
                          f"{DEVIATION_BOUND_MM} mm")
-    return TrackProfile(float(length_m), PROFILE_SPACING_M,
+    return TrackProfile(float(length_m),
                         sampled["vertical-left"], sampled["vertical-right"],
                         sampled["lateral-left"], sampled["lateral-right"],
                         components)
@@ -478,24 +460,6 @@ def _trajectory(config: SimConfig, length_m: float):
     return v[:stop], np.repeat(knot_slope, counts), x[:stop]
 
 
-def _band_noise(rng: np.random.Generator, n: int, fs: float, rms: float,
-                band_hz) -> np.ndarray:
-    """Band-limited Gaussian noise via spectral masking, scaled to rms.
-    Raises ValueError if the band keeps no frequency bin above 0 Hz."""
-    lo, hi = band_hz
-
-    def keep(f):
-        inside = (f >= lo) & (f <= hi)
-        if not inside[1:].any():
-            raise ValueError(f"lateral_disturbance band_hz [{lo}, {hi}] keeps no "
-                             f"frequency bin above 0 Hz of {n} samples at {fs} Hz")
-        return inside.astype(float)
-
-    x = apply_mask(rng.standard_normal(n), fs, keep)
-    std = x.std()
-    return x * (rms / std) if std > 0 else x
-
-
 def _distinct(x: np.ndarray):
     """Sorted distinct values of x and, per element, its index among them.
     A stable sort merges the sorted runs x is made of in linear time."""
@@ -517,34 +481,18 @@ def _distinct(x: np.ndarray):
 class Trajectory:
     """What a run holds whole while simulate_run works through it a block
     at a time: per sample the speed, dv/dt and front-wheel position
-    (24 B), and, with lateral_disturbance set, each lateral channel's band
-    noise. _band_noise is a spectral mask over the whole record, so that
-    noise cannot be drawn a block at a time. start is the run's index of
-    sample 0."""
+    (24 B). start is the run's index of sample 0."""
 
     v: np.ndarray
     dvdt: np.ndarray
     x_front: np.ndarray
-    disturbance: dict            # lateral channel id -> band noise
     start: int = 0
 
     @classmethod
     def of(cls, profile: TrackProfile, config: SimConfig) -> Trajectory:
         """The whole run's trajectory. Raises PlanTooShortError if the plan
-        ends before the profile, ValueError if the disturbance band keeps
-        no frequency bin."""
-        v, dvdt, x_front = _trajectory(config, profile.length_m)
-        disturbance = {}
-        d = config.lateral_disturbance
-        if d:
-            for pos in POSITIONS:
-                for side in SIDES:
-                    cid = channel_id(config.sensor_location, pos, side, "lateral")
-                    rng = _channel_rng(config.seed, f"lateral-disturbance-{cid}")
-                    disturbance[cid] = _band_noise(
-                        rng, x_front.size, config.sample_rate_hz,
-                        float(d["rms_mps2"]), tuple(d["band_hz"]))
-        return cls(v, dvdt, x_front, disturbance)
+        ends before the profile."""
+        return cls(*_trajectory(config, profile.length_m))
 
     def __len__(self) -> int:
         return self.x_front.size
@@ -553,7 +501,6 @@ class Trajectory:
         """Samples k0 .. k1 of this trajectory, as views."""
         k1 = min(k1, len(self))
         return Trajectory(self.v[k0:k1], self.dvdt[k0:k1], self.x_front[k0:k1],
-                          {cid: d[k0:k1] for cid, d in self.disturbance.items()},
                           self.start + k0)
 
 
@@ -620,8 +567,6 @@ def simulate_run(profile: TrackProfile, config: SimConfig,
     start_s = traj.start / config.sample_rate_hz
     for (pos, side, axis), acc in zip(keys, accs.reshape(-1, n)):
         cid = channel_id(loc, pos, side, axis)
-        if cid in traj.disturbance:
-            acc += traj.disturbance[cid]
         channels[cid] = TimeSeries(acc, config.sample_rate_hz, start_s,
                                    cid, KIND_ACCELERATION)
         wheel_positions[cid] = x_front if pos == "front" else x_back
@@ -644,7 +589,7 @@ def simulate_blocks(profile: TrackProfile, config: SimConfig, block_samples: int
     each doublet is taken once, from the whole run's positions, so one that
     straddles a block bound is split, and each channel draws its noise
     from one generator across blocks. Only the Trajectory is held whole;
-    the plan and the disturbance band are checked before this returns.
+    the plan is checked before this returns.
     """
     traj = Trajectory.of(profile, config)
     fs = config.sample_rate_hz

@@ -120,18 +120,14 @@ class TestSimulate:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("disturbance", [
-        {"rms_mps2": -0.5, "band_hz": [1.0, 20.0]},
-        {"rms_mps2": 0.05, "band_hz": [20.0, 1.0]},
-        {"rms_mps2": 0.05, "band_hz": [2000.0, 3000.0]}],
-        ids=["negative-rms", "reversed-band", "above-nyquist"])
-    def test_bad_lateral_disturbance_is_data_error(self, tmp_path, capsys,
-                                                   disturbance):
-        cfg = write_config(tmp_path / "config.json",
-                           dict(CONFIG, lateral_disturbance=disturbance))
+    def test_lateral_disturbance_is_an_unknown_field(self, tmp_path, capsys):
+        # an older config that names the field is refused, not simulated
+        # without it
+        cfg = write_config(tmp_path / "config.json", dict(
+            CONFIG, lateral_disturbance={"rms_mps2": 0.05, "band_hz": [1.0, 20.0]}))
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "lateral_disturbance" in capsys.readouterr().err
+        assert "unknown field 'lateral_disturbance'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_used_reproduces_the_run(self, tmp_path):
@@ -148,7 +144,6 @@ class TestSimulate:
             "sensor": "bogie_mems",
             "seed": 7,
             "geo_polyline": [[47.0, 8.0], [47.005, 8.0]],
-            "lateral_disturbance": {"rms_mps2": 0.05, "band_hz": [1.0, 20.0]},
         })
         first, again = tmp_path / "first", tmp_path / "again"
         assert main(["simulate", "--config", str(cfg), "--out", str(first),
@@ -164,7 +159,7 @@ class TestSimulate:
 
 
     def test_blocks_equal_the_whole_run(self, tmp_path):
-        # a ramp, a stop and a restart, lateral band noise, 305 m in 40.5 s
+        # a ramp, a stop and a restart, 305 m in 40.5 s
         # (four 10 s blocks and a half), and an impulse at 79.99 m, which
         # the front wheel crosses 1 ms before t = 10 s
         cfg = dict(CONFIG, **{
@@ -174,7 +169,6 @@ class TestSimulate:
             "impulses": [{"position_m": 79.99, "amplitude_g": 5.0,
                           "duration_ms": 4.0}],
             "sensor": "bogie_mems",
-            "lateral_disturbance": {"rms_mps2": 0.2, "band_hz": [0.5, 5.0]},
             "seed": 4})
         run = tmp_path / "run"
         assert main(["simulate", "--config",
@@ -188,9 +182,7 @@ class TestSimulate:
                                           add_sensor_noise, simulate_run,
                                           synth_profile)
         profile = synth_profile(cfg["length_m"], cfg["profile"], seed=4)
-        sim = simulate_run(profile, SimConfig(
-            cfg["speed_plan"], seed=4,
-            lateral_disturbance=cfg["lateral_disturbance"]))
+        sim = simulate_run(profile, SimConfig(cfg["speed_plan"], seed=4))
         events = [ImpulseEvent(**e) for e in cfg["impulses"]]
         n_block = 25600
         assert len(sim.speeds_mps) % n_block != 0
@@ -513,6 +505,45 @@ class TestProcess:
                    "--out", str(tmp_path / "x")])
         assert rc == 1
 
+    def test_rate_off_the_working_rate_is_data_error(self, tmp_path, capsys):
+        # 1000 Hz is no integer multiple of the 256 Hz working rate
+        from trackvib.fileio import write_record
+        from trackvib.layout import AXES, POSITIONS, SIDES, channel_id
+        from trackvib.timeseries import TimeSeries
+        records = tmp_path / "records"
+        records.mkdir()
+        samples = np.random.default_rng(3).normal(size=4000)
+        for key in [(p, s, a) for p in POSITIONS for s in SIDES for a in AXES]:
+            cid = channel_id("bogie", *key)
+            write_record(records / f"{cid}_b0000.rec",
+                         TimeSeries(samples, 1000.0, 0.0, cid, "acceleration"))
+        out = tmp_path / "x"
+        rc = main(["process", "--records", str(records), "--out", str(out)])
+        assert rc == 1
+        assert "rate 1000.0 Hz of 'bogie-" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_back_records_only_is_data_error(self, sim_dir, tmp_path, capsys):
+        records = tmp_path / "records"
+        records.mkdir()
+        for path in sim_dir.glob("bogie-back-*.rec"):
+            shutil.copy(path, records)
+        out = tmp_path / "x"
+        rc = main(["process", "--records", str(records), "--out", str(out)])
+        assert rc == 1
+        assert "no front vertical or lateral channel" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_row_speed_file_is_data_error(self, sim_dir, tmp_path, capsys):
+        speed = tmp_path / "speed.csv"
+        speed.write_text("time_s,speed_mps\n0.0,10.0\n")
+        out = tmp_path / "x"
+        rc = main(["process", "--records", str(sim_dir), "--out", str(out),
+                   "--speed-file", str(speed)])
+        assert rc == 1
+        assert "need at least two time,speed rows" in capsys.readouterr().err
+        assert not out.exists()
+
 
 READ = "bogie-front-left-vertical"      # a record every default run reads
 
@@ -703,6 +734,25 @@ class TestCompare:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_too_short_run_names_the_window(self, sim_dir, tmp_path, capsys):
+        # 200 m of the truth hold two 100 m windows: the refusal says so,
+        # and that a shorter --window gives the comparison enough
+        from trackvib.fileio import TrcData, read_trc, write_trc
+        truth = read_trc(sim_dir / "ground_truth.trc")
+        keep = truth.distance_m <= 200.0
+        short = tmp_path / "short.trc"
+        write_trc(short, TrcData(truth.distance_m[keep], {
+            c: v[keep] for c, v in truth.columns.items()}, truth.metadata))
+        argv = ["compare", "--estimated", str(short), "--reference", str(short)]
+        out = tmp_path / "cmp"
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "at most 2 usable windows of 100 m" in err
+        assert "needs 3" in err and "shorter --window" in err
+        assert not out.exists()
+        assert main([*argv, "--out", str(out), "--window", "20"]) == 0
+        assert "VA10_left_mm: r=1.000" in capsys.readouterr().out
+
     def test_missing_file_is_data_error(self, tmp_path):
         rc = main(["compare", "--estimated", str(tmp_path / "a.trc"),
                    "--reference", str(tmp_path / "b.trc"),
@@ -845,7 +895,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("speed_file", [False, True],
                              ids=["estimated", "speed-file"])
-    @pytest.mark.parametrize("wheelbase", ["0", "-2", "nan", "inf"])
+    @pytest.mark.parametrize("wheelbase", ["0", "-2", "nan", "inf", "abc"])
     def test_bad_wheelbase_writes_nothing(self, sim_dir, proc_dir, tmp_path,
                                           capsys, wheelbase, speed_file):
         out = tmp_path / "x"
@@ -1003,10 +1053,12 @@ class TestFootprint:
         assert (peak(400) - peak(100)) / 300.0 <= 0.15
 
     def test_process_memory_holds_one_raw_record(self, tmp_path):
-        # a record is read when the chain reaches it and dropped once
-        # decimated, and decimation builds no padded copy of it; holding
-        # every block read until the run ended, and the padded record, grew
-        # 0.157 MB per recorded second between 100 s and 400 s
+        # a record is read when the chain reaches it, its blocks are dropped
+        # once merged and the merged record once decimated, and decimation
+        # builds no padded copy of it; holding every block read until the
+        # run ended, and the padded record, grew 0.157 MB per recorded
+        # second between 100 s and 400 s, and holding a record's blocks
+        # beside their merged copy through decimate 0.068 MB
         def peak(seconds):
             root = tmp_path / f"s{seconds}"
             for script, args in [(SIMULATE_PEAK_SCRIPT, [root, seconds]),
@@ -1018,7 +1070,7 @@ class TestFootprint:
                 assert done.returncode == 0, done.stderr
             return float(done.stdout.splitlines()[-1])
 
-        assert (peak(400) - peak(100)) / 300.0 <= 0.10
+        assert (peak(400) - peak(100)) / 300.0 <= 0.06
 
     @staticmethod
     def env():

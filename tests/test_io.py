@@ -143,6 +143,13 @@ class TestRecordFormat:
         assert header["n_samples"] == 2560
         assert header["params"] == {"seed": 3}
 
+    def test_header_without_units_rejected(self, tmp_path):
+        p = tmp_path / "bad.rec"
+        header = {k: v for k, v in RECORD_HEADER.items() if k != "units"}
+        p.write_bytes(json.dumps(header).encode() + b"\n" + b"\x00" * 16)
+        with pytest.raises(FormatError, match="header missing 'units'"):
+            read_record(p)
+
     def test_units_kind_mismatch_rejected(self, tmp_path):
         p = tmp_path / "units.rec"
         header = {"channel_id": "c", "kind": "acceleration", "n_samples": 0,
@@ -268,6 +275,13 @@ class TestTableLayout:
         p = tmp_path / "tail.csv"
         p.write_text("time_s,speed_mps\n0.0,10.0\n1.0,10.0 \n\n  \n\t\n")
         assert read_speed(p)[1].tolist() == [10.0, 10.0]
+
+    def test_rows_one_cell_wider_than_the_header_rejected(self, tmp_path):
+        p = tmp_path / "wide.csv"
+        p.write_text("time_s,speed_mps\n0.0,10.0,1\n1.0,10.0,1\n")
+        with pytest.raises(FormatError, match="header names 2 columns, rows "
+                                              "hold 3"):
+            read_table(p, ("time_s",))
 
     def test_unequal_columns_refused_before_the_file_exists(self, tmp_path):
         p = tmp_path / "ragged.csv"
@@ -537,6 +551,15 @@ class TestWindowsCsv:
         with pytest.raises(FormatError):
             read_windows(p, "HA10_left_mm")
 
+    def test_unequal_window_lengths_rejected(self, tmp_path):
+        p = tmp_path / "windows.csv"
+        p.write_text(",".join(fileio._WINDOWS_HEADER) + "\n"
+                     "VA10_left_mm,0.0,100.0,1.5,1.0\n"
+                     "VA10_left_mm,100.0,150.0,2.5,1.0\n")
+        with pytest.raises(FormatError, match="window lengths differ for "
+                                              "'VA10_left_mm'"):
+            read_windows(p, "VA10_left_mm")
+
     def test_non_windows_file_rejected(self, tmp_path):
         p = tmp_path / "other.csv"
         p.write_text("a,b\n1,2\n")
@@ -616,14 +639,16 @@ class TestLoadConfig:
                        {"nu": 0.1, "amplitude_mm": 1.0, "phase": 0.3}]},
                    impulses=[{"position_m": 100, "amplitude_g": 5.0,
                               "duration_ms": 4.0}],
-                   geo_polyline=[[47.0, 8.0], [47.01, 8.0]],
-                   lateral_disturbance={"rms_mps2": 0.05, "band_hz": [1, 20]})
+                   geo_polyline=[[47.0, 8.0], [47.01, 8.0]])
         assert load_config(self.write(tmp_path, cfg)) == cfg
 
     @pytest.mark.parametrize("field, value", [
         ("sample_rate_hz", 2560.0), ("wheelbase_m", 2.5),
         ("lr_correlation", 0.7), ("add_noise", False), ("block_seconds", 10.0),
-        ("impulse", [])])
+        ("impulse", []),
+        # no longer a field, whatever its shape
+        ("lateral_disturbance", {"rms_mps2": 0.05}),
+        ("lateral_disturbance", {"rms_mps2": 0.05, "band_hz": [1.0]})])
     def test_unknown_field_named(self, tmp_path, field, value):
         cfg = dict(self.good(), **{field: value})
         with pytest.raises(FormatError, match=f"unknown field '{field}'"):
@@ -647,9 +672,7 @@ class TestLoadConfig:
         ("length_m", float("inf")),
         ("speed_plan", [[0.0, 10.0], [float("nan"), 10.0]]),
         ("geo_polyline", [[47.0, 8.0]]),
-        ("geo_polyline", [[47.0], [47.1]]),
-        ("lateral_disturbance", {"rms_mps2": 0.05}),
-        ("lateral_disturbance", {"rms_mps2": 0.05, "band_hz": [1.0]})])
+        ("geo_polyline", [[47.0], [47.1]])])
     def test_malformed_field_named(self, tmp_path, field, value):
         cfg = dict(self.good(), **{field: value})
         with pytest.raises(FormatError, match=f"field '{field}'"):

@@ -9,9 +9,9 @@ import pytest
 from trackvib import synthesizer
 from trackvib.errors import PlanTooShortError
 from trackvib.layout import SENSOR_SPECS, G, SensorSpec
-from trackvib.synthesizer import (ImpulseEvent, SimConfig, TrackProfile,
-                                  add_impulses, add_sensor_noise, simulate_run,
-                                  synth_profile)
+from trackvib.synthesizer import (PROFILE_SPACING_M, ImpulseEvent, SimConfig,
+                                  TrackProfile, add_impulses, add_sensor_noise,
+                                  simulate_run, synth_profile)
 from trackvib.timeseries import TimeSeries
 
 SINE_SPEC = {"type": "sines",
@@ -40,7 +40,7 @@ def constant_run(v=10.0, t_end=15.0, **kw):
 class TestSynthProfile:
     def test_exact_sine(self):
         p = synth_profile(100.0, SINE_SPEC)
-        x = p.spacing_m * np.arange(len(p.z_left))
+        x = PROFILE_SPACING_M * np.arange(len(p.z_left))
         oracle = 5.0 * np.sin(2 * np.pi * 0.05 * x + 0.3)
         assert np.allclose(p.z_left, oracle, atol=1e-9)
         assert np.array_equal(p.z_left, p.z_right)
@@ -167,44 +167,6 @@ class TestSimulateRun:
         assert sim.speeds_mps[0] == pytest.approx(5.0)
         assert sim.speeds_mps[int(10 * fs)] == pytest.approx(10.0, rel=1e-3)
 
-    @pytest.mark.parametrize("disturbance", [
-        {"rms_mps2": -0.5, "band_hz": (1.0, 40.0)},
-        {"rms_mps2": 0.2, "band_hz": (20.0, 1.0)},
-        # above the 1280 Hz Nyquist frequency
-        {"rms_mps2": 0.2, "band_hz": (2000.0, 3000.0)},
-        # below the 0.067 Hz bin spacing of 15 s: the 0 Hz bin alone
-        {"rms_mps2": 0.2, "band_hz": (0.0, 0.01)}],
-        ids=["negative-rms", "reversed-band", "above-nyquist", "no-bin-above-0-hz"])
-    def test_bad_lateral_disturbance_refused(self, disturbance):
-        p = synth_profile(150.0, SINE_SPEC)
-        with pytest.raises(ValueError, match="lateral_disturbance"):
-            simulate_run(p, constant_run(seed=6, lateral_disturbance=disturbance))
-
-    def test_lateral_disturbance_only_on_lateral(self):
-        p = synth_profile(150.0, SINE_SPEC)
-        quiet = simulate_run(p, constant_run(seed=6))
-        noisy = simulate_run(p, constant_run(
-            seed=6, lateral_disturbance={"rms_mps2": 0.2, "band_hz": (1.0, 40.0)}))
-        lat = noisy.channels["bogie-front-left-lateral"].samples
-        assert np.std(lat) == pytest.approx(0.2, rel=0.05)
-        vert_q = quiet.channels["bogie-front-left-vertical"].samples
-        vert_n = noisy.channels["bogie-front-left-vertical"].samples
-        assert np.array_equal(vert_q, vert_n)
-
-    @pytest.mark.parametrize("band", [(1.0, 40.0), (0.5, 3.0), (100.0, 1280.0)])
-    def test_lateral_disturbance_stays_in_band(self, band):
-        # no lateral profile: the lateral records are the disturbance alone
-        p = synth_profile(150.0, SINE_SPEC)
-        sim = simulate_run(p, constant_run(
-            seed=6, lateral_disturbance={"rms_mps2": 0.2, "band_hz": band}))
-        for cid in ("bogie-front-left-lateral", "bogie-back-right-lateral"):
-            lat = sim.channels[cid].samples
-            power = np.abs(np.fft.rfft(lat)) ** 2
-            f = np.fft.rfftfreq(lat.size, 1 / 2560.0)
-            outside = (f < band[0]) | (f > band[1])
-            assert np.std(lat) == pytest.approx(0.2, rel=1e-9)
-            assert power[outside].sum() <= 1e-24 * power.sum(), cid
-
 
 def reference_acceleration(comps, xw, v, dvdt, chunk=8192):
     """Chain-rule acceleration of one channel, straight from its component
@@ -298,7 +260,7 @@ class TestSharedBasis:
     def test_rails_match_component_sums(self, profile):
         fine = synth_profile(120.0, FINE_SINE, seed=12, lateral_spec=NOISE_SPEC)
         for p in (profile, fine):
-            x = p.spacing_m * np.arange(len(p.z_left))
+            x = PROFILE_SPACING_M * np.arange(len(p.z_left))
             for side in ("left", "right"):
                 for axis in ("vertical", "lateral"):
                     ref = reference_rail(p.components[f"{axis}-{side}"], x)
@@ -511,11 +473,10 @@ class TestBlocks:
     """simulate_run on blocks of Trajectory.of against the whole run."""
 
     def test_blocks_match_whole_run(self):
-        # a stop and a restart, lateral band noise, and a block length that
-        # leaves a short last block
+        # a stop and a restart, and a block length that leaves a short last
+        # block
         profile = synth_profile(120.0, NOISE_SPEC, seed=12, lateral_spec=THREE_SINES)
-        cfg = SimConfig(speed_plan=SHORT_STOP_PLAN, seed=3,
-                        lateral_disturbance={"rms_mps2": 0.2, "band_hz": (0.5, 5.0)})
+        cfg = SimConfig(speed_plan=SHORT_STOP_PLAN, seed=3)
         whole = simulate_run(profile, cfg)
         traj = synthesizer.Trajectory.of(profile, cfg)
         n, step = len(traj), 7000
