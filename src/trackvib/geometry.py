@@ -145,7 +145,9 @@ def psd_spatial(series: SpatialSeries) -> SpatialPSD:
     approximates the series variance. Works on the longest contiguous valid
     run; raises TooShortError when that run is shorter than one segment.
 
-    The one caller of scipy.signal in the package, and on no command's path.
+    The package's one user of scipy, which it imports when called and which
+    the ``psd`` extra installs (``pip install trackvib[psd]``); no command
+    calls it.
     """
     runs = _bool_runs(series.valid)
     lo, hi = max(runs, key=lambda r: r[1] - r[0], default=(0, 0))

@@ -13,10 +13,22 @@ edge test and parabola for the whole batch at once. A batch holds as many
 windows as keep its float64 working set near _BATCH_FLOATS, so memory does
 not grow with the record beyond the per-sample outputs.
 
-The 5-smooth length is timeseries.next_fast_len. scipy.ndimage, for the
-median filter, is imported inside estimate_speed, the one function of the
-package on `process`'s path that computes with scipy, so that `import
-trackvib` loads no scipy.
+The 5-smooth length is timeseries.next_fast_len, and the median filter is
+the package's own, so that no command loads scipy. The median of a window
+of 2h + 1 speeds is exact, as scipy.ndimage.median_filter's is, and needs
+no copy of the windows where the window has at most one reversal of
+direction (flat steps take no side), which holds for all but a few
+percent of the windows of an interpolated speed. Such a window rises then
+falls, or falls then rises, so each of its h + 1 blocks of h + 1
+consecutive samples has its extremes at its two ends. Its h + 1 largest
+samples are one of those blocks when it rises first: the median is then
+the largest block minimum, max over a of min(p[a], p[a + h]). When it
+falls first the median is the smallest block maximum. Both are a running
+maximum or minimum of width h + 1, one prefix and one suffix scan within
+blocks of that width (van Herk; Gil and Werman). A window with two
+reversals or more is copied and partitioned. The filter runs
+_MEDIAN_BLOCK outputs at a time and copies at most _BATCH_FLOATS of
+windows at once, so its working set does not grow with the record.
 """
 
 from __future__ import annotations
@@ -35,8 +47,11 @@ QUALITY_THRESHOLD = 0.3               # normalized correlation peak
 SPEED_BOUNDS = (1.0, 40.0)            # m/s kept as valid speed
 MEDIAN_WINDOW_S = 1.0
 # float64 working set of one batch of delay windows (1 MB): 16 windows at
-# the default window and lag range, which fit a core's L2 cache
+# the default window and lag range, which fit a core's L2 cache; also the
+# bound of the median filter's copied windows
 _BATCH_FLOATS = 1 << 17
+# outputs of the median filter computed at a time
+_MEDIAN_BLOCK = 8192
 
 
 def delay_bounds(wheelbase_m: float) -> tuple[float, float]:
@@ -195,8 +210,75 @@ def estimate_speed(delays: DelayEstimate, wheelbase_m: float) -> SpeedProfile:
     speeds = np.interp(np.arange(d.size), idx, raw[idx])
     k = int(round(MEDIAN_WINDOW_S * delays.sample_rate_hz))
     if k > 1:
-        from scipy import ndimage
-
-        speeds = ndimage.median_filter(speeds, size=k | 1, mode="nearest")
+        speeds = _median_filter(speeds, k | 1)
     return SpeedProfile(published(speeds), delays.sample_rate_hz, valid)
+
+
+def _median_filter(values: np.ndarray, size: int) -> np.ndarray:
+    """The median of each run of ``size`` (odd) values centred on a sample,
+    the ends padded with size // 2 copies of the end values: for finite
+    values, equal to scipy.ndimage.median_filter(values, size,
+    mode="nearest") (see module docstring)."""
+    if size < 1 or size % 2 == 0:
+        raise ValueError(f"median filter size must be odd and >= 1, got {size}")
+    h = size // 2
+    padded = np.concatenate((np.repeat(values[:1], h), values,
+                             np.repeat(values[-1:], h)))
+    out = np.empty(values.size)
+    for lo in range(0, values.size, _MEDIAN_BLOCK):
+        seg = padded[lo:lo + _MEDIAN_BLOCK + 2 * h]
+        out[lo:lo + _MEDIAN_BLOCK] = _window_medians(seg, h)
+    return out
+
+
+def _window_medians(seg: np.ndarray, h: int) -> np.ndarray:
+    """The median of each run of 2h + 1 values of seg."""
+    if h == 0:
+        return seg
+    m = seg.size - 2 * h
+    # window i holds steps i .. i + 2h - 1, each -1, 0 or 1; a flat step
+    # takes no side
+    up, down = seg[1:] > seg[:-1], seg[1:] < seg[:-1]
+    steps = up.view(np.int8) - down.view(np.int8)
+    sided = steps != 0
+    side = steps[sided]
+    if not side.size:
+        return seg[:m]
+    # turned[q]: reversals of direction among sided steps 0 .. q
+    turned = np.concatenate(([0], np.cumsum(side[1:] != side[:-1])))
+    # before[j]: sided steps before step j
+    before = np.concatenate(([0], np.cumsum(sided)))
+    # a window's first and last sided step; both the same step, out of the
+    # window, when it holds none and is flat
+    first = np.minimum(before[:m], side.size - 1)
+    last = np.maximum(before[2 * h:] - 1, first)
+    ends = (seg[:-h], seg[h:])    # the two ends of each block of h + 1
+    # at most one reversal: every block of h + 1 has its extremes at its
+    # ends, and a window starting up peaks, one starting down dips
+    out = np.where(side[first] > 0,
+                   _running(np.maximum, np.minimum(*ends), h + 1),
+                   _running(np.minimum, np.maximum(*ends), h + 1))
+    wavy = np.flatnonzero(turned[last] - turned[first] > 1)
+    windows = sliding_window_view(seg, 2 * h + 1)
+    rows = max(1, _BATCH_FLOATS // (2 * h + 1))
+    for lo in range(0, wavy.size, rows):
+        some = wavy[lo:lo + rows]
+        out[some] = np.partition(windows[some], h, axis=1)[:, h]
+    return out
+
+
+def _running(extreme, values: np.ndarray, width: int) -> np.ndarray:
+    """extreme (np.maximum or np.minimum) of each run of ``width`` values,
+    by a prefix and a suffix scan within blocks of ``width`` (van Herk
+    1992, Gil & Werman 1993): run i is the suffix of its first block from
+    i and the prefix of the next up to i + width - 1."""
+    count = values.size - width + 1
+    blocks = -(-values.size // width)
+    padded = np.empty(blocks * width)
+    padded[:values.size] = values
+    padded[values.size:] = values[-1]    # beyond every run's reach
+    rows = padded.reshape(blocks, width)
+    prefix = extreme.accumulate(rows, axis=1).ravel()
+    suffix = extreme.accumulate(rows[:, ::-1], axis=1)[:, ::-1].ravel()
+    return extreme(suffix[:count], prefix[width - 1:width - 1 + count])
 

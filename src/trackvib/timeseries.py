@@ -33,9 +33,10 @@ polyphase components x[p::factor], each a real FFT of length L/factor:
 bin k is sum_p exp(-2 pi i k p / L) X_p[k] (decimation in time, pruned to
 the kept band), summed by Horner's rule one component at a time. The
 components are gathered from the record and the tail a group of rows at a
-time, as many as hold, with their spectra, no more floats than the record
-(4 of 10 on a 400 s record at 2560 Hz), and each group is transformed by
-one 2-D rfft. No spectrum of length L, and no padded record, is ever held.
+time, as many as hold, with their spectra, no more floats than half the
+record (2 of 10 on a 400 s record at 2560 Hz), and each group is
+transformed by one 2-D rfft. No spectrum of length L, and no padded
+record, is ever held.
 
 The double integration mask amplifies the transition band by up to
 ~0.15/cutoff_hz^2, which turns the slope discontinuity a reflection leaves
@@ -56,8 +57,7 @@ bounds what a diverging extension (nearly coincident poles) can do to the
 integral.
 
 The package computes its 5-smooth lengths itself (next_fast_len), so this
-module imports no scipy: `import trackvib` loads none, and of scipy
-`process` needs only the median filter of speed.estimate_speed.
+module imports no scipy, and no command loads any.
 """
 
 from __future__ import annotations
@@ -180,9 +180,9 @@ def apply_mask(record: np.ndarray, sample_rate_hz: float, mask_of_f,
     gathered from the record and the tail, combined by Horner's rule in
     w = exp(-2 pi i k / L) (see module docstring). The components are
     transformed a group at a time, one 2-D rfft per group: the group's rows
-    and their spectra hold no more floats than the record. With step 1 the
-    one component is the padded signal, transformed whole, and the inverse
-    runs at length L.
+    and their spectra hold no more floats than half the record. With step 1
+    the one component is the padded signal, transformed whole, and the
+    inverse runs at length L.
     """
     tail = np.empty(0) if tail is None else tail
     n = record.size
@@ -196,7 +196,7 @@ def apply_mask(record: np.ndarray, sample_rate_hz: float, mask_of_f,
                            else record)
     else:
         w = np.exp(np.arange(size // 2 + 1) * (-2j * np.pi / length))
-        group = max(1, n // (2 * size + 2))
+        group = max(1, n // (4 * size + 4))
         bins = None
         for top in range(step, 0, -group):
             rows = np.empty((min(group, top), size))

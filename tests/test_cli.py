@@ -911,9 +911,9 @@ class TestUsageErrors:
 
 
 # run in a fresh interpreter: which scipy modules are loaded after importing
-# the CLI, after `simulate`, `compare` and `export-geojson` (on argv[2]'s run
-# and argv[3]'s processed output), and which subpackages after `process`;
-# then whether psd_spatial still loads scipy.signal itself
+# the CLI, after `simulate`, `compare`, `export-geojson` and `process` (on
+# argv[2]'s run and argv[3]'s processed output); then whether psd_spatial
+# still loads scipy.signal itself
 FOOTPRINT_SCRIPT = """
 import json, sys
 from pathlib import Path
@@ -926,7 +926,7 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 root, sim, proc = (Path(a) for a in sys.argv[1:4])
-before = {"import": scipy_modules()}
+loaded = {"import": scipy_modules()}
 (root / "config.json").write_text(json.dumps({
     "length_m": 400.0, "sensor": "bogie_mems",
     "profile": {"type": "noise", "band_cycles_per_m": [0.02, 0.5],
@@ -934,32 +934,52 @@ before = {"import": scipy_modules()}
     "speed_plan": [[0.0, 10.0], [45.0, 10.0]], "seed": 2}))
 assert main(["simulate", "--config", str(root / "config.json"),
              "--out", str(root / "run")]) == 0
-before["simulate"] = scipy_modules()
+loaded["simulate"] = scipy_modules()
 assert main(["compare", "--estimated", str(proc / "estimated.trc"),
              "--reference", str(sim / "ground_truth.trc"),
              "--out", str(root / "cmp")]) == 0
-before["compare"] = scipy_modules()
+loaded["compare"] = scipy_modules()
 assert main(["export-geojson", "--windows", str(proc / "windows.csv"),
              "--column", "VA10_left_mm", "--polyline", str(sim / "polyline.json"),
              "--out", str(root / "map.geojson")]) == 0
-before["export-geojson"] = scipy_modules()
+loaded["export-geojson"] = scipy_modules()
 assert main(["process", "--records", str(root / "run"),
              "--out", str(root / "proc")]) == 0
-loaded = sorted({m.split(".")[1] for m in sys.modules if m.startswith("scipy.")})
+loaded["process"] = scipy_modules()
 x = np.sin(2 * np.pi * 0.05 * 0.25 * np.arange(4000))
 psd = psd_spatial(SpatialSeries(x, 0.25, 0.0))
-print(json.dumps({"before_process": before, "loaded": loaded,
+print(json.dumps({"loaded": loaded,
                   "peak_nu": float(psd.nu_axis[np.argmax(psd.density)]),
                   "signal_after_psd": "scipy.signal" in sys.modules}))
 """
 
-# run in a fresh interpreter: the scipy subpackages that importing the one
-# that `process` computes with loads by itself
-SUBPACKAGES_SCRIPT = """
+# run in a fresh interpreter in which scipy cannot be imported: every
+# command, as CI's smoke step runs them, on a 200 m run made in argv[1]
+NO_SCIPY_SCRIPT = """
 import json, sys
-import scipy.ndimage
-print(json.dumps(sorted({m.split(".")[1] for m in sys.modules
-                         if m.startswith("scipy.")})))
+sys.modules["scipy"] = None
+from pathlib import Path
+from trackvib.cli import main
+
+root = Path(sys.argv[1])
+(root / "config.json").write_text(json.dumps({
+    "length_m": 200.0, "sensor": "bogie_mems",
+    "profile": {"type": "noise", "band_cycles_per_m": [0.02, 0.5],
+                "rms_mm": 3.0},
+    "speed_plan": [[0.0, 10.0], [25.0, 10.0]], "seed": 1,
+    "geo_polyline": [[47.0, 8.0], [47.0019, 8.0]]}))
+run, proc = root / "run", root / "proc"
+for argv in (
+        ["simulate", "--config", root / "config.json", "--out", run],
+        ["process", "--records", run, "--out", proc],
+        ["process", "--records", run, "--out", root / "proc-fixed",
+         "--speed-file", proc / "speed.csv"],
+        ["compare", "--estimated", proc / "estimated.trc", "--reference",
+         run / "ground_truth.trc", "--window", "20", "--out", root / "cmp"],
+        ["export-geojson", "--windows", proc / "windows.csv", "--column",
+         "VA10_left_mm", "--polyline", run / "polyline.json", "--out",
+         root / "map.geojson"]):
+    assert main([str(a) for a in argv]) == 0, argv[0]
 """
 
 
@@ -1014,29 +1034,27 @@ class TestFootprint:
     def test_process_path_leaves_scipy_signal_unloaded(self, footprint):
         # scipy.signal and what it pulls in are about 40 MB of a fresh
         # process; no command needs them
-        assert not ({"signal", "stats", "optimize", "interpolate"}
-                    & set(footprint["loaded"]))
+        loaded = {m.split(".")[1] for m in footprint["loaded"]["process"]
+                  if "." in m}
+        assert not {"signal", "stats", "optimize", "interpolate"} & loaded
         assert footprint["peak_nu"] == pytest.approx(0.05, abs=0.01)
         assert footprint["signal_after_psd"]
 
-    def test_only_process_loads_scipy(self, footprint):
+    def test_no_command_loads_scipy(self, footprint):
         # scipy.fft, scipy.linalg and scipy.ndimage loaded at package import
         # made every command start 0.4-0.5 s later and 33 MB larger (2-vCPU
-        # Xeon). process needs only ndimage's median filter: scipy.fft and
-        # scipy.linalg, loaded on top of it for next_fast_len and dtbsv,
-        # cost 7.5 MB of RSS and 55-60 ms of import (scipy 1.17)
-        assert footprint["before_process"] == {
-            "import": [], "simulate": [], "compare": [], "export-geojson": []}
-        done = subprocess.run([sys.executable, "-c", SUBPACKAGES_SCRIPT],
-                              env=self.env(), capture_output=True, text=True,
-                              timeout=300)
+        # Xeon). The last of them, ndimage for the speed's median filter,
+        # still cost process 24 MB of RSS and 0.27 s (scipy 1.17)
+        assert footprint["loaded"] == {
+            "import": [], "simulate": [], "compare": [], "export-geojson": [],
+            "process": []}
+
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        # scipy is declared for the tests and psd_spatial only
+        done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT,
+                               str(tmp_path)], env=self.env(),
+                              capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        # what ndimage imports differs by scipy version; on 1.17 it is
-        # special and scipy's own base modules
-        allowed = set(json.loads(done.stdout.splitlines()[-1]))
-        loaded = set(footprint["loaded"])
-        assert {"ndimage"} <= loaded <= allowed
-        assert not {"fft", "linalg"} & loaded
 
     def test_simulate_memory_does_not_follow_the_run(self, tmp_path):
         # only the trajectory (24 B a sample) is held whole; simulating the

@@ -566,6 +566,17 @@ class TestWindowsCsv:
         with pytest.raises(FormatError):
             read_windows(p, "a")
 
+    @pytest.mark.parametrize("row, match", [
+        ("VA10_left_mm,100.0,200.0,abc,1.0", "abc"),
+        ("VA10_left_mm,100.0,200.0,2.5", "columns"),
+        ("VA10_left_mm,100.0,200.0,2.5,1.0,7", "columns")])
+    def test_malformed_row_rejected(self, tmp_path, row, match):
+        p = tmp_path / "windows.csv"
+        p.write_text(",".join(fileio._WINDOWS_HEADER) + "\n"
+                     "VA10_left_mm,0.0,100.0,1.5,1.0\n" + row + "\n")
+        with pytest.raises(FormatError, match=match):
+            read_windows(p, "VA10_left_mm")
+
 
 class TestLoadConfig:
     def good(self):

@@ -1,9 +1,13 @@
 """Cross-correlation speed estimation against constructed-shift oracles."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from trackvib import speed
 from trackvib.errors import NoValidSpeedError
@@ -252,6 +256,100 @@ class TestEstimateSpeed:
     def test_bad_wheelbase(self):
         with pytest.raises(ValueError):
             estimate_speed(self.constant_delay(0.25), 0.0)
+
+
+def scipy_median(values, size):
+    """The reference: scipy is a test dependency only."""
+    return ndimage.median_filter(values, size=size, mode="nearest")
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+def median_inputs(kind, n, rng):
+    """A series of n samples with the shapes a speed filter meets."""
+    if kind == "noise":
+        return rng.normal(size=n)
+    if kind == "ties":
+        return rng.integers(0, 4, size=n).astype(float)
+    if kind == "plateaus":
+        return np.repeat(rng.normal(size=n // 7 + 1), 7)[:n]
+    if kind == "staircase":
+        return np.floor(np.cumsum(rng.normal(size=n)))
+    if kind == "piecewise":
+        knots = np.sort(rng.choice(n + 1, size=min(n + 1, 20), replace=False))
+        return np.interp(np.arange(n), knots, 10.0 * rng.normal(size=knots.size))
+    # wheelbase / delay, interpolated between window centres 240 samples
+    # apart and published, as estimate_speed filters it
+    centres = np.arange(0, n + 240, 240)
+    delays = rng.uniform(0.1, 2.5, size=centres.size)
+    return np.round(np.interp(np.arange(n), centres, 2.5 / delays), 6)
+
+
+class TestMedianFilter:
+    @pytest.mark.parametrize("kind", ["noise", "ties", "plateaus", "staircase",
+                                      "piecewise", "speed"])
+    @pytest.mark.parametrize("size", [1, 3, 5, 17, 257, 1001])
+    def test_equals_scipy(self, kind, size):
+        rng = np.random.default_rng(size)
+        for n, block in [(1, 8192), (2, 1), (size + 3, 7), (5000, 100),
+                         (5000, 8192)]:
+            x = median_inputs(kind, n, rng)
+            with mock.patch.object(speed, "_MEDIAN_BLOCK", block):
+                got = speed._median_filter(x, size)
+            assert same_bits(got, scipy_median(x, size)), (n, block)
+
+    @settings(deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                           | st.integers(-3, 3).map(float),
+                           min_size=1, max_size=300),
+           half=st.integers(0, 40), block=st.integers(1, 64))
+    def test_equals_scipy_on_any_finite_values(self, values, half, block):
+        x = np.array(values)
+        with mock.patch.object(speed, "_MEDIAN_BLOCK", block):
+            got = speed._median_filter(x, 2 * half + 1)
+        # equal values, -0.0 and 0.0 alike: which of two equal samples a
+        # median is is not part of its definition
+        np.testing.assert_array_equal(got, scipy_median(x, 2 * half + 1))
+
+    def test_one_reversal_copies_no_window(self, monkeypatch):
+        # rises then falls, falls then rises, and flat stretches: every
+        # window of 257 has at most one reversal, so the running extremes
+        # give every median and no window is partitioned
+        x = np.concatenate((np.linspace(10.0, 20.0, 3000), np.full(500, 20.0),
+                            np.linspace(20.0, 5.0, 3000),
+                            np.linspace(5.0, 12.0, 3000)))
+        partitioned = []
+        partition = np.partition
+
+        def spy(a, *args, **kwargs):
+            partitioned.append(len(a))
+            return partition(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "partition", spy)
+        assert same_bits(speed._median_filter(x, 257), scipy_median(x, 257))
+        assert partitioned == []
+
+    def test_memory_does_not_follow_the_windows(self):
+        # 400 s of noise at 256 Hz, every window partitioned: copying all
+        # 102 400 windows of 257 would take 210 MB. The padded input and the
+        # output (1.6 MB), a batch of copied windows and its partition (2 MB)
+        # and a block's scans peak at 4.2 MB (tracemalloc)
+        x = np.random.default_rng(3).normal(size=102_400)
+        tracemalloc.start()
+        try:
+            speed._median_filter(x, 257)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6e6
+
+    @pytest.mark.parametrize("size", [0, 2, 256, -1])
+    def test_size_must_be_odd_and_positive(self, size):
+        with pytest.raises(ValueError, match="odd"):
+            speed._median_filter(np.ones(10), size)
 
 
 class TestEndToEndSpeed:

@@ -246,10 +246,11 @@ class TestDecimate:
         assert inverse == [size]
 
     def test_memory_of_a_mainline_record(self):
-        # 1 024 001 samples pad to 1 036 800, which is never built: 4 of the
-        # 10 polyphase rows (3.3 MB) and their spectra (3.3 MB) at a time,
-        # 8.5 MB in all. The padded record and one spectrum at a time peaked
-        # at 11.3 MB, a full-length rfft of it at 18.0 MB (tracemalloc)
+        # 1 024 001 samples pad to 1 036 800, which is never built: 2 of the
+        # 10 polyphase rows (1.7 MB) and their spectra (1.7 MB) at a time,
+        # 5.3 MB in all; 4 rows at a time peaked at 8.7 MB. The padded
+        # record and one spectrum at a time peaked at 11.3 MB, a
+        # full-length rfft of it at 18.0 MB (tracemalloc)
         ts = TimeSeries(np.random.default_rng(2).normal(size=1_024_001), FS)
         tracemalloc.start()
         try:
