@@ -16,6 +16,7 @@ alignment keeps its profile's units.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -102,6 +103,26 @@ def select_cutoff(chord_d_m: float) -> float:
     return REFERENCE_LOW_SPEED_MPS / chord_d_m
 
 
+@lru_cache(maxsize=16)
+def _window_layout(n: int, dx: float, window_m: float):
+    """Tumbling windows of window_m over n grid points dx apart: each
+    window's offset from the series start, its bounds into the grid (window
+    k holds points [bounds[k], bounds[k + 1])) and its nominal count. Every
+    series of one grid shares the arrays, so they are read-only."""
+    rel = dx * np.arange(n)   # position relative to start_m, exact for k*dx
+    idx = np.floor(rel / window_m + 1e-9).astype(int)
+    k = np.arange(idx[-1] + 2)
+    # idx is sorted, so its window boundaries are where k would insert
+    bounds = np.searchsorted(idx, k)
+    # nominal count: grid points the window would hold if the series
+    # continued; truncated trailing windows are penalized by this
+    nominal = np.diff(np.ceil(k * window_m / dx - 1e-9))
+    offsets = window_m * k[:-1]
+    for a in (offsets, bounds, nominal):
+        a.flags.writeable = False
+    return offsets, bounds, nominal
+
+
 def windowed_max(series: SpatialSeries, window_m: float) -> WindowedStats:
     """Largest |value| per tumbling window of ``window_m``, aligned to start_m.
 
@@ -110,31 +131,25 @@ def windowed_max(series: SpatialSeries, window_m: float) -> WindowedStats:
     by the end of the series) are reported but fall below the usable
     threshold. Raises ValueError unless window_m is finite and at least
     the grid spacing.
+
+    The window layout (offsets, grid bounds and nominal counts) depends on
+    the length, spacing and window alone; ``_window_layout`` computes it
+    once per grid and shares it, read-only, among the series that have it.
     """
     if not series.spacing_m <= window_m < np.inf:
         raise ValueError(f"window of {window_m} m must be finite and at least "
                          f"the grid spacing {series.spacing_m} m")
-    dx = series.spacing_m
-    n = len(series)
-    rel = dx * np.arange(n)   # position relative to start_m, exact for k*dx
-    idx = np.floor(rel / window_m + 1e-9).astype(int)
-    n_windows = idx[-1] + 1
-    k = np.arange(n_windows + 1)
-    starts = series.start_m + window_m * k[:-1]
-    # idx is sorted: window k holds grid points [bounds[k], bounds[k + 1])
-    bounds = np.searchsorted(idx, k)
+    offsets, bounds, nominal = _window_layout(len(series), series.spacing_m,
+                                              float(window_m))
     ok = series.valid
     n_good = np.diff(np.concatenate(([0], np.cumsum(ok)))[bounds])
     peak = np.maximum.reduceat(np.where(ok, np.abs(series.values), -np.inf),
                                bounds[:-1])
     values = np.where(n_good > 0, peak, np.nan)
-    # nominal count: grid points the window would hold if the series
-    # continued; truncated trailing windows are penalized by this
-    edges = np.ceil(k * window_m / dx - 1e-9)
-    nominal = np.diff(edges)
-    fractions = np.divide(n_good, nominal, out=np.zeros(n_windows),
+    fractions = np.divide(n_good, nominal, out=np.zeros(offsets.size),
                           where=nominal > 0)
-    return WindowedStats(float(window_m), starts, values, fractions)
+    return WindowedStats(float(window_m), series.start_m + offsets, values,
+                         fractions)
 
 
 def psd_spatial(series: SpatialSeries) -> SpatialPSD:

@@ -285,7 +285,10 @@ def compare_trc(est: TrcData, ref: TrcData,
     """
     common = [c for c in est.geometry_columns() if c in ref.columns]
     if not common:
-        raise MissingChannelError("tables share no geometry column")
+        raise MissingChannelError(
+            "tables share no geometry column: estimated has "
+            f"{', '.join(est.geometry_columns()) or 'none'}, reference has "
+            f"{', '.join(ref.geometry_columns()) or 'none'}")
     out = {}
     first_error = None
     # the .trc reader refuses any step but TRC_SPACING_M

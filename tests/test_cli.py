@@ -753,6 +753,29 @@ class TestCompare:
         assert main([*argv, "--out", str(out), "--window", "20"]) == 0
         assert "VA10_left_mm: r=1.000" in capsys.readouterr().out
 
+    def test_no_common_column_names_both_tables(self, tmp_path, capsys):
+        # processed with --chord 7, a run has only VA7/HA7 columns, and its
+        # simulated truth only the default chords
+        cfg = write_config(tmp_path / "config.json", {
+            **CONFIG, "length_m": 200.0, "speed_plan": [[0.0, 10.0],
+                                                        [25.0, 10.0]]})
+        run, proc = tmp_path / "run", tmp_path / "proc"
+        assert main(["simulate", "--config", str(cfg), "--out", str(run)]) == 0
+        assert main(["process", "--records", str(run), "--out", str(proc),
+                     "--chord", "7"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "cmp"
+        assert main(["compare", "--estimated", str(proc / "estimated.trc"),
+                     "--reference", str(run / "ground_truth.trc"),
+                     "--window", "20", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "tables share no geometry column" in err
+        assert ("estimated has VA7_left_mm, VA7_right_mm, HA7_left_mm, "
+                "HA7_right_mm") in err
+        assert ("reference has VA10_left_mm, VA10_right_mm, VA35_left_mm, "
+                "VA35_right_mm, HA10_left_mm, HA10_right_mm") in err
+        assert not out.exists()
+
     def test_missing_file_is_data_error(self, tmp_path):
         rc = main(["compare", "--estimated", str(tmp_path / "a.trc"),
                    "--reference", str(tmp_path / "b.trc"),

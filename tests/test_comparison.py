@@ -1,10 +1,15 @@
 """Window-value comparison metrics and integer-window co-registration."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trackvib.comparison import (MIN_COMMON_WINDOWS, _common_windows,
-                                 coregister, correlate)
+                                 _usable_pairs, coregister, correlate)
 from trackvib.errors import (InsufficientDataError, NoOverlapError,
                              UndefinedCorrelationError)
 from trackvib.geometry import WindowedStats
@@ -220,3 +225,132 @@ class TestCoregister:
         s = stats(v)
         _, _, applied = coregister(s, s, max_shift_m=400.0)
         assert applied == 0.0
+
+    def test_tie_between_opposite_shifts_goes_to_negative(self):
+        # shifts -1 and +1 both score r = 1 and beat shift 0 (r = -1)
+        est = stats(np.tile([1.0, 2.0], 10))
+        ref = stats(np.tile([2.0, 1.0], 10))
+        _, _, applied = coregister(est, ref, max_shift_m=100.0)
+        assert applied == -100.0
+
+
+def coregister_loop(est, ref, max_shift_m=0.0):
+    """coregister as one _common_windows and np.corrcoef per shift, in
+    (|k|, k) order: the reference for the array pass."""
+    if not 0 <= max_shift_m < np.inf:
+        raise ValueError(f"max_shift_m of {max_shift_m} m must be finite "
+                         f"and >= 0")
+    k_max = int(np.floor(max_shift_m / est.window_m + 1e-9))
+    best, undefined, most = None, None, 0    # most: usable pairs at any shift
+    for k in sorted(range(-k_max, k_max + 1), key=lambda k: (abs(k), k)):
+        shifted = replace(est, starts_m=est.starts_m + k * est.window_m)
+        most = max(most, _usable_pairs(shifted, ref)[0].size)
+        try:
+            ei, ri = _common_windows(shifted, ref)
+        except UndefinedCorrelationError as exc:
+            undefined = exc
+            continue
+        except (NoOverlapError, InsufficientDataError):
+            continue
+        score = float(np.corrcoef(shifted.values[ei], ref.values[ri])[0, 1])
+        if best is None or score > best[0] + 1e-9:
+            best = (score, k, shifted)
+    if best is None:
+        raise undefined or NoOverlapError(
+            f"the tables share at most {most} usable windows of {est.window_m:g} "
+            f"m at any shift within +/-{max_shift_m:g} m; compare needs "
+            f"{MIN_COMMON_WINDOWS}, and a shorter --window gives more")
+    _, k, shifted = best
+    return shifted, ref, k * est.window_m
+
+
+def outcome(fn, *args):
+    try:
+        shifted, _, applied = fn(*args)
+    except Exception as exc:   # the type and message are what is compared
+        return type(exc), str(exc)
+    return applied, shifted.starts_m.tolist()
+
+
+@st.composite
+def window_values(draw, size):
+    """Window values as windowed_max gives them, in the shapes that decide
+    a shift: random, small integers (tied scores), periodic (tied scores),
+    flat, flat up to rounding; some NaN or below the valid fraction."""
+    kind = draw(st.sampled_from(["random"] * 3 + ["integers", "periodic",
+                                                  "flat", "ulp"]))
+    if kind == "random":
+        v = draw(st.lists(st.floats(0.01, 50.0), min_size=size,
+                          max_size=size))
+    elif kind == "integers":
+        v = draw(st.lists(st.integers(1, 3).map(float), min_size=size,
+                          max_size=size))
+    elif kind == "periodic":
+        period = draw(st.lists(st.floats(0.5, 5.0), min_size=1, max_size=4))
+        v = (period * size)[:size]
+    else:
+        level = draw(st.floats(1e-3, 1e4))
+        v = [level] * size
+        if kind == "ulp":
+            v = [np.nextafter(x, np.inf) if i % 2 else x
+                 for i, x in enumerate(v)]
+    v = np.asarray(v, dtype=float)
+    fraction = np.asarray(draw(st.lists(st.sampled_from([1.0] * 5 + [0.5, 0.49,
+                                                                0.0]),
+                                        min_size=size, max_size=size)))
+    nan = draw(st.lists(st.sampled_from([False] * 7 + [True]), min_size=size,
+                        max_size=size))
+    v[np.asarray(nan, dtype=bool)] = np.nan
+    return v, fraction
+
+
+@st.composite
+def coregister_args(draw):
+    huge = draw(st.booleans())
+    # at 1e9 m the loop tries every shift, so its window keeps that at 201
+    window = 1e7 if huge else draw(st.sampled_from([20.0, 100.0]))
+    max_shift = 1e9 if huge else (window * draw(st.integers(0, 50))
+                                  + draw(st.sampled_from([0.0, 0.5 * window])))
+    origin = window * draw(st.integers(-5, 5)) + draw(st.sampled_from(
+        [0.0, 0.25, 0.125]))
+    phase = draw(st.sampled_from([0.0] * 18 + [0.25, 0.5]))
+    ref_window = draw(st.sampled_from([window] * 19 + [window / 2]))
+    # sampled, not integers(0, 40), which would draw 0 in a third of cases
+    lengths = st.sampled_from(range(41))
+    est_v, est_f = draw(window_values(draw(lengths)))
+    ref_v, ref_f = draw(window_values(draw(lengths)))
+    offset = draw(st.integers(-45, 45))
+    est = WindowedStats(window, origin + window * np.arange(est_v.size),
+                        est_v, est_f)
+    ref_start = origin + window * (offset + phase)
+    ref = WindowedStats(ref_window,
+                        ref_start + ref_window * np.arange(ref_v.size),
+                        ref_v, ref_f)
+    return est, ref, max_shift
+
+
+class TestCoregisterAgainstLoop:
+    @settings(deadline=None, max_examples=400)
+    @given(args=coregister_args())
+    def test_same_shift_or_same_refusal(self, args):
+        assert outcome(coregister, *args) == outcome(coregister_loop, *args)
+
+    def test_huge_shift_keeps_a_bounded_working_set(self):
+        # about 1000 windows a side: one unbatched (shift x window) array
+        # of the 2000 shifts that overlap would hold 16 MB
+        rng = np.random.default_rng(21)
+        v = rng.uniform(1.0, 5.0, 1100)
+        est = stats(v[:1000] + rng.normal(0.0, 0.1, 1000), start=-700.0)
+        ref = stats(v[60:1060])
+        tracemalloc.start()
+        try:
+            huge = coregister(est, ref, max_shift_m=1e9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        # est window i starts at ref window i - 7: shifts -992 to 1006
+        # leave pairs, so 1006 windows span the overlap exactly
+        exact = coregister(est, ref, max_shift_m=1006 * 100.0)
+        assert huge[2] == exact[2]
+        assert np.array_equal(huge[0].starts_m, exact[0].starts_m)

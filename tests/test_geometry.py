@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from trackvib.errors import TooShortError
-from trackvib.geometry import (chord_alignment, psd_spatial, select_cutoff,
-                               transfer_function, windowed_max)
+from trackvib.geometry import (_window_layout, chord_alignment, psd_spatial,
+                               select_cutoff, transfer_function, windowed_max)
 from trackvib.spatial import SpatialSeries
 
 DX = 0.25
@@ -198,6 +198,34 @@ class TestWindowedMax:
         stats = windowed_max(series, 100.0)
         assert stats.starts_m[0] == 250.0
         assert stats.ends_m[0] == 350.0
+
+
+    def test_one_grid_shares_one_read_only_layout(self):
+        _window_layout.cache_clear()
+        rng = np.random.default_rng(10)
+        a = windowed_max(self.alignment(rng.normal(size=1923)), 100.0)
+        b = windowed_max(self.alignment(rng.normal(size=1923), start=50.0),
+                         100.0)
+        info = _window_layout.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        layout = _window_layout(1923, DX, 100.0)
+        for array in layout:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 7
+        # the stats own their arrays: writing to them leaves the layout
+        a.starts_m[:] = -1.0
+        assert np.array_equal(b.starts_m, 50.0 + 100.0 * np.arange(5))
+        assert layout[0][0] == 0.0
+
+    def test_other_length_or_window_gets_its_own_layout(self):
+        _window_layout.cache_clear()
+        for n, window in ((1923, 100.0), (1924, 100.0), (1923, 20.0)):
+            windowed_max(self.alignment(np.ones(n)), window)
+        assert _window_layout.cache_info().misses == 3
+        assert _window_layout.cache_info().maxsize is not None
+        assert len(windowed_max(self.alignment(np.ones(1923)), 20.0)) == 25
+        assert len(windowed_max(self.alignment(np.ones(1924)), 100.0)) == 5
 
 
 class TestSpatialPSD:
