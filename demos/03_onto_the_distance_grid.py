@@ -9,6 +9,7 @@ and grid points inside that stretch come back NaN.
 
 import numpy as np
 
+from trackvib.layout import TRC_SPACING_M
 from trackvib.spatial import build_distance_axis, moving, resample_to_space
 from trackvib.speed import SpeedProfile
 from trackvib.timeseries import TimeSeries
@@ -31,7 +32,7 @@ signal = TimeSeries(np.sin(2 * np.pi * axis.positions_m / 25.0), FS,
 grid = resample_to_space(signal, axis, moving(speed))
 
 print(f"grid: {len(grid)} points from {grid.start_m:.2f} m "
-      f"every {grid.spacing_m} m")
+      f"every {TRC_SPACING_M} m")
 print(f"invalid grid points (the crawl): {(~grid.valid).sum()} "
       f"around {grid.positions()[~grid.valid].mean():.1f} m")
 

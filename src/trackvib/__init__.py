@@ -16,9 +16,8 @@ from .fileio import (TrcData, export_geojson, load_config, read_record,
                      read_trc, read_windows, write_geojson, write_record,
                      write_report_csv, write_report_json, write_trc,
                      write_windows)
-from .geometry import (SpatialPSD, WindowedStats, chord_alignment,
-                       psd_spatial, select_cutoff, transfer_function,
-                       windowed_max)
+from .geometry import (WindowedStats, chord_alignment, select_cutoff,
+                       transfer_function, windowed_max)
 from .layout import SENSOR_SPECS, SensorSpec, column_name, parse_channel_id
 from .pipeline import (ProcessOptions, ProcessResult, chord_ground_truth,
                        compare_trc, process_records)
@@ -38,7 +37,7 @@ __all__ = [
     "InsufficientDataError", "MissingChannelError", "MixedLocationError",
     "NoOverlapError", "NoValidSpeedError",
     "PlanTooShortError", "ProcessOptions", "ProcessResult", "SENSOR_SPECS",
-    "SensorSpec", "SimConfig", "SimResult", "SpatialPSD", "SpatialSeries",
+    "SensorSpec", "SimConfig", "SimResult", "SpatialSeries",
     "SpeedProfile", "TimeSeries", "TooShortError",
     "TrackProfile", "TrackVibError", "TrcData", "UndefinedCorrelationError",
     "WindowedStats", "add_impulses", "add_sensor_noise",
@@ -46,7 +45,7 @@ __all__ = [
     "column_name", "compare_trc", "coregister", "correlate", "decimate",
     "double_integrate", "estimate_delay", "estimate_speed", "export_geojson",
     "load_config", "merge_records", "moving", "parse_channel_id",
-    "process_records", "psd_spatial", "read_record",
+    "process_records", "read_record",
     "read_trc", "read_windows", "resample_to_space", "select_cutoff",
     "simulate_run", "synth_profile", "transfer_function",
     "windowed_max", "write_geojson", "write_record", "write_report_csv",

@@ -391,6 +391,10 @@ def _check_trc(trc: TrcData, origin: str) -> None:
     d = np.asarray(trc.distance_m, dtype=float)
     if d.ndim != 1 or d.size < 2:
         raise FormatError(f"{origin}: need at least two distance rows")
+    if not np.isfinite(d).all():
+        bad = int(np.argmin(np.isfinite(d)))
+        raise FormatError(f"{origin}: distance must be finite (row {bad} "
+                          f"is {d[bad]!r})")
     step = np.diff(d)
     if np.any(np.abs(step - TRC_SPACING_M) > 1e-12):
         bad = int(np.argmax(np.abs(step - TRC_SPACING_M) > 1e-12))
@@ -477,6 +481,8 @@ def read_windows(path, column: str):
                                            for name in _WINDOWS_HEADER[1:])
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+    if not (np.isfinite(starts) & np.isfinite(ends)).all():
+        raise FormatError(f"{path}: window bounds of {column!r} must be finite")
     widths = ends - starts
     if np.any(np.abs(widths - widths[0]) > 1e-9):
         raise FormatError(f"{path}: window lengths differ for {column!r}")

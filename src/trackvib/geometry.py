@@ -6,11 +6,11 @@ The mid-chord offset of a profile z over a chord of length d,
 
 is what recording cars publish for vertical (VA) and horizontal (HA)
 alignment. Its spatial transfer function 1 - cos(pi d nu) has zeros at even
-multiples of 1/d and maxima of 2 at odd multiples, which drives both the
-integration cutoff choice and the spectral sanity checks here.
+multiples of 1/d and maxima of 2 at odd multiples, which drives the
+integration cutoff choice (select_cutoff).
 
-Profiles and alignments are both spatial.SpatialSeries on the same grid; an
-alignment keeps its profile's units.
+Profiles and alignments are both spatial.SpatialSeries on the TRC_SPACING_M
+grid; an alignment keeps its profile's units.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import TooShortError
-from .spatial import SpatialSeries, _bool_runs
+from .layout import TRC_SPACING_M
+from .spatial import SpatialSeries
 
 MODE_MAX_ABS = "max_abs"      # the one summary: compare metadata names it
 VALID_FRACTION_THRESHOLD = 0.5
-PSD_SEGMENT_SAMPLES = 512          # 128 m of 0.25 m samples
 REFERENCE_LOW_SPEED_MPS = 3.0
 
 
@@ -51,27 +51,19 @@ class WindowedStats:
         return (self.valid_fraction >= VALID_FRACTION_THRESHOLD) & np.isfinite(self.values)
 
 
-@dataclass(frozen=True)
-class SpatialPSD:
-    """One-sided spatial power spectral density, units mm^2 * m."""
-
-    nu_axis: np.ndarray          # cycles/m
-    density: np.ndarray
-
-
 def chord_alignment(z: SpatialSeries, chord_m: float) -> SpatialSeries:
     """Mid-chord offset of a spatial profile over a chord of chord_m metres.
 
-    Raises ValueError unless chord_m is finite, > 0 and puts d/2 on z's
-    grid. The first and last half-chord of samples have no full chord
-    support and are NaN, as is every offset whose centre or foot is NaN
-    in z.
+    Raises ValueError unless chord_m is finite, > 0 and puts d/2 on the
+    TRC_SPACING_M grid. The first and last half-chord of samples have no
+    full chord support and are NaN, as is every offset whose centre or foot
+    is NaN in z.
     """
-    half = chord_m / (2.0 * z.spacing_m)
+    half = chord_m / (2.0 * TRC_SPACING_M)
     if not 0 < chord_m < np.inf \
             or abs(half - round(half)) > 1e-9 * max(1.0, half):
         raise ValueError(f"chord of {chord_m} m must be > 0 with d/2 on the "
-                         f"{z.spacing_m} m grid")
+                         f"{TRC_SPACING_M} m grid")
     h = int(round(half))
     n = len(z)
     if n < 2 * h + 1:
@@ -104,11 +96,13 @@ def select_cutoff(chord_d_m: float) -> float:
 
 
 @lru_cache(maxsize=16)
-def _window_layout(n: int, dx: float, window_m: float):
-    """Tumbling windows of window_m over n grid points dx apart: each
-    window's offset from the series start, its bounds into the grid (window
-    k holds points [bounds[k], bounds[k + 1])) and its nominal count. Every
-    series of one grid shares the arrays, so they are read-only."""
+def _window_layout(n: int, window_m: float):
+    """Tumbling windows of window_m over n points of the TRC_SPACING_M grid:
+    each window's offset from the series start, its bounds into the grid
+    (window k holds points [bounds[k], bounds[k + 1])) and its nominal
+    count. Every series of one length shares the arrays, so they are
+    read-only."""
+    dx = TRC_SPACING_M
     rel = dx * np.arange(n)   # position relative to start_m, exact for k*dx
     idx = np.floor(rel / window_m + 1e-9).astype(int)
     k = np.arange(idx[-1] + 2)
@@ -130,17 +124,16 @@ def windowed_max(series: SpatialSeries, window_m: float) -> WindowedStats:
     less than half their nominal samples valid (including windows truncated
     by the end of the series) are reported but fall below the usable
     threshold. Raises ValueError unless window_m is finite and at least
-    the grid spacing.
+    the grid spacing TRC_SPACING_M.
 
     The window layout (offsets, grid bounds and nominal counts) depends on
-    the length, spacing and window alone; ``_window_layout`` computes it
-    once per grid and shares it, read-only, among the series that have it.
+    the length and window alone; ``_window_layout`` computes it once per
+    length and shares it, read-only, among the series that have it.
     """
-    if not series.spacing_m <= window_m < np.inf:
+    if not TRC_SPACING_M <= window_m < np.inf:
         raise ValueError(f"window of {window_m} m must be finite and at least "
-                         f"the grid spacing {series.spacing_m} m")
-    offsets, bounds, nominal = _window_layout(len(series), series.spacing_m,
-                                              float(window_m))
+                         f"the grid spacing {TRC_SPACING_M} m")
+    offsets, bounds, nominal = _window_layout(len(series), float(window_m))
     ok = series.valid
     n_good = np.diff(np.concatenate(([0], np.cumsum(ok)))[bounds])
     peak = np.maximum.reduceat(np.where(ok, np.abs(series.values), -np.inf),
@@ -150,31 +143,3 @@ def windowed_max(series: SpatialSeries, window_m: float) -> WindowedStats:
                           where=nominal > 0)
     return WindowedStats(float(window_m), series.start_m + offsets, values,
                          fractions)
-
-
-def psd_spatial(series: SpatialSeries) -> SpatialPSD:
-    """Averaged-periodogram spatial PSD of a profile or alignment series.
-
-    Hann-tapered segments of PSD_SEGMENT_SAMPLES (128 m at 0.25 m spacing)
-    with 50% overlap, density scaling: the integral of the density over nu
-    approximates the series variance. Works on the longest contiguous valid
-    run; raises TooShortError when that run is shorter than one segment.
-
-    The package's one user of scipy, which it imports when called and which
-    the ``psd`` extra installs (``pip install trackvib[psd]``); no command
-    calls it.
-    """
-    runs = _bool_runs(series.valid)
-    lo, hi = max(runs, key=lambda r: r[1] - r[0], default=(0, 0))
-    if hi - lo < PSD_SEGMENT_SAMPLES:
-        raise TooShortError(f"longest valid run of {hi - lo} samples shorter "
-                            f"than one PSD segment ({PSD_SEGMENT_SAMPLES})")
-    # imported here: scipy.signal loads about 40 MB of scipy that nothing else needs
-    from scipy.signal import welch
-
-    x = series.values[lo:hi]
-    nu, density = welch(x, fs=1.0 / series.spacing_m, window="hann",
-                        nperseg=PSD_SEGMENT_SAMPLES,
-                        noverlap=PSD_SEGMENT_SAMPLES // 2,
-                        detrend="constant", scaling="density")
-    return SpatialPSD(nu, density)

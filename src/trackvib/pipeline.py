@@ -296,8 +296,7 @@ def compare_trc(est: TrcData, ref: TrcData,
 
     def crop(trc: TrcData, column: str) -> SpatialSeries:
         skip = int(round((start - trc.distance_m[0]) / TRC_SPACING_M))
-        return SpatialSeries(trc.columns[column][skip:], TRC_SPACING_M,
-                             float(start))
+        return SpatialSeries(trc.columns[column][skip:], float(start))
 
     for column in common:
         wa = windowed_max(crop(est, column), window_m)

@@ -42,7 +42,8 @@ class DistanceAxis:
 
 @dataclass(frozen=True)
 class SpatialSeries:
-    """Values on a uniform distance grid: value i sits at start_m + i*spacing.
+    """Values on the TRC_SPACING_M grid: value i sits at
+    start_m + i * TRC_SPACING_M.
 
     Displacement, ground-truth profile and chord alignment all use this
     type. NaN is the one mark of an invalid value: exactly the finite
@@ -50,15 +51,12 @@ class SpatialSeries:
     """
 
     values: np.ndarray
-    spacing_m: float
     start_m: float
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("values must be a non-empty 1-D array")
-        if not self.spacing_m > 0:
-            raise ValueError(f"spacing_m must be > 0, got {self.spacing_m}")
         object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
@@ -69,7 +67,7 @@ class SpatialSeries:
         return np.isfinite(self.values)
 
     def positions(self) -> np.ndarray:
-        return self.start_m + self.spacing_m * np.arange(self.values.size)
+        return self.start_m + TRC_SPACING_M * np.arange(self.values.size)
 
 
 def build_distance_axis(speed) -> DistanceAxis:
@@ -129,4 +127,4 @@ def resample_to_space(ts: TimeSeries, axis: DistanceAxis,
     grid = start + dx * np.arange(count)
     values = np.interp(grid, pos, ts.samples)
     values[np.interp(grid, pos, ok.astype(np.float64)) < 1.0] = np.nan
-    return SpatialSeries(values, dx, float(start))
+    return SpatialSeries(values, float(start))

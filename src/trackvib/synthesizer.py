@@ -133,7 +133,7 @@ class TrackProfile:
     def spatial_series(self, side: str, axis: str = "vertical") -> SpatialSeries:
         """Ground-truth profile as a SpatialSeries in mm on the TRC_SPACING_M grid."""
         values = self.channel(side, axis)[::round(TRC_SPACING_M / PROFILE_SPACING_M)]
-        return SpatialSeries(values, TRC_SPACING_M, 0.0)
+        return SpatialSeries(values, 0.0)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 """The package's public surface: what ``from trackvib import *`` gives,
-and which of its modules may import which."""
+which of its modules may import which, and that none imports scipy."""
 
 import ast
 from pathlib import Path
@@ -8,7 +8,8 @@ import trackvib
 
 REMOVED = ("align_to_reference", "highpass", "spectrum", "SpectralSeries",
            "haversine_m", "AlignmentSeries", "ChordSpec",
-           "AlignmentFailedError", "profile_spatial_series")
+           "AlignmentFailedError", "profile_spatial_series", "psd_spatial",
+           "SpatialPSD")
 
 
 def test_all_names_resolve_and_removed_names_stay_out():
@@ -83,3 +84,19 @@ def test_layout_rules_are_defined_in_layout_only():
     where = {name: sorted(m for m, names in bound.items() if name in names)
              for name in LAYOUT_NAMES}
     assert where == {name: ["layout"] for name in LAYOUT_NAMES}
+
+
+def test_no_module_imports_scipy():
+    # the package depends on numpy alone; an import inside a function body
+    # counts too, as it would fail where scipy is not installed
+    def roots(node):
+        if isinstance(node, ast.Import):
+            return {a.name.split(".")[0] for a in node.names}
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            return {node.module.split(".")[0]}
+        return set()
+
+    found = {m: sorted(n.lineno for n in ast.walk(tree)
+                       if "scipy" in roots(n))
+             for m, tree in _modules().items()}
+    assert {m: lines for m, lines in found.items() if lines} == {}

@@ -676,14 +676,12 @@ class TestPublishedResolution:
     def test_windows_are_maxima_of_the_published_columns(self, proc_dir):
         from trackvib.fileio import read_trc, read_windows
         from trackvib.geometry import windowed_max
-        from trackvib.layout import TRC_SPACING_M
         from trackvib.spatial import SpatialSeries
         trc = read_trc(proc_dir / "estimated.trc")
         for name in trc.geometry_columns():
             stats = read_windows(proc_dir / "windows.csv", name)
             again = windowed_max(SpatialSeries(
-                trc.columns[name], TRC_SPACING_M, float(trc.distance_m[0])),
-                stats.window_m)
+                trc.columns[name], float(trc.distance_m[0])), stats.window_m)
             assert np.array_equal(again.starts_m, stats.starts_m), name
             assert np.array_equal(again.usable, stats.usable), name
             assert stats.usable.any(), name
@@ -935,15 +933,11 @@ class TestUsageErrors:
 
 # run in a fresh interpreter: which scipy modules are loaded after importing
 # the CLI, after `simulate`, `compare`, `export-geojson` and `process` (on
-# argv[2]'s run and argv[3]'s processed output); then whether psd_spatial
-# still loads scipy.signal itself
+# argv[2]'s run and argv[3]'s processed output)
 FOOTPRINT_SCRIPT = """
 import json, sys
 from pathlib import Path
-import numpy as np
 from trackvib.cli import main
-from trackvib.geometry import psd_spatial
-from trackvib.spatial import SpatialSeries
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -969,11 +963,7 @@ loaded["export-geojson"] = scipy_modules()
 assert main(["process", "--records", str(root / "run"),
              "--out", str(root / "proc")]) == 0
 loaded["process"] = scipy_modules()
-x = np.sin(2 * np.pi * 0.05 * 0.25 * np.arange(4000))
-psd = psd_spatial(SpatialSeries(x, 0.25, 0.0))
-print(json.dumps({"loaded": loaded,
-                  "peak_nu": float(psd.nu_axis[np.argmax(psd.density)]),
-                  "signal_after_psd": "scipy.signal" in sys.modules}))
+print(json.dumps({"loaded": loaded}))
 """
 
 # run in a fresh interpreter in which scipy cannot be imported: every
@@ -1054,15 +1044,6 @@ class TestFootprint:
         assert done.returncode == 0, done.stderr
         return json.loads(done.stdout.splitlines()[-1])
 
-    def test_process_path_leaves_scipy_signal_unloaded(self, footprint):
-        # scipy.signal and what it pulls in are about 40 MB of a fresh
-        # process; no command needs them
-        loaded = {m.split(".")[1] for m in footprint["loaded"]["process"]
-                  if "." in m}
-        assert not {"signal", "stats", "optimize", "interpolate"} & loaded
-        assert footprint["peak_nu"] == pytest.approx(0.05, abs=0.01)
-        assert footprint["signal_after_psd"]
-
     def test_no_command_loads_scipy(self, footprint):
         # scipy.fft, scipy.linalg and scipy.ndimage loaded at package import
         # made every command start 0.4-0.5 s later and 33 MB larger (2-vCPU
@@ -1073,7 +1054,7 @@ class TestFootprint:
             "process": []}
 
     def test_every_command_runs_without_scipy(self, tmp_path):
-        # scipy is declared for the tests and psd_spatial only
+        # scipy is declared for the tests only
         done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT,
                                str(tmp_path)], env=self.env(),
                               capture_output=True, text=True, timeout=300)

@@ -1,4 +1,4 @@
-"""Chord alignment, its transfer function, windowed maxima, spatial PSD.
+"""Chord alignment, its transfer function, windowed maxima.
 
 The quadratic and sinusoid oracles are closed-form:
   - z(x) = x^2 gives VA_d = z(x) - (z(x-h) + z(x+h))/2 = -h^2 with h = d/2
@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from trackvib.errors import TooShortError
-from trackvib.geometry import (_window_layout, chord_alignment, psd_spatial,
-                               select_cutoff, transfer_function, windowed_max)
+from trackvib.geometry import (_window_layout, chord_alignment, select_cutoff,
+                               transfer_function, windowed_max)
 from trackvib.spatial import SpatialSeries
 
 DX = 0.25
@@ -22,7 +22,7 @@ def profile(values, start=0.0, valid=None):
     values = np.asarray(values, dtype=float)
     if valid is not None:
         values = np.where(valid, values, np.nan)
-    return SpatialSeries(values, DX, start)
+    return SpatialSeries(values, start)
 
 
 def sine_profile(nu, length_m, amp=1.0):
@@ -98,7 +98,7 @@ class TestChordAlignment:
         z = profile(np.ones(100), start=50.0)
         va = chord_alignment(z, 10.0)
         assert va.start_m == 50.0
-        assert va.spacing_m == DX
+        assert np.array_equal(va.positions(), z.positions())
 
     def test_too_short(self):
         with pytest.raises(TooShortError):
@@ -208,7 +208,7 @@ class TestWindowedMax:
                          100.0)
         info = _window_layout.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-        layout = _window_layout(1923, DX, 100.0)
+        layout = _window_layout(1923, 100.0)
         for array in layout:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -226,32 +226,3 @@ class TestWindowedMax:
         assert _window_layout.cache_info().maxsize is not None
         assert len(windowed_max(self.alignment(np.ones(1923)), 20.0)) == 25
         assert len(windowed_max(self.alignment(np.ones(1924)), 100.0)) == 5
-
-
-class TestSpatialPSD:
-    def test_peak_location_and_parseval(self):
-        nu0 = 0.05
-        z = sine_profile(nu0, 2000.0, amp=3.0)
-        psd = psd_spatial(z)
-        peak_nu = psd.nu_axis[np.argmax(psd.density)]
-        assert peak_nu == pytest.approx(nu0, abs=0.01)
-        # the trapezoid rule by hand: np.trapezoid needs numpy >= 2.0
-        power = np.sum(np.diff(psd.nu_axis) * (psd.density[1:] + psd.density[:-1]) / 2.0)
-        assert power == pytest.approx(3.0 ** 2 / 2.0, rel=0.05)
-
-    def test_chord_output_psd_ratio_four_at_first_peak(self):
-        # at nu = 1/d the chord transfer amplitude is 2, so PSD ratio is 4
-        d = 10.0
-        nu0 = 1.0 / d
-        z = sine_profile(nu0, 2000.0)
-        va = chord_alignment(z, d)
-        p_in = psd_spatial(z)
-        p_out = psd_spatial(va)
-        ki = np.argmin(np.abs(p_in.nu_axis - nu0))
-        ko = np.argmin(np.abs(p_out.nu_axis - nu0))
-        ratio = p_out.density[ko] / p_in.density[ki]
-        assert 10.0 * np.log10(ratio) == pytest.approx(10.0 * np.log10(4.0), abs=1.0)
-
-    def test_short_series_rejected(self):
-        with pytest.raises(TooShortError):
-            psd_spatial(profile(np.ones(100)))

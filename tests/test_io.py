@@ -505,6 +505,19 @@ class TestTrcFormat:
                 f"column {name!r} must be spelled {canonical!r}")):
             read_trc(p)
 
+    @pytest.mark.parametrize("distances, row", [
+        ([0.0, 0.25, np.nan, 0.75], 2), ([np.nan] * 4, 0),
+        ([0.0, 0.25, 0.5, np.inf], 3)])
+    def test_non_finite_distance_rejected(self, tmp_path, distances, row):
+        # NaN fails no step comparison: 0, 0.25, nan, 0.75 read as a valid
+        # table, and compare died on an all-NaN one converting NaN to int
+        p = tmp_path / "nan.trc"
+        write_table(p, {"distance_m": np.array(distances),
+                        "VA10_left_mm": np.zeros(4)})
+        with pytest.raises(FormatError, match=re.escape(
+                f"distance must be finite (row {row} is")):
+            read_trc(p)
+
     def test_unknown_column_rejected(self, tmp_path):
         n = 10
         trc = TrcData(TRC_SPACING_M * np.arange(n), {"twist_mm": np.zeros(n)})
@@ -558,6 +571,20 @@ class TestWindowsCsv:
                      "VA10_left_mm,100.0,150.0,2.5,1.0\n")
         with pytest.raises(FormatError, match="window lengths differ for "
                                               "'VA10_left_mm'"):
+            read_windows(p, "VA10_left_mm")
+
+    @pytest.mark.parametrize("rows", [
+        ["VA10_left_mm,nan,nan,1.5,1.0"],
+        ["VA10_left_mm,0.0,100.0,1.5,1.0", "VA10_left_mm,nan,nan,2.5,1.0"],
+        ["VA10_left_mm,0.0,100.0,1.5,1.0", "VA10_left_mm,100.0,nan,2.5,1.0"]])
+    def test_non_finite_window_bounds_rejected(self, tmp_path, rows):
+        # a NaN width passes the equal-width check; export-geojson then
+        # drew the window at [nan, nan]
+        p = tmp_path / "windows.csv"
+        p.write_text(",".join(fileio._WINDOWS_HEADER) + "\n"
+                     + "\n".join(rows) + "\n")
+        with pytest.raises(FormatError, match=re.escape(
+                f"{p}: window bounds of 'VA10_left_mm' must be finite")):
             read_windows(p, "VA10_left_mm")
 
     def test_non_windows_file_rejected(self, tmp_path):

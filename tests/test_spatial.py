@@ -56,7 +56,6 @@ class TestResampleToSpace:
         expected_first = np.ceil(dist[0] / 0.25) * 0.25
         expected_last = np.floor(dist[-1] / 0.25) * 0.25
         assert out.start_m == pytest.approx(expected_first)
-        assert out.spacing_m == 0.25
         assert len(out) == int(round((expected_last - expected_first) / 0.25)) + 1
         assert np.allclose(out.values, out.positions())
 
@@ -89,7 +88,7 @@ class TestResampleToSpace:
             # the grid point at the halt position is bracketed by stationary
             # samples; moving stretches stay valid
             halt_pos = axis.positions_m[before]
-            halt_idx = int(round((halt_pos - out.start_m) / out.spacing_m))
+            halt_idx = int(round((halt_pos - out.start_m) / 0.25))
             halt_idx = min(max(halt_idx, 0), len(out) - 1)
             assert not out.valid[halt_idx]
             assert out.valid[10]
@@ -148,19 +147,17 @@ class TestResampleToSpace:
 
 class TestSpatialSeries:
     def test_positions(self):
-        s = SpatialSeries(np.zeros(5), 0.25, 10.0)
+        s = SpatialSeries(np.zeros(5), 10.0)
         assert np.allclose(s.positions(), [10.0, 10.25, 10.5, 10.75, 11.0])
 
     def test_default_valid_mask(self):
-        s = SpatialSeries(np.zeros(5), 0.25, 0.0)
+        s = SpatialSeries(np.zeros(5), 0.0)
         assert s.valid.all() and s.valid.size == 5
 
     def test_nan_invalid_by_default(self):
-        s = SpatialSeries(np.array([1.0, np.nan]), 0.25, 0.0)
+        s = SpatialSeries(np.array([1.0, np.nan]), 0.0)
         assert s.valid.tolist() == [True, False]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SpatialSeries(np.zeros(5), -1.0, 0.0)
-        with pytest.raises(ValueError):
-            SpatialSeries(np.zeros((2, 2)), 0.25, 0.0)
+            SpatialSeries(np.zeros((2, 2)), 0.0)

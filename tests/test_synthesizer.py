@@ -85,8 +85,8 @@ class TestSynthProfile:
     def test_spatial_series_export(self):
         p = synth_profile(100.0, SINE_SPEC)
         s = p.spatial_series("left", "vertical")
-        assert s.spacing_m == 0.25
         assert s.start_m == 0.0
+        assert s.positions()[1] == 0.25
         oracle = 5.0 * np.sin(2 * np.pi * 0.05 * s.positions() + 0.3)
         assert np.allclose(s.values, oracle, atol=1e-9)
 
