@@ -483,6 +483,9 @@ def read_windows(path, column: str):
         raise FormatError(f"{path}: {exc}") from exc
     if not (np.isfinite(starts) & np.isfinite(ends)).all():
         raise FormatError(f"{path}: window bounds of {column!r} must be finite")
+    if not ((fractions >= 0) & (fractions <= 1)).all():
+        raise FormatError(f"{path}: valid_fraction of {column!r} must be "
+                          "finite and within [0, 1]")
     widths = ends - starts
     if np.any(np.abs(widths - widths[0]) > 1e-9):
         raise FormatError(f"{path}: window lengths differ for {column!r}")

@@ -855,6 +855,24 @@ class TestExportGeojson:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_non_finite_valid_fraction_is_data_error(self, sim_dir, proc_dir,
+                                                     tmp_path, capsys):
+        rows = (proc_dir / "windows.csv").read_text().splitlines()
+        k = next(i for i, row in enumerate(rows)
+                 if row.startswith("VA10_left_mm,"))
+        rows[k] = rows[k].rsplit(",", 1)[0] + ",nan"
+        windows = tmp_path / "windows.csv"
+        windows.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "map.geojson"
+        rc = main(["export-geojson", "--windows", str(windows),
+                   "--column", "VA10_left_mm",
+                   "--polyline", str(sim_dir / "polyline.json"),
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{windows}: valid_fraction of 'VA10_left_mm'" in err
+        assert not out.exists()
+
     def test_unknown_column_is_data_error(self, proc_dir, tmp_path):
         poly = tmp_path / "poly.json"
         poly.write_text(json.dumps([[47.0, 8.0], [47.01, 8.0]]))
@@ -1047,8 +1065,7 @@ class TestFootprint:
     def test_no_command_loads_scipy(self, footprint):
         # scipy.fft, scipy.linalg and scipy.ndimage loaded at package import
         # made every command start 0.4-0.5 s later and 33 MB larger (2-vCPU
-        # Xeon). The last of them, ndimage for the speed's median filter,
-        # still cost process 24 MB of RSS and 0.27 s (scipy 1.17)
+        # Xeon); the package uses none of them
         assert footprint["loaded"] == {
             "import": [], "simulate": [], "compare": [], "export-geojson": [],
             "process": []}

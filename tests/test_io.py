@@ -587,6 +587,20 @@ class TestWindowsCsv:
                 f"{p}: window bounds of 'VA10_left_mm' must be finite")):
             read_windows(p, "VA10_left_mm")
 
+    @pytest.mark.parametrize("fraction", ["nan", "inf", "-0.1", "1.5"])
+    def test_valid_fraction_outside_unit_interval_rejected(self, tmp_path,
+                                                           fraction):
+        # export-geojson wrote a NaN fraction into its JSON, which refused it
+        # without naming the file
+        p = tmp_path / "windows.csv"
+        p.write_text(",".join(fileio._WINDOWS_HEADER) + "\n"
+                     "VA10_left_mm,0.0,100.0,1.5,1.0\n"
+                     f"VA10_left_mm,100.0,200.0,2.5,{fraction}\n")
+        with pytest.raises(FormatError, match=re.escape(
+                f"{p}: valid_fraction of 'VA10_left_mm' must be finite and "
+                "within [0, 1]")):
+            read_windows(p, "VA10_left_mm")
+
     def test_non_windows_file_rejected(self, tmp_path):
         p = tmp_path / "other.csv"
         p.write_text("a,b\n1,2\n")

@@ -292,6 +292,46 @@ class TestSpeedStage:
         assert np.median(res.speed.speeds_mps) == pytest.approx(v, rel=0.01)
 
 
+def speed_truth_errors(length_m: float, speed_plan, seed: int):
+    """(speed RMS error where the true speed exceeds 2 m/s, axis end error)
+    of process_records on a bogie_mems run over length_m of NOISE_SPEC,
+    against the simulator's speed and front-wheel position."""
+    profile = synth_profile(length_m, NOISE_SPEC, seed=seed)
+    sim = simulate_run(profile, SimConfig(speed_plan=speed_plan, seed=seed))
+    sensor = SENSOR_SPECS["bogie_mems"]
+    noisy = {cid: add_sensor_noise(ts, sensor, seed)[0]
+             for cid, ts in sim.channels.items()}
+    res = process_records(noisy)
+    n = len(res.axis)
+    # working sample k is simulated sample 10 k
+    v_true = sim.speeds_mps[::10][:n]
+    x_true = sim.wheel_positions["bogie-front-left-vertical"][::10][:n]
+    moving_fast = v_true > 2.0
+    rms = np.sqrt(np.mean((res.speed.speeds_mps[:n] - v_true)[moving_fast] ** 2))
+    return rms, res.axis.positions_m[-1] - x_true[-1]
+
+
+class TestSpeedTruth:
+    """The estimated speed and the distance axis against the simulator's
+    truth, on noisy records: bounds fixed over seeds 1-5. The stop-go bound
+    holds the error that noise-only delays taken during the stop add, as a
+    guard against it growing."""
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    @pytest.mark.parametrize("length_m, speed_plan, rms_bound, end_bound", [
+        (1000.0, ((0.0, 10.0), (105.0, 10.0)), 0.04, 1.5),
+        (1000.0, ((0.0, 3.0), (60.0, 20.0), (80.0, 20.0)), 0.30, 7.5),
+        # the benchmark's stop-go-400m plan, without its impulse
+        (400.0, ((0, 3), (15, 12), (17, 12), (25, 0), (35, 0), (43, 12),
+                 (200, 12)), 1.30, 120.0),
+    ], ids=["constant", "ramp", "stop-go"])
+    def test_speed_and_axis_end(self, length_m, speed_plan, rms_bound,
+                                end_bound, seed):
+        rms, end = speed_truth_errors(length_m, speed_plan, seed)
+        assert rms <= rms_bound, (seed, rms)
+        assert abs(end) <= end_bound, (seed, end)
+
+
 class TestRecordsRead:
     def test_mixed_locations_refused(self, noise_run):
         # the same run at two locations, the axlebox set scaled by 3: keyed
