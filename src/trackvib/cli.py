@@ -62,7 +62,8 @@ def _wheelbase(text: str) -> float:
 def cmd_simulate(args) -> int:
     """Write the run's 10 s .rec blocks one block of all channels at a time,
     then ground_truth.trc, config_used.json and, with a geo_polyline,
-    polyline.json. Only the trajectory is held whole (simulate_blocks).
+    polyline.json. Each block is written and dropped before the next is
+    simulated, and nothing held grows with the recording (simulate_blocks).
     The summary line names each channel with samples clipped at the
     sensor's range, and how many."""
     cfg = fileio.load_config(args.config)
@@ -88,6 +89,7 @@ def cmd_simulate(args) -> int:
                                 sensor=sensor_meta, params={"config": cfg_echo})
             clipped[cid] = clipped.get(cid, 0) + n_clipped
         n_blocks = b + 1
+        del block, ts                   # before the next block is simulated
 
     truth = chord_ground_truth(profile, run)
     truth.metadata["config"] = cfg_echo

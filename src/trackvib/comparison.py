@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (InsufficientDataError, NoOverlapError,
                      UndefinedCorrelationError)
 from .geometry import WindowedStats
+from .layout import published
 
 MIN_COMMON_WINDOWS = 3
 # window values whose spread is within this fraction of their magnitude are
@@ -113,13 +114,13 @@ def correlate(est: WindowedStats, ref: WindowedStats,
     Pairs windows by identical start position, drops pairs where either side
     is unusable, and requires at least 3 surviving pairs. The fitted line is
     estimated = slope * reference + intercept; residuals are per-window
-    deviations from it.
+    deviations from it, published (layout.published) as the values are.
     """
     ei, ri = _common_windows(est, ref)
     e, r = est.values[ei], ref.values[ri]
     pearson = float(np.corrcoef(e, r)[0, 1])
     slope, intercept = np.polyfit(r, e, 1)
-    residuals = e - (slope * r + intercept)
+    residuals = published(e - (slope * r + intercept))
     return ComparisonReport(pearson, float(slope), float(intercept), ei.size,
                             est.starts_m[ei].copy(), e.copy(), r.copy(),
                             residuals, metadata or {})

@@ -21,13 +21,14 @@ through repr. A read takes the comments and the header row in Python and
 has np.loadtxt parse the rows straight from the file. The columns of a
 .trc table, and how they are named, are set in layout.
 
-Published resolution: the geometry and speed columns of a .trc, and the
-estimated speed of speed.csv, are rounded to TRC_DECIMALS decimals (1e-6
-mm, 1e-6 m/s) by layout.published, where they are made, not by a writer,
-so any TrcData still writes and reads back bit for bit. Digits below 1e-6
-mm are float64 rounding noise; without them a cell holds at most 9
-significant digits below 1 m, about half the text, np.loadtxt parses it
-about 3x faster, and the writer takes the fixed-point path. speed.csv
+Published resolution: the geometry and speed columns of a .trc, the
+estimated speed of speed.csv and the residuals of a compare report are
+rounded to TRC_DECIMALS decimals (1e-6 mm, 1e-6 m/s) by layout.published,
+where they are made, not by a writer, so any TrcData still writes and
+reads back bit for bit. Digits below 1e-6 mm are float64 rounding noise;
+without them a cell holds at most 9 significant digits below 1 m, about
+half the text, np.loadtxt parses it about 3x faster, and the writer takes
+the fixed-point path. speed.csv
 holds the very speed a run's distance axis was built from, so read back
 with --speed-file it rebuilds that axis, and so the geometry, exactly. An
 external speed table is not rounded; its cells are written through repr.

@@ -54,15 +54,21 @@ measured 4.9e-13 of the peak on a direct 2 km run (2.7e-13 with a sin/cos
 per node), and 2.3e-12 (1.5e-12) on 9990-10000 m.
 
 A run is simulated a block of samples at a time (simulate_blocks, which
-`trackvib simulate` uses with 10 s blocks). Held whole is only the
-Trajectory: per sample the speed, dv/dt and front-wheel position, 24 B.
-Held per block: the distinct wheel positions and the node basis of
-simulate_run, the eight channels, each event's doublet (placed once from
-the whole run's positions, and split where it straddles a block bound)
-and the sensor noise (one generator per channel, carried across blocks,
-whose draws in parts are the whole draw). simulate_run(profile, config)
-is the one block that spans the run, and add_impulses and
-add_sensor_noise are the same stages on a whole record.
+`trackvib simulate` uses with 10 s blocks), and nothing it holds grows
+with the recording. The Trajectory, per sample the speed, dv/dt and
+front-wheel position (24 B), is built a block at a time too
+(_trajectory_blocks): v and dv/dt follow from the sample time, and x
+carries the trapezoid sum on from the previous block's last sample, so
+each block is the whole run's slice bit for bit. Held per block: its
+trajectory, the distinct wheel positions and the node basis of
+simulate_run, the eight channels and the sensor noise (one generator per
+channel, carried across blocks, whose draws in parts are the whole draw).
+Held for the run, and following the track: the samples that bracket each
+point of the TRC_SPACING_M grid, which the ground truth's speed is
+interpolated from, and each event's doublet (placed once from the samples
+that bracket its crossing, and split where it straddles a block bound).
+simulate_run(profile, config) is the one block that spans the run, and
+add_impulses and add_sensor_noise are the same stages on a whole record.
 
 Impulse events model wheel/rail defects: a bipolar raised-cosine doublet in
 acceleration (positive raised-cosine over the first half-duration, negative
@@ -94,7 +100,8 @@ LR_CORRELATION = 0.7            # of a noise profile's left and right rails
 DEVIATION_BOUND_MM = 50.0       # synth_profile refuses larger deviations
 MAX_NU_CYCLES_PER_M = 10.0
 MAX_NOISE_COMPONENTS = 384
-CHUNK_FLOATS = 1 << 20          # float64 working set of one basis chunk (8 MB)
+CHUNK_FLOATS = 1 << 18          # float64 working set of one basis chunk (2 MB)
+TRAJECTORY_BLOCK = 1 << 14      # samples per block of a whole-run trajectory
 TAYLOR_REMAINDER = 1e-17        # bound on a node polynomial's relative remainder
 ANGLE_BLOCK = 64                # nodes per anchor of the angle-addition tables
 
@@ -220,10 +227,12 @@ def _basis_sums(x: np.ndarray, w: np.ndarray, weights: np.ndarray):
     w holds k distinct angular wavenumbers and weights has 2k rows, the
     first k for the sin block. x must be non-decreasing. The node basis is
     complex, exp(i w g h), and sin and cos are evaluated for ANGLE_BLOCK
-    offsets per call and once per chunk and anchor that x visits, whatever
-    the sample rate or the number of weight columns; a chunk's working set
-    stays near CHUNK_FLOATS float64 values. Each block is the (hi - lo,
-    ncol) transpose of a C-contiguous array, so its columns are contiguous.
+    offsets per call and once per anchor that x visits (a chunk that
+    starts on the previous chunk's last anchor takes its phasors), whatever
+    the sample rate, the chunking or the number of weight columns; a
+    chunk's working set stays near CHUNK_FLOATS float64 values. Each block
+    is the (hi - lo, ncol) transpose of a C-contiguous array, so its
+    columns are contiguous.
     """
     if np.any(np.diff(x) < 0):
         raise ValueError("sample positions must be non-decreasing")
@@ -240,30 +249,46 @@ def _basis_sums(x: np.ndarray, w: np.ndarray, weights: np.ndarray):
     # The slack holds a chunk's basis to at most 2/3 of CHUNK_FLOATS: glibc
     # raises its mmap and trim thresholds to the largest block freed, and
     # the peak RSS and timings of later stages in the process follow them.
+    # At 2 MB a chunk frees at most a 1.3 MB basis (5.5 MB at 8 MB).
     cost = ((3 * k + order * ncol) * np.cumsum(opens)
             + (3 * ncol + 3) * np.arange(1, x.size + 1))
     bounds = np.flatnonzero(np.diff(cost // CHUNK_FLOATS, prepend=-1, append=-1))
+    del cost
+    opens[bounds[:-1]] = True           # a chunk's first sample opens its node
     # node g = a ANGLE_BLOCK + j: exp(i w j h), j < ANGLE_BLOCK
     offsets = _phasors(np.multiply.outer(PROFILE_SPACING_M * np.arange(ANGLE_BLOCK), w))
-    return ((lo, hi, _node_polynomials(x[lo:hi], w, offsets, taylor, order).T)
-            for lo, hi in zip(bounds[:-1], bounds[1:]))
+
+    def chunks():
+        last = (None, None)     # the previous chunk's last anchor, its phasors
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            sums, last = _node_polynomials(x[lo:hi], g[lo:hi], opens[lo:hi], w,
+                                           offsets, taylor, order, last)
+            yield lo, hi, sums.T
+
+    return chunks()
 
 
-def _node_polynomials(x: np.ndarray, w: np.ndarray, offsets: np.ndarray,
-                      taylor: np.ndarray, order: int) -> np.ndarray:
-    """(ncol, x.size) sums of one chunk of _basis_sums: each sample a
-    Horner polynomial in its offset from the nearest node, whose
-    coefficients are the node basis times taylor."""
+def _node_polynomials(x: np.ndarray, g: np.ndarray, opens: np.ndarray,
+                      w: np.ndarray, offsets: np.ndarray, taylor: np.ndarray,
+                      order: int, last: tuple):
+    """(ncol, x.size) sums of one chunk of _basis_sums, and the chunk's last
+    anchor with its phasors: each sample x a Horner polynomial in its
+    offset from its node g (opens marks the first sample on each), whose
+    coefficients are the node basis times taylor. last is the previous
+    chunk's last anchor and phasors, which a chunk that starts on the same
+    anchor takes instead of evaluating it again."""
     k = w.size
-    g = np.rint(x / PROFILE_SPACING_M)
-    first = np.flatnonzero(np.diff(g, prepend=g[0] - 1))   # first sample per node
+    first = np.flatnonzero(opens)
     node_g = g[first]
     node_x = node_g * PROFILE_SPACING_M
     anchor, offset = np.divmod(node_g, ANGLE_BLOCK)
     runs = np.flatnonzero(np.diff(anchor, prepend=anchor[0] - 1))
+    carried = int(anchor[0] == last[0])
     # the exact integer a ANGLE_BLOCK times h: an anchor node is g h
     anchors = _phasors(np.multiply.outer(
-        (anchor[runs] * ANGLE_BLOCK) * PROFILE_SPACING_M, w))
+        (anchor[runs[carried:]] * ANGLE_BLOCK) * PROFILE_SPACING_M, w))
+    if carried:
+        anchors = np.concatenate((last[1][None], anchors))
     offset = offset.astype(np.intp)
     # exp(i w g h) = exp(i w a B h) exp(i w j h), one product per element
     basis = np.empty((first.size, k), dtype=complex)
@@ -279,7 +304,7 @@ def _node_polynomials(x: np.ndarray, w: np.ndarray, offsets: np.ndarray,
     for m in range(order - 2, -1, -1):          # Horner in delta
         sums *= delta
         sums += np.repeat(tables[m], run, axis=1)
-    return sums
+    return sums, (anchor[-1], anchors[-1].copy())
 
 
 def _sine_weights(w: np.ndarray, wj: np.ndarray, amp: np.ndarray,
@@ -410,20 +435,19 @@ def synth_profile(length_m: float, spec: dict, seed: int = 0,
                         components)
 
 
-def _trajectory(config: SimConfig, length_m: float):
-    """Sampled speed, acceleration dv/dt and front-wheel position, ending at
-    the first sample at or past length_m. Raises PlanTooShortError if the
-    plan runs out first. At most three float64 arrays of the run are held
-    at once: the time axis is dropped before the position is built."""
+def _sample_plan(config: SimConfig, length_m: float):
+    """(n, knot times, knot speeds, knot slopes): n bounds the samples of a
+    run of length_m, and segment j of the plan has dv/dt slopes[j] (a
+    zero-length segment steps, slope 0). Raises PlanTooShortError if the
+    plan runs out before length_m."""
     fs = config.sample_rate_hz
     kt, kv = np.array(config.speed_plan).T
-    # analytic distance at the knots to size the sample arrays up front
+    # analytic distance at the knots to size the run up front
     knot_x = np.concatenate(([0.0], np.cumsum(0.5 * (kv[1:] + kv[:-1]) * np.diff(kt))))
     if knot_x[-1] < length_m:
         raise PlanTooShortError(
             f"speed plan ends at t={kt[-1]} s with the front wheel at "
             f"{knot_x[-1]:.1f} m of {length_m} m")
-    # dv/dt of each plan segment; a zero-length segment steps, slope 0
     knot_dt = np.diff(kt)
     with np.errstate(divide="ignore", invalid="ignore"):
         knot_slope = np.where(knot_dt > 0, np.diff(kv) / knot_dt, 0.0)
@@ -439,25 +463,66 @@ def _trajectory(config: SimConfig, length_m: float):
     t_reach = min(kt[seg] + tau, kt[-1])
     n = int(np.ceil(t_reach * fs - 1e-9)) + 1
     n = min(n, int(np.floor(kt[-1] * fs + 1e-9)) + 1)
-    t = np.arange(n) / fs
-    v = np.interp(t, kt, kv)
-    # dv/dt is the slope of the active plan segment: segment j holds the
-    # samples from the first at or past knot j to the first at or past
-    # knot j + 1; samples before knot 1 are the first segment's, samples
-    # from the last knot on the last segment's
-    bounds = np.searchsorted(t, kt[1:-1])
-    del t
-    # x is the running trapezoid sum of v, built in place
-    x = np.empty(n)
-    x[0] = 0.0
-    step = v[1:] + v[:-1]
-    step *= 0.5
-    step *= 1.0 / fs
-    np.cumsum(step, out=x[1:])
-    del step
-    stop = min(int(np.searchsorted(x, length_m)) + 1, n)
-    counts = np.diff(np.concatenate(([0], np.minimum(bounds, stop), [stop])))
-    return v[:stop], np.repeat(knot_slope, counts), x[:stop]
+    return n, kt, kv, knot_slope
+
+
+def _trajectory_blocks(config: SimConfig, length_m: float, block_samples: int):
+    """Iterator of the run's Trajectory, block_samples samples a block,
+    ending at the first sample at or past length_m. Raises
+    PlanTooShortError before it is iterated if the plan runs out first.
+
+    v and dv/dt are functions of the sample time alone. dv/dt is the slope
+    of the active plan segment: segment j holds the samples from the first
+    at or past knot j to the first at or past knot j + 1, so the samples
+    before knot 1 are the first segment's, and those from the last knot on
+    the last segment's. x is the running trapezoid sum of v, carried from
+    one block's last sample into the next, so every block is the same
+    slice of the whole run's sum, bit for bit.
+    """
+    n, kt, kv, knot_slope = _sample_plan(config, length_m)
+    fs = config.sample_rate_hz
+
+    def blocks():
+        v_last = x_last = 0.0
+        for k0 in range(0, n, block_samples):
+            t = np.arange(k0, min(k0 + block_samples, n)) / fs
+            v = np.interp(t, kt, kv)
+            # the block's first sample at or past each inner knot
+            opens = np.searchsorted(t, kt[1:-1])
+            dvdt = np.repeat(knot_slope, np.diff(opens, prepend=0, append=t.size))
+            del t
+            # step[i] takes sample k0 + i - 1 to k0 + i; the first block's
+            # sample 0 is at 0 m, a later block's starts from x_last
+            step = np.empty(v.size)
+            step[0] = v[0] + v_last if k0 else 0.0
+            np.add(v[1:], v[:-1], out=step[1:])
+            step *= 0.5
+            step *= 1.0 / fs
+            step[0] += x_last
+            x = np.cumsum(step, out=step)
+            stop = int(np.searchsorted(x, length_m)) + 1
+            if stop <= x.size:
+                yield Trajectory(v[:stop], dvdt[:stop], x[:stop], k0)
+                return
+            v_last, x_last = v[-1], x[-1]
+            yield Trajectory(v, dvdt, x, k0)
+            del v, dvdt, x, step            # before the next block is built
+
+    return blocks()
+
+
+def _trajectory(config: SimConfig, length_m: float):
+    """Sampled speed, acceleration dv/dt and front-wheel position of the
+    whole run: the blocks of _trajectory_blocks, concatenated into three
+    arrays sized up front."""
+    n, _, _, _ = _sample_plan(config, length_m)
+    whole = np.empty((3, n))
+    stop = 0
+    for block in _trajectory_blocks(config, length_m, TRAJECTORY_BLOCK):
+        stop = block.start + len(block)
+        for row, part in zip(whole, (block.v, block.dvdt, block.x_front)):
+            row[block.start:stop] = part
+    return whole[0, :stop], whole[1, :stop], whole[2, :stop]
 
 
 def _distinct(x: np.ndarray):
@@ -479,9 +544,8 @@ def _distinct(x: np.ndarray):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """What a run holds whole while simulate_run works through it a block
-    at a time: per sample the speed, dv/dt and front-wheel position
-    (24 B). start is the run's index of sample 0."""
+    """Per sample of a run, or of a block of it, the speed, dv/dt and
+    front-wheel position (24 B). start is the run's index of sample 0."""
 
     v: np.ndarray
     dvdt: np.ndarray
@@ -496,12 +560,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.x_front.size
-
-    def block(self, k0: int, k1: int) -> Trajectory:
-        """Samples k0 .. k1 of this trajectory, as views."""
-        k1 = min(k1, len(self))
-        return Trajectory(self.v[k0:k1], self.dvdt[k0:k1], self.x_front[k0:k1],
-                          self.start + k0)
 
 
 def simulate_run(profile: TrackProfile, config: SimConfig,
@@ -518,10 +576,10 @@ def simulate_run(profile: TrackProfile, config: SimConfig,
     events and sensor noise are separate stages (add_impulses,
     add_sensor_noise).
 
-    trajectory, a block of Trajectory.of(profile, config), limits the run
-    to its samples: the records, positions and speeds then start at its
-    start, and only the block's samples are ever held. Without it the
-    block spans the run.
+    trajectory, a block of the run's trajectory (_trajectory_blocks),
+    limits the run to its samples: the records, positions and speeds then
+    start at its start, and only the block's samples are ever held.
+    Without it the block spans the run.
     """
     traj = Trajectory.of(profile, config) if trajectory is None else trajectory
     v, dvdt, x_front = traj.v, traj.dvdt, traj.x_front
@@ -551,15 +609,14 @@ def simulate_run(profile: TrackProfile, config: SimConfig,
         wheels = index[:n], index[n:]       # per sample of the front, back wheel
         for lo, hi, sums in _basis_sums(x, w, np.column_stack(curvature + slope)):
             for p, wheel in enumerate(wheels):
-                # the wheel's samples at positions lo .. hi of x
+                # the wheel's samples at positions lo .. hi of x: per rail
+                # z'' and then z' of each
                 a, b = np.searchsorted(wheel, (lo, hi))
-                at = wheel[a:b] - lo
-                v2 = np.square(v[a:b])
-                for r, q in enumerate(rails):
-                    acc = accs[p, q, a:b]
-                    np.multiply(v2, np.take(sums[:, r], at), out=acc)
-                    if varying:
-                        acc += dvdt[a:b] * np.take(sums[:, len(rails) + r], at)
+                at = np.take(sums.T, wheel[a:b] - lo, axis=1)
+                acc = np.square(v[a:b]) * at[:len(rails)]
+                if varying:
+                    acc += dvdt[a:b] * at[len(rails):]
+                accs[p, rails, a:b] = acc
 
     channels: dict[str, TimeSeries] = {}
     wheel_positions: dict[str, np.ndarray] = {}
@@ -578,68 +635,125 @@ def simulate_blocks(profile: TrackProfile, config: SimConfig, block_samples: int
     """The run's records with impulses and sensor noise, a block of
     block_samples at a time.
 
-    Returns (run, blocks). run is the SimResult of the trajectory alone:
-    no channels, the front wheels' positions and the speed, whole; what
-    chord_ground_truth reads. blocks yields, per block, channel id ->
-    (TimeSeries, clipped count): simulate_run on the block, then on the
-    vertical channels the block's part of each event's doublet, then the
-    sensor's noise and clipping (add_sensor_noise, whose clipped samples
-    are counted; 0 without a sensor). Each block equals the same slice of
+    Returns (run, blocks). run is the SimResult that chord_ground_truth
+    reads: no channels, and the front wheels' positions and the speed at
+    the samples that bracket each point of the profile's TRC_SPACING_M
+    grid (_brackets), so that np.interp at those points gives what it
+    gives on the whole run. blocks yields, per block, channel id -> (TimeSeries, clipped
+    count): simulate_run on the block, then on the vertical channels the
+    block's part of each event's doublet, then the sensor's noise and
+    clipping (add_sensor_noise, whose clipped samples are counted; 0
+    without a sensor). Each block equals the same slice of
     add_sensor_noise(add_impulses(simulate_run(profile, config), ...), ...):
-    each doublet is taken once, from the whole run's positions, so one that
-    straddles a block bound is split, and each channel draws its noise
-    from one generator across blocks. Only the Trajectory is held whole;
-    the plan is checked before this returns.
+    each doublet is taken once, from the run's positions around its
+    crossing, so one that straddles a block bound is split, and each
+    channel draws its noise from one generator across blocks.
+
+    The trajectory is built a block at a time, twice: here, for the
+    samples around the grid points and the events (a doublet can start a
+    block before the one its crossing falls in), and again under the
+    blocks. Each block is dropped before the next is built, so what is
+    held follows the track, not the recording: those samples and the
+    doublets. The plan is checked before this returns.
     """
-    traj = Trajectory.of(profile, config)
     fs = config.sample_rate_hz
-    doublets = {}
-    for pos in POSITIONS if events else ():
-        x = traj.x_front if pos == "front" else traj.x_front - config.wheelbase_m
-        doublets[pos] = _doublets(events, x, fs)
-    front = {channel_id(config.sensor_location, "front", side, axis): traj.x_front
+    grid = profile.spatial_series(SIDES[0]).positions()
+    crossings = np.sort(np.array([ev.position_m for ev in events], dtype=float))
+    reach = max((_reach(ev, fs) for ev in events), default=0)
+    # (wheel, queries, reach): the truth's speed, then each wheel's events
+    looks = [("front", grid, 0)] + [(pos, crossings, reach)
+                                    for pos in POSITIONS if events]
+    parts: list = [[] for _ in looks]
+    for traj in _trajectory_blocks(config, profile.length_m, block_samples):
+        for part, (pos, queries, r) in zip(parts, looks):
+            x = traj.x_front if pos == "front" else traj.x_front - config.wheelbase_m
+            i = _brackets(x, queries, r)
+            part.append((traj.start + i, x[i], traj.v[i]))
+    (index, x_front, v), *wheels = [[np.concatenate(c) for c in zip(*p)]
+                                    for p in parts]
+    doublets = {pos: _doublets(events, index_w, x_w, index[-1] + 1, fs)
+                for (pos, _, _), (index_w, x_w, _) in zip(looks[1:], wheels)}
+    front = {channel_id(config.sensor_location, "front", side, axis): x_front
              for side in SIDES for axis in AXES}
-    run = SimResult({}, front, traj.v, config)
+    run = SimResult({}, front, v, config)
 
     def blocks():
         rngs: dict = {}
-        for k0 in range(0, len(traj), block_samples):
-            sim = simulate_run(profile, config, traj.block(k0, k0 + block_samples))
-            out = {}
-            for cid, ts in sim.channels.items():
-                parts = parse_channel_id(cid)
-                if parts["axis"] == "vertical":
-                    for a, d in doublets.get(parts["position"], ()):
-                        lo, hi = max(a, k0), min(a + d.size, k0 + len(ts))
-                        if lo < hi:
-                            ts.samples[lo - k0:hi - k0] += d[lo - a:hi - a]
-                clipped = 0
-                if sensor:
-                    if cid not in rngs:
-                        rngs[cid] = _channel_rng(config.seed, cid)
-                    ts, mask = add_sensor_noise(ts, sensor, rngs[cid])
-                    clipped = int(np.count_nonzero(mask))
-                out[cid] = (ts, clipped)
-            yield out
+        for traj in _trajectory_blocks(config, profile.length_m, block_samples):
+            yield _impulses_and_noise(simulate_run(profile, config, traj),
+                                      traj.start, doublets, sensor, rngs)
+            del traj                        # before the next block is built
 
     return run, blocks()
 
 
-def _doublets(events, x: np.ndarray, fs: float) -> list:
-    """(a, d) per event that a wheel at run positions x crosses: d is its
-    doublet on run samples a .. a + d.size, as add_impulses adds it to a
-    silent record of the whole run."""
+def _brackets(x: np.ndarray, queries: np.ndarray, reach: int = 0) -> np.ndarray:
+    """Indices of the samples of x, non-decreasing, within reach samples of
+    the pair that brackets a query: for each query q, the last sample at
+    or before q and the sample after it. x's first and last reach + 1
+    samples are kept too.
+
+    np.interp at q reads only the bracketing pair, so it gives the same at
+    every query on these samples as on x. When x is a block of a run, the
+    blocks' samples together hold each query's bracketing pair and the
+    reach samples to either side of it, across block bounds too.
+    """
+    # a query before x[0] or past x[-1] is bracketed in another block, or
+    # at x's first or last sample
+    inside = queries[np.searchsorted(queries, x[0]):
+                     np.searchsorted(queries, x[-1], side="right")]
+    last = np.searchsorted(x, inside, side="right") - 1
+    near = np.add.outer(last, np.arange(-reach, reach + 2)).ravel()
+    ends = np.r_[:reach + 1, x.size - reach - 1:x.size]
+    return np.unique(np.clip(np.concatenate((ends, near)), 0, x.size - 1))
+
+
+def _reach(ev: ImpulseEvent, fs: float) -> int:
+    """Samples to either side of its crossing that an event's doublet is
+    placed on: half its duration and one more."""
+    return int(np.ceil(ev.duration_ms * 1e-3 / 2.0 * fs)) + 1
+
+
+def _doublets(events, index: np.ndarray, x: np.ndarray, n: int, fs: float) -> list:
+    """(a, d) per event that a wheel crosses: d is its doublet on run
+    samples a .. a + d.size, as add_impulses adds it to a silent record of
+    the run's n samples. index and x are run samples and their positions:
+    the run's first and last, and each event's window (_brackets with
+    _reach)."""
     out = []
     for ev in events:
         if not x[0] <= ev.position_m <= x[-1]:
             continue
         # the samples that bracket the crossing, and those within half the
         # duration of it
-        j = int(np.searchsorted(x, ev.position_m, side="right")) - 1
-        reach = int(np.ceil(ev.duration_ms * 1e-3 / 2.0 * fs)) + 1
-        a, b = max(j - reach, 0), min(j + reach + 2, x.size)
+        j = int(index[np.searchsorted(x, ev.position_m, side="right") - 1])
+        reach = _reach(ev, fs)
+        a, b = max(j - reach, 0), min(j + reach + 2, n)
+        lo, hi = np.searchsorted(index, (a, b))
         silent = TimeSeries(np.zeros(b - a), fs, a / fs)
-        out.append((a, add_impulses(silent, [ev], x[a:b]).samples))
+        out.append((a, add_impulses(silent, [ev], x[lo:hi]).samples))
+    return out
+
+
+def _impulses_and_noise(sim: SimResult, k0: int, doublets: dict,
+                        sensor: SensorSpec | None, rngs: dict) -> dict:
+    """Channel id -> (TimeSeries, clipped count) of one block of
+    simulate_blocks, which starts at run sample k0."""
+    out = {}
+    for cid, ts in sim.channels.items():
+        parts = parse_channel_id(cid)
+        if parts["axis"] == "vertical":
+            for a, d in doublets.get(parts["position"], ()):
+                lo, hi = max(a, k0), min(a + d.size, k0 + len(ts))
+                if lo < hi:
+                    ts.samples[lo - k0:hi - k0] += d[lo - a:hi - a]
+        clipped = 0
+        if sensor:
+            if cid not in rngs:
+                rngs[cid] = _channel_rng(sim.config.seed, cid)
+            ts, mask = add_sensor_noise(ts, sensor, rngs[cid])
+            clipped = int(np.count_nonzero(mask))
+        out[cid] = (ts, clipped)
     return out
 
 

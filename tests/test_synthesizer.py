@@ -453,6 +453,36 @@ class TestTrajectory:
                            rtol=0, atol=1e-9)
         assert x[-2] < 150.0 <= x[-1]
 
+    @pytest.mark.parametrize("block", [5000, 7777])
+    @pytest.mark.parametrize("plan, length_m", [
+        (STOP_START_PLAN, 200.03), (SHORT_STOP_PLAN, 120.03),
+        (((0.0, 5.0), (4.0, 5.0), (4.0, 9.0), (30.0, 9.0)), 120.03)],
+        ids=["stop-start", "short-stop", "speed-step"])
+    def test_blocks_are_the_whole_runs_trapezoid_sum(self, plan, length_m, block):
+        # each block carries the running trapezoid sum on from the block
+        # before it, so the blocks are the whole run's v, dv/dt and x bit
+        # for bit, also with a bound inside a standstill and a knot inside
+        # a block; the runs end between two samples
+        cfg = SimConfig(speed_plan=plan)
+        fs = cfg.sample_rate_hz
+        kt, kv = np.array(plan).T
+        t = np.arange(int(np.floor(kt[-1] * fs)) + 1) / fs
+        v = np.interp(t, kt, kv)
+        x = np.concatenate(([0.0], np.cumsum((v[1:] + v[:-1]) * 0.5 * (1.0 / fs))))
+        stop = int(np.searchsorted(x, length_m)) + 1
+        seg = np.clip(np.searchsorted(kt, t, side="right") - 1, 0, kt.size - 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.where(np.diff(kt) > 0, np.diff(kv) / np.diff(kt), 0.0)
+        blocks = list(synthesizer._trajectory_blocks(cfg, length_m, block))
+        assert [b.start for b in blocks] == list(range(0, stop, block))
+        for name, ref in (("v", v), ("dvdt", slope[seg]), ("x_front", x)):
+            got = np.concatenate([getattr(b, name) for b in blocks])
+            assert np.array_equal(got, ref[:stop]), name
+        bounds = np.arange(block, stop, block)
+        assert np.any((v[bounds - 1] == 0.0) & (v[bounds] == 0.0)) == (0.0 in kv[1:])
+        knots = np.ceil(kt[1:-1] * fs)
+        assert np.any((knots < stop) & (knots % block != 0))
+
     def test_peak_memory_per_sample(self):
         # speed, dv/dt and position are returned, 24 B a sample; the time
         # axis is gone before the position's running sum needs its own
@@ -470,7 +500,7 @@ class TestTrajectory:
 
 
 class TestBlocks:
-    """simulate_run on blocks of Trajectory.of against the whole run."""
+    """simulate_run on the blocks of the trajectory against the whole run."""
 
     def test_blocks_match_whole_run(self):
         # a stop and a restart, and a block length that leaves a short last
@@ -478,11 +508,11 @@ class TestBlocks:
         profile = synth_profile(120.0, NOISE_SPEC, seed=12, lateral_spec=THREE_SINES)
         cfg = SimConfig(speed_plan=SHORT_STOP_PLAN, seed=3)
         whole = simulate_run(profile, cfg)
-        traj = synthesizer.Trajectory.of(profile, cfg)
-        n, step = len(traj), 7000
+        n, step = len(whole.speeds_mps), 7000
         assert n % step
-        for k0 in range(0, n, step):
-            block = simulate_run(profile, cfg, traj.block(k0, k0 + step))
+        for traj in synthesizer._trajectory_blocks(cfg, profile.length_m, step):
+            k0 = traj.start
+            block = simulate_run(profile, cfg, traj)
             assert np.array_equal(block.speeds_mps, whole.speeds_mps[k0:k0 + step])
             for cid, ts in block.channels.items():
                 ref = whole.channels[cid].samples
@@ -491,6 +521,32 @@ class TestBlocks:
                                       whole.wheel_positions[cid][k0:k0 + step])
                 assert np.max(np.abs(ts.samples - ref[k0:k0 + step])) \
                     <= 1e-15 * np.max(np.abs(ref)), cid
+
+    @pytest.mark.parametrize("reach", [0, 7])
+    def test_bracketing_samples_interpolate_as_the_whole_run(self, reach):
+        # the samples each block keeps give np.interp's result on the whole
+        # run at every query, also at standstills on a query, between
+        # blocks and before or after the run, and hold every sample within
+        # reach of each bracketing pair
+        rng = np.random.default_rng(8)
+        steps = rng.choice([0.0, 0.004, 0.011], size=20000, p=[0.3, 0.5, 0.2])
+        x = np.cumsum(steps)
+        x[5000:6000] = x[4999] = 0.25 * np.ceil(x[4999] / 0.25)  # stopped on a query
+        x = np.maximum.accumulate(x)
+        v = rng.uniform(0.0, 20.0, x.size)
+        queries = np.union1d(0.25 * np.arange(-2, int(x[-1] / 0.25) + 3), [x[777]])
+        cuts = [0, 1, 4999, 5000, 5500, 13000, 13001, x.size]
+        kept = np.concatenate([lo + synthesizer._brackets(x[lo:hi], queries, reach)
+                               for lo, hi in zip(cuts[:-1], cuts[1:])])
+        assert np.all(np.diff(kept) > 0)
+        assert kept.size < (2 * reach + 3) * (queries.size + 2 * len(cuts))
+        assert np.array_equal(np.interp(queries, x[kept], v[kept]),
+                              np.interp(queries, x, v))
+        last = np.searchsorted(x, queries, side="right") - 1
+        got = kept[np.searchsorted(x[kept], queries, side="right") - 1]
+        assert np.array_equal(got[last >= 0], last[last >= 0])
+        near = np.add.outer(last[last >= 0], np.arange(-reach, reach + 2))
+        assert np.all(np.isin(np.clip(near, 0, x.size - 1), kept))
 
     @pytest.mark.parametrize("splits", [[1], [25600, 51200], [3, 4, 1000, 99999]],
                              ids=["one-sample", "whole-blocks", "uneven"])
