@@ -2,9 +2,10 @@
 
 Stage order: merge -> decimate to the working rate -> double integration
 (cutoff from the chord unless overridden) -> speed from front/back cross
-correlation at SPEED_CUTOFF_HZ (or from an external time table) -> distance axis
--> spatial resampling, the settle zones and standstill masked -> chord
-alignment, rounded to the published .trc resolution -> windowed maxima.
+correlation at SPEED_CUTOFF_HZ, held at its settle zone's edge samples (or
+from an external time table) -> distance axis -> spatial resampling, the
+settle zones and standstill masked -> chord alignment, rounded to the
+published .trc resolution -> windowed maxima.
 The front sensor's displacement is the geometry estimate; the back one
 exists for the speed estimator. Only the records a job reads are merged
 and decimated, so a fault in any other record does not touch the run; they
@@ -216,9 +217,12 @@ def process_records(channels: Mapping, opts: ProcessOptions = ProcessOptions(),
         front, back = (displacement(cid, SPEED_CUTOFF_HZ) for cid in plan.pair)
         delay = estimate_delay(front, back,
                                delay_bounds_s=delay_bounds(opts.wheelbase_m))
-        # the speed is bridged over the settle zone, as the geometry is masked
-        valid = delay.valid & _settled(n, SPEED_CUTOFF_HZ)
-        speed = estimate_speed(replace(delay, valid=valid), opts.wheelbase_m)
+        estimated = estimate_speed(delay, opts.wheelbase_m)
+        # held over the settle zone at its edge samples, as the geometry is masked
+        settled = _settled(n, SPEED_CUTOFF_HZ)
+        held = np.clip(np.arange(n), *np.flatnonzero(settled)[[0, -1]])
+        speed = SpeedProfile(estimated.speeds_mps[held], WORKING_RATE_HZ,
+                             estimated.valid & settled)
 
     axis = build_distance_axis(speed)
 

@@ -1,17 +1,18 @@
 """Speed over ground from two displacement signals a wheelbase apart.
 
 The rear sensor sees the same track as the front one, delayed by
-wheelbase / speed. The delay is found per evaluation window as the argmax of
-the windowed cross correlation between the two displacement records, refined
-to sub-sample resolution with a parabolic fit, and converted to speed.
+wheelbase / speed. estimate_delay finds the delay of each evaluation window
+as the argmax of the windowed cross correlation between the two
+displacement records, refined to sub-sample resolution with a parabolic
+fit; estimate_speed interpolates the windows' delays onto the samples once.
 
 The windows are correlated in batches: one real FFT of each window's back
 segment and front window, zero-padded to a 5-smooth length that no product
 wraps around, one inverse of their cross spectra, and the argmax, quality,
 edge test and parabola for the whole batch at once. A batch holds as many
 windows as keep its float64 working set near _BATCH_FLOATS, so memory does
-not grow with the record beyond the per-sample outputs. The 5-smooth length
-is timeseries.next_fast_len, so that no command loads scipy.
+not grow with the record beyond the window rows. The 5-smooth length is
+timeseries.next_fast_len, so that no command loads scipy.
 """
 
 from __future__ import annotations
@@ -44,16 +45,16 @@ DEFAULT_DELAY_BOUNDS_S = delay_bounds(DEFAULT_WHEELBASE_M)
 
 @dataclass(frozen=True)
 class DelayEstimate:
-    """Per-sample delay between the front and back sensor.
+    """Delay between the front and back sensor per evaluation window: its
+    center (a sample index), delay (NaN where the window had no usable
+    correlation peak, valid=False) and normalized correlation peak, and
+    the length of the record the windows were taken from."""
 
-    delays_s/peak_quality/valid all have one entry per input sample. Samples
-    whose evaluation window had no usable correlation peak carry bridged
-    delay values and valid=False (all-NaN if no window was usable at all).
-    """
-
+    centers: np.ndarray
     delays_s: np.ndarray
     peak_quality: np.ndarray
     valid: np.ndarray
+    n_samples: int
     sample_rate_hz: float
 
 
@@ -73,12 +74,11 @@ def estimate_delay(front: TimeSeries, back: TimeSeries,
     """Windowed cross-correlation delay of back relative to front.
 
     Windows of ``window_samples`` are evaluated every ``stride`` samples
-    (default window/4) and the per-window delays are linearly interpolated to
-    every sample. A window is invalid when its normalized correlation peak is
-    below QUALITY_THRESHOLD or sits on the edge of the searched lag range
-    (the true delay then lies outside ``delay_bounds_s``, which must satisfy
-    0 < min < max: back trails front). A sample is valid when the window
-    centers on both sides of it are.
+    (default window/4), each row of the result one window. A window is
+    invalid when its normalized correlation peak is below QUALITY_THRESHOLD
+    or sits on the edge of the searched lag range (the true delay then lies
+    outside ``delay_bounds_s``, which must satisfy 0 < min < max: back
+    trails front).
 
     Each window's correlation over the searched lags is
     irfft(rfft(back segment) conj(rfft(front window))) at
@@ -97,8 +97,7 @@ def estimate_delay(front: TimeSeries, back: TimeSeries,
     t_min, t_max = delay_bounds_s
     if not 0 < t_min < t_max:
         raise ValueError(f"delay bounds {t_min:g} .. {t_max:g} s: need 0 < min < max")
-    lag_lo = int(np.ceil(t_min * fs))
-    lag_hi = int(np.floor(t_max * fs))
+    lag_lo, lag_hi = int(np.ceil(t_min * fs)), int(np.floor(t_max * fs))
     if lag_lo > lag_hi:
         raise ValueError("delay bounds contain no integer sample lag")
 
@@ -150,41 +149,33 @@ def estimate_delay(front: TimeSeries, back: TimeSeries,
         c_quality[lo:lo + batch] = quality
         c_valid[lo:lo + batch] = ok
 
-    sample_idx = np.arange(n)
-    quality_s = np.interp(sample_idx, centers, c_quality)
-    if c_valid.any():
-        good = centers[c_valid]
-        delays_s = np.interp(sample_idx, good, c_delay[c_valid])
-        # a sample is valid when every center it leans on is valid
-        right = np.searchsorted(centers, sample_idx)
-        left = np.clip(right - 1, 0, centers.size - 1)
-        right = np.clip(right, 0, centers.size - 1)
-        valid_s = c_valid[left] & c_valid[right]
-    else:
-        delays_s = np.full(n, np.nan)
-        valid_s = np.zeros(n, dtype=bool)
-    return DelayEstimate(delays_s, quality_s, valid_s, fs)
+    c_delay[~c_valid] = np.nan
+    return DelayEstimate(centers, c_delay, c_quality, c_valid, n, fs)
 
 
 def estimate_speed(delays: DelayEstimate, wheelbase_m: float) -> SpeedProfile:
-    """Convert delays to speed = wheelbase / delay and fill gaps.
+    """Speed = wheelbase / delay at every sample of the delays' record.
 
-    Samples with an invalid delay or a speed outside SPEED_BOUNDS are filled
-    by linear interpolation from the nearest valid neighbors and left
-    flagged (valid=False); the speed is rounded to the published resolution
-    of a .trc (layout.published), the speed that speed.csv holds. Raises
-    NoValidSpeedError when nothing is valid.
+    The valid windows whose speed lies within SPEED_BOUNDS are kept, and
+    each sample's delay is interpolated between the kept windows around it
+    (held past the first and last): a gap is bridged by the delays on
+    either side. A sample is valid when the windows on both sides of it
+    are kept. The speed is rounded to the published resolution of a .trc
+    (layout.published), as speed.csv holds it. Raises NoValidSpeedError
+    when no window is kept.
     """
     if not wheelbase_m > 0:
         raise ValueError(f"wheelbase_m must be > 0, got {wheelbase_m}")
     s_min, s_max = SPEED_BOUNDS
-    d = delays.delays_s
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = np.where(d > 0, wheelbase_m / d, np.nan)
-    valid = delays.valid & np.isfinite(raw) & (raw >= s_min) & (raw <= s_max)
-    if not valid.any():
-        raise NoValidSpeedError("no delay sample yielded a speed within bounds")
-    idx = np.flatnonzero(valid)
-    speeds = np.interp(np.arange(d.size), idx, raw[idx])
+    kept = delays.valid.copy()
+    v = wheelbase_m / delays.delays_s[kept]
+    kept[kept] = (v >= s_min) & (v <= s_max)
+    if not kept.any():
+        raise NoValidSpeedError("no delay window yielded a speed within bounds")
+    samples = np.arange(delays.n_samples)
+    speeds = wheelbase_m / np.interp(samples, delays.centers[kept],
+                                     delays.delays_s[kept])
+    # sample i lies between the centers right - 1 and right
+    right = np.searchsorted(delays.centers, samples)
+    valid = kept[np.maximum(right - 1, 0)] & kept[np.minimum(right, kept.size - 1)]
     return SpeedProfile(published(speeds), delays.sample_rate_hz, valid)
-

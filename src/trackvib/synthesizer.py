@@ -461,7 +461,9 @@ def _sample_plan(config: SimConfig, length_m: float):
     else:
         tau = need / v0 if v0 > 0 else knot_dt[seg]
     t_reach = min(kt[seg] + tau, kt[-1])
-    n = int(np.ceil(t_reach * fs - 1e-9)) + 1
+    # the first sample at or past t_reach and a spare one: there, the
+    # sampled trapezoid sum can fall a rounding short of length_m
+    n = int(np.ceil(t_reach * fs - 1e-9)) + 2
     n = min(n, int(np.floor(kt[-1] * fs + 1e-9)) + 1)
     return n, kt, kv, knot_slope
 

@@ -315,7 +315,9 @@ class TestSpeedTruth:
     """The estimated speed and the distance axis against the simulator's
     truth, on noisy records: bounds fixed over seeds 1-5. The stop-go bound
     holds the error that noise-only delays taken during the stop add, as a
-    guard against it growing."""
+    guard against it growing; it was 1.30 m/s and 120 m while the speed was
+    interpolated a second time, linearly in speed, across invalid samples
+    (seed 1 read 1.237 m/s, seed 2 117.2 m)."""
 
     @pytest.mark.parametrize("seed", range(1, 6))
     @pytest.mark.parametrize("length_m, speed_plan, rms_bound, end_bound", [
@@ -323,7 +325,7 @@ class TestSpeedTruth:
         (1000.0, ((0.0, 3.0), (60.0, 20.0), (80.0, 20.0)), 0.30, 7.5),
         # the benchmark's stop-go-400m plan, without its impulse
         (400.0, ((0, 3), (15, 12), (17, 12), (25, 0), (35, 0), (43, 12),
-                 (200, 12)), 1.30, 120.0),
+                 (200, 12)), 1.00, 110.0),
     ], ids=["constant", "ramp", "stop-go"])
     def test_speed_and_axis_end(self, length_m, speed_plan, rms_bound,
                                 end_bound, seed):

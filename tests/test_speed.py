@@ -115,15 +115,8 @@ def estimate_delay_reference(front, back, window_samples=DEFAULT_WINDOW_SAMPLES,
         offset = 0.5 * (cm - cp) / curv if curv != 0.0 else 0.0
         c_delay[i] = float(np.clip((lag + offset) / fs, t_min, t_max))
         c_valid[i] = True
-    idx = np.arange(n)
-    quality_s = np.interp(idx, centers, c_quality)
-    if not c_valid.any():
-        return DelayEstimate(np.full(n, np.nan), quality_s, np.zeros(n, dtype=bool), fs)
-    right = np.searchsorted(centers, idx)
-    left = np.clip(right - 1, 0, centers.size - 1)
-    right = np.clip(right, 0, centers.size - 1)
-    return DelayEstimate(np.interp(idx, centers[c_valid], c_delay[c_valid]),
-                         quality_s, c_valid[left] & c_valid[right], fs)
+    c_delay[~c_valid] = np.nan
+    return DelayEstimate(centers, c_delay, c_quality, c_valid, n, fs)
 
 
 class TestBatchedCorrelation:
@@ -132,6 +125,8 @@ class TestBatchedCorrelation:
     def assert_matches_loop(self, front, back, window_samples=DEFAULT_WINDOW_SAMPLES):
         est = estimate_delay(front, back, window_samples)
         ref = estimate_delay_reference(front, back, window_samples)
+        assert est.n_samples == ref.n_samples == len(front)
+        assert np.array_equal(est.centers, ref.centers)
         assert np.array_equal(est.valid, ref.valid)
         assert np.allclose(est.delays_s, ref.delays_s, rtol=0, atol=1e-12,
                            equal_nan=True)
@@ -155,7 +150,8 @@ class TestBatchedCorrelation:
         y = back.samples.copy()
         y[2400:4800] = 0.0
         est = self.assert_matches_loop(front, TimeSeries(y, FS))
-        flat = 3120                     # a window center: 480 + 11 x 240
+        flat = 11                       # the window centered on 480 + 11 x 240
+        assert est.centers[flat] == 3120
         assert est.peak_quality[flat] == 0.0 and not est.valid[flat]
         assert est.valid.any()
 
@@ -164,8 +160,11 @@ class TestBatchedCorrelation:
         # below the shortest searched lag
         x = TimeSeries(rough_signal(7680, seed=6, knot_s=0.5), FS)
         est = self.assert_matches_loop(x, x)
-        assert not est.valid.any()
         assert np.all(est.peak_quality >= QUALITY_THRESHOLD)
+        # but for one window, whose correlation (not normalized per lag)
+        # peaks inside the range, at lag 26: alone, it makes no sample valid
+        assert np.flatnonzero(est.valid).tolist() == [5]
+        assert not estimate_speed(est, 2.5).valid.any()
 
     def test_windows_not_a_multiple_of_the_batch(self, monkeypatch):
         rows = []
@@ -190,12 +189,12 @@ class TestBatchedCorrelation:
         with pytest.raises(ValueError, match="too short"):
             estimate_delay(*shifted_pair(960 + 640, 64, seed=10), window_samples=961)
 
-    @pytest.mark.parametrize("n, bound_mb", [(102_400, 4.94 + 3.0),
-                                             (409_600, 19.72 + 3.0)])
-    def test_memory_does_not_follow_the_batches(self, n, bound_mb):
-        # the per-window loop peaked at 4.94 and 19.72 MB (tracemalloc, these
-        # records): the per-sample outputs, not the windows. The batches may
-        # add their bounded working set, not one that grows with the record
+    @pytest.mark.parametrize("n", [102_400, 409_600])
+    def test_memory_does_not_follow_the_batches(self, n):
+        # one row per window: the batches' bounded working set (about 1 MB)
+        # and about 25 B per window of 240 samples, nothing per sample.
+        # Per-sample outputs peaked at 5.28 and 19.94 MB (tracemalloc, these
+        # records)
         front, back = shifted_pair(n, 64, seed=9)
         tracemalloc.start()
         try:
@@ -203,18 +202,27 @@ class TestBatchedCorrelation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound_mb * 1e6
+        assert peak <= 3e6
+
+
+def window_rows(delays_s, valid=True, n=None, stride=240):
+    """DelayEstimate of windows centered every stride samples from 0, over
+    n samples (default: to the last center); invalid windows carry NaN."""
+    d = np.array(delays_s, dtype=float)
+    ok = np.broadcast_to(valid, d.shape).copy()
+    d[~ok] = np.nan
+    centers = np.arange(d.size) * stride
+    n = centers[-1] + 1 if n is None else n
+    return DelayEstimate(centers, d, np.full(d.size, 0.9), ok, n, FS)
 
 
 class TestEstimateSpeed:
     def constant_delay(self, delay_s, n=1000, valid=True):
-        return DelayEstimate(
-            delays_s=np.full(n, delay_s),
-            peak_quality=np.full(n, 0.9),
-            valid=np.full(n, valid), sample_rate_hz=FS)
+        return window_rows(np.full(5, delay_s), valid, n)
 
     def test_quarter_second_gives_ten_mps(self):
         prof = estimate_speed(self.constant_delay(0.25), 2.5)
+        assert prof.speeds_mps.size == 1000
         assert np.allclose(prof.speeds_mps, 10.0)
 
     def test_unit_ratio(self):
@@ -231,31 +239,41 @@ class TestEstimateSpeed:
             estimate_speed(self.constant_delay(0.05), 2.5)
 
     def test_valid_samples_are_the_published_ratio(self):
-        # delays interpolated between window centres 240 samples apart, as
-        # estimate_delay gives them: every valid sample is wheelbase / delay,
-        # rounded, whatever its neighbours
+        # windows 240 samples apart, as estimate_delay gives them: at every
+        # valid window's center the speed is wheelbase / delay, rounded,
+        # whatever its neighbours; a sample is valid when the windows on
+        # both sides of it are (at a center, that one and the one before)
         rng = np.random.default_rng(11)
-        n = 5000
-        centres = np.arange(0, n + 240, 240)
-        d = np.interp(np.arange(n), centres,
-                      rng.uniform(0.1, 2.5, size=centres.size))
-        valid = rng.random(n) > 0.2
-        est = DelayEstimate(d, np.full(n, 0.9), valid, FS)
+        est = window_rows(rng.uniform(0.1, 2.5, size=21),
+                          rng.random(21) > 0.2, n=5000)
         prof = estimate_speed(est, 2.5)
-        assert np.array_equal(prof.valid, valid)
-        assert np.array_equal(prof.speeds_mps[valid], published(2.5 / d[valid]))
+        on = est.centers[est.valid]
+        assert np.array_equal(prof.speeds_mps[on],
+                              published(2.5 / est.delays_s[est.valid]))
+        assert 0 < np.count_nonzero(~est.valid) < 21
+        both = [est.valid[max(k - 1, 0)] & est.valid[min(k, 20)]
+                for k in (np.count_nonzero(est.centers < i) for i in range(5000))]
+        assert np.array_equal(prof.valid, both)
 
     def test_invalid_gap_interpolated_and_flagged(self):
-        n = 2000
-        d = np.full(n, 0.25)
-        valid = np.ones(n, dtype=bool)
-        valid[800:1200] = False
-        d[800:1200] = np.nan
-        est = DelayEstimate(d, np.full(n, 0.9), valid, FS)
-        prof = estimate_speed(est, 2.5)
+        valid = np.ones(9, dtype=bool)
+        valid[3:6] = False
+        prof = estimate_speed(window_rows(np.full(9, 0.25), valid, n=2000), 2.5)
         assert np.allclose(prof.speeds_mps, 10.0)
         assert not prof.valid[1000]
         assert prof.valid[100]
+
+    def test_bridge_interpolates_the_delays(self):
+        # an invalid window between windows at 40 m/s and 1 m/s: the bridge
+        # is wheelbase / the delay interpolated between them, not a line
+        # in speed (that would read 20.5 m/s at the invalid center, not 1.95)
+        est = window_rows([0.0625, 0.5, 2.5, 2.5], [True, False, True, True])
+        prof = estimate_speed(est, 2.5)
+        i = np.arange(481)
+        assert np.array_equal(prof.speeds_mps[i],
+                              published(2.5 / np.interp(i, [0, 480], [0.0625, 2.5])))
+        assert prof.speeds_mps[240] == published(2.5 / 1.28125)
+        assert prof.valid[0] and not prof.valid[1:481].any() and prof.valid[481:].all()
 
     def test_bad_wheelbase(self):
         with pytest.raises(ValueError):

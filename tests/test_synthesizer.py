@@ -453,6 +453,14 @@ class TestTrajectory:
                            rtol=0, atol=1e-9)
         assert x[-2] < 150.0 <= x[-1]
 
+    def test_run_on_the_sample_lattice_ends_at_its_length(self):
+        # 120 m at 8 m/s is sample 65 280 by the plan, but the sampled
+        # trapezoid sum reaches it one sample later
+        v, _, x = synthesizer._trajectory(SimConfig(speed_plan=SHORT_STOP_PLAN),
+                                          120.0)
+        assert x[-2] < 120.0 <= x[-1]
+        assert x.size == 65_282 and v[-1] == 8.0
+
     @pytest.mark.parametrize("block", [5000, 7777])
     @pytest.mark.parametrize("plan, length_m", [
         (STOP_START_PLAN, 200.03), (SHORT_STOP_PLAN, 120.03),
